@@ -61,7 +61,6 @@ from .measurement import (
     measure_series,
     sample_grid,
     select_qr,
-    series_rows,
 )
 from .minimax import (
     ErrorCertificate,

@@ -2,7 +2,7 @@
 
 Subcommands mirror the experiment families:
 
-    superkrylov convergence  --config cfg.txt [--seed N] [--out DIR] [--threads N]
+    superkrylov convergence  --config cfg.txt [--seed N] [--out DIR]
     superkrylov deriv-scaling --config cfg.txt ...
     superkrylov minimax-demo  --config cfg.txt ...
     superkrylov gram          --config cfg.txt ...
@@ -34,8 +34,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config master_seed")
     sub.add_argument("--out", default=None, help="override the output directory")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for sweep cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +66,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         if args.command == "convergence":
-            path = run_convergence(config, threads=args.threads)
+            path = run_convergence(config)
         elif args.command == "deriv-scaling":
-            path = run_derivative_scaling(config, threads=args.threads)
+            path = run_derivative_scaling(config)
         elif args.command == "minimax-demo":
             path = run_minimax_demo(config)
         else:

@@ -62,7 +62,7 @@ class BVPSolveFailure(SuperKrylovError, RuntimeError):
 
 
 class MissingFit(SuperKrylovError, KeyError):
-    """No minimax fit supplied for a required (j, k) pair."""
+    """No minimax fit supplied for a required index gap k - j."""
 
 
 class AllModesThresholded(SuperKrylovError, RuntimeError):

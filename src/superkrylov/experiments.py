@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -45,6 +45,7 @@ from .measurement import (
     select_qr,
 )
 from .minimax import (
+    EstimatorModel,
     build_model,
     error_certificate,
     evaluate_x0,
@@ -96,6 +97,18 @@ class ExperimentConfig:
             raise ConfigParse(f"unknown eps_rule {self.eps_rule!r}")
         if self.trials < 1 or self.D < 2 or self.M < 2:
             raise ConfigParse("trials >= 1, D >= 2, M >= 2 required")
+        if self.n < (2 if self.model == "heisenberg" else 1):
+            raise ConfigParse("n must be >= 2 (heisenberg) or >= 1 (bipartite)")
+        if self.model_seed < 0 or self.master_seed < 0:
+            raise ConfigParse("model_seed and master_seed must be nonnegative")
+        if not (math.isfinite(self.eps_fixed) and self.eps_fixed >= 0):
+            raise ConfigParse("eps_fixed must be finite and nonnegative")
+        if min(self.m_values) < 2 or min(self.d_values) < 2:
+            raise ConfigParse("m_values and d_values entries must be >= 2")
+        if not all(math.isfinite(t) and t >= 0 for t in self.theta_values):
+            raise ConfigParse("theta_values must be finite and nonnegative")
+        if not 0.0 < self.delta_t_fraction < 1.0:
+            raise ConfigParse("delta_t_fraction must lie in (0, 1)")
         return self
 
 
@@ -147,7 +160,6 @@ class PipelineContext:
     spec: object
     v: np.ndarray
     lam0: float
-    lam_top: float
     class_tag: object
     top_energy: float | None
     t_star: float
@@ -172,11 +184,10 @@ def build_context(config: ExperimentConfig) -> PipelineContext:
     t_star = choose_timestep(width_j)
     delta_t = config.delta_t_fraction * t_star
     tau = 1.5 * (t_star + delta_t)
-    top = ham.top_energy if ham.top_energy is not None else None
     return PipelineContext(
         spec=spec, v=v, lam0=float(spec.eigenvalues[0]),
-        lam_top=float(spec.eigenvalues[-1]), class_tag=ham.class_tag,
-        top_energy=top, t_star=t_star, delta_t=delta_t, tau=tau,
+        class_tag=ham.class_tag, top_energy=ham.top_energy,
+        t_star=t_star, delta_t=delta_t, tau=tau,
     )
 
 
@@ -198,53 +209,62 @@ def _eps(config: ExperimentConfig, m: int, theta: float) -> float:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+def _write_outputs(config: ExperimentConfig, command: str, tables: list,
+                   start: float) -> str:
+    """Write (name, header, rows) CSV tables and the manifest.
 
-
-def _write_manifest(out_dir: str, command: str, config: ExperimentConfig,
-                    outputs: list[str], n_records: int, wall_time: float):
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": asdict(config),
-        "outputs": outputs,
-        "n_records": n_records,
-        "wall_time_s": round(wall_time, 3),
-    }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    with open(path, "w") as fh:
+    Returns the first table's path; the manifest counts its records.
+    """
+    os.makedirs(config.out, exist_ok=True)
+    paths = []
+    for name, header, rows in tables:
+        path = os.path.join(config.out, name)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        paths.append(path)
+    manifest = {"schema_version": SCHEMA_VERSION, "command": command,
+                "config": asdict(config), "outputs": paths,
+                "n_records": len(tables[0][2]),
+                "wall_time_s": round(time.time() - start, 3)}
+    with open(os.path.join(config.out, f"{command}_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return paths[0]
+
+
+def _gap_models(ctx: PipelineContext, config: ExperimentConfig, gap: int,
+                grid: np.ndarray, eta_bounds: list) -> list[EstimatorModel]:
+    """Estimator models for one index gap, one per noise bound ||eta||^2.
+
+    The initial condition x_in and the forcing norm are computed once and
+    shared; only the budget's r differs between the models.
+    """
+    x_in = np.zeros(config.M)
+    x_in[0] = 1.0
+    if config.M >= 3:
+        x_in[2] = exact_second_derivative(ctx.spec, ctx.v, 0, gap, 0.0)
+    f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
+    return [build_model(config.M, x_in, ctx.tau, select_qr(f_norm, eta),
+                        last_timepoint=float(grid[-1]))
+            for eta in eta_bounds]
 
 
 def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
               trial: int, m_max: int) -> dict:
     """One minimax fit per index gap, on a freshly sampled noisy series."""
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
+    eta_bound = estimated_eta_norm_sq(config.D, theta)
     fits = {}
     for gap in range(1, m_max):
         seed = _cell_seed(config.master_seed, 1, _theta_key(theta), trial, gap)
         series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
                                 seed=np.random.default_rng(seed))
-        x_in = np.zeros(config.M)
-        x_in[0] = 1.0
-        if config.M >= 3:
-            x_in[2] = exact_second_derivative(ctx.spec, ctx.v, 0, gap, 0.0)
-        f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
-        eta_norm = estimated_eta_norm_sq(config.D, theta)
-        budget = select_qr(f_norm, eta_norm)
-        model = build_model(config.M, x_in, ctx.tau, budget,
-                            last_timepoint=float(grid[-1]))
+        [model] = _gap_models(ctx, config, gap, grid, [eta_bound])
         fits[gap] = fit(model, series)
     return fits
 
@@ -277,31 +297,18 @@ def _convergence_cell(ctx: PipelineContext, config: ExperimentConfig,
     return rows
 
 
-def _run_cells(cells, worker, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(c) for c in cells]
-
-
-def run_convergence(config: ExperimentConfig, threads: int = 1) -> str:
+def run_convergence(config: ExperimentConfig) -> str:
     """Ground-energy error versus Krylov dimension; returns the CSV path."""
     start = time.time()
     config.validate()
     ctx = build_context(config)
-    cells = [(theta, trial) for theta in config.theta_values
-             for trial in range(config.trials)]
-    results = _run_cells(
-        cells, lambda c: _convergence_cell(ctx, config, c[0], c[1]), threads
-    )
-    rows = [row for cell_rows in results for row in cell_rows]
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, "convergence.csv")
-    _write_csv(path, ["m", "theta", "gamma0", "trial", "delta0_prime",
-                      "estimate", "rel_error", "omega", "kept_dim"], rows)
-    _write_manifest(config.out, "convergence", config, [path], len(rows),
-                    time.time() - start)
-    return path
+    rows = [row for theta in config.theta_values
+            for trial in range(config.trials)
+            for row in _convergence_cell(ctx, config, theta, trial)]
+    header = ["m", "theta", "gamma0", "trial", "delta0_prime", "estimate",
+              "rel_error", "omega", "kept_dim"]
+    return _write_outputs(config, "convergence",
+                          [("convergence.csv", header, rows)], start)
 
 
 def _scaling_cell(ctx: PipelineContext, config: ExperimentConfig,
@@ -311,14 +318,8 @@ def _scaling_cell(ctx: PipelineContext, config: ExperimentConfig,
     seed = _cell_seed(config.master_seed, 2, _theta_key(theta), trial, D)
     series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
                             seed=np.random.default_rng(seed))
-    x_in = np.zeros(config.M)
-    x_in[0] = 1.0
-    if config.M >= 3:
-        x_in[2] = exact_second_derivative(ctx.spec, ctx.v, 0, gap, 0.0)
-    f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
-    budget = select_qr(f_norm, estimated_eta_norm_sq(D, theta))
-    model = build_model(config.M, x_in, ctx.tau, budget,
-                        last_timepoint=float(grid[-1]))
+    [model] = _gap_models(ctx, config, gap, grid,
+                          [estimated_eta_norm_sq(D, theta)])
     f = fit(model, series)
     truth = recovery_derivative(ctx.spec, ctx.v, 0, gap, ctx.t_star, 1)
     abs_error = abs(evaluate_x1(f, ctx.t_star) - truth)
@@ -326,7 +327,7 @@ def _scaling_cell(ctx: PipelineContext, config: ExperimentConfig,
     return (D, theta, trial, abs_error, sigma)
 
 
-def run_derivative_scaling(config: ExperimentConfig, threads: int = 1) -> str:
+def run_derivative_scaling(config: ExperimentConfig) -> str:
     """Derivative error and certificate versus datapoint count D.
 
     Per-trial rows are followed by summary rows (trial = -1) holding the
@@ -335,12 +336,10 @@ def run_derivative_scaling(config: ExperimentConfig, threads: int = 1) -> str:
     start = time.time()
     config.validate()
     ctx = build_context(config)
-    cells = [(D, theta, trial) for D in config.d_values
-             for theta in config.theta_values
-             for trial in range(config.trials)]
-    rows = _run_cells(
-        cells, lambda c: _scaling_cell(ctx, config, c[0], c[1], c[2]), threads
-    )
+    rows = [_scaling_cell(ctx, config, D, theta, trial)
+            for D in config.d_values
+            for theta in config.theta_values
+            for trial in range(config.trials)]
     summary = []
     for D in config.d_values:
         for theta in config.theta_values:
@@ -348,14 +347,9 @@ def run_derivative_scaling(config: ExperimentConfig, threads: int = 1) -> str:
             summary.append((D, theta, -1,
                             float(np.mean([r[3] for r in sel])),
                             float(np.mean([r[4] for r in sel]))))
-    all_rows = rows + summary
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, "deriv_scaling.csv")
-    _write_csv(path, ["D", "theta", "trial", "abs_error", "sigma_certificate"],
-               all_rows)
-    _write_manifest(config.out, "deriv-scaling", config, [path], len(all_rows),
-                    time.time() - start)
-    return path
+    header = ["D", "theta", "trial", "abs_error", "sigma_certificate"]
+    return _write_outputs(config, "deriv-scaling",
+                          [("deriv_scaling.csv", header, rows + summary)], start)
 
 
 def run_minimax_demo(config: ExperimentConfig) -> str:
@@ -374,22 +368,12 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
     seed = _cell_seed(config.master_seed, 3, _theta_key(theta), 0, gap)
     series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
                             seed=np.random.default_rng(seed))
-    x_in = np.zeros(config.M)
-    x_in[0] = 1.0
-    if config.M >= 3:
-        x_in[2] = exact_second_derivative(ctx.spec, ctx.v, 0, gap, 0.0)
-    f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
     eta0 = estimated_eta_norm_sq(config.D, theta)
     # the r variants come from scaled noise bounds so each budget stays valid
-    variants = {}
-    for tag, scale in (("rlow", 10.0), ("r0", 1.0), ("rhigh", 0.1)):
-        budget = select_qr(f_norm, eta0 * scale if eta0 > 0 else 0.0)
-        if eta0 == 0.0 and scale != 1.0:
-            budget = select_qr(f_norm, 0.0)
-        model = build_model(config.M, x_in, ctx.tau, budget,
-                            last_timepoint=float(grid[-1]))
-        variants[tag] = (model, fit(model, series))
-    model0, fit0 = variants["r0"]
+    models = _gap_models(ctx, config, gap, grid,
+                         [10.0 * eta0, eta0, 0.1 * eta0])
+    fit_low, fit0, fit_high = (fit(model, series) for model in models)
+    model0 = models[1]
     dense = np.linspace(0.0, ctx.tau, 201)
     rows = []
     for t in dense:
@@ -398,22 +382,18 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
             float(t),
             recovery_probability(ctx.spec, ctx.v, 0, gap, float(t)),
             recovery_derivative(ctx.spec, ctx.v, 0, gap, float(t), 1),
-            evaluate_x0(variants["rlow"][1], float(t)),
+            evaluate_x0(fit_low, float(t)),
             evaluate_x0(fit0, float(t)),
-            evaluate_x0(variants["rhigh"][1], float(t)),
+            evaluate_x0(fit_high, float(t)),
             evaluate_x1(fit0, float(t)),
             sigma,
         ))
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, "minimax_demo.csv")
-    _write_csv(path, ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
-                      "xhat0_rhigh", "xhat1", "sigma"], rows)
-    pts_path = os.path.join(config.out, "minimax_demo_points.csv")
-    _write_csv(pts_path, ["t", "y"],
-               [(float(t), float(y)) for t, y in zip(grid, series.values)])
-    _write_manifest(config.out, "minimax-demo", config, [path, pts_path],
-                    len(rows), time.time() - start)
-    return path
+    header = ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
+              "xhat0_rhigh", "xhat1", "sigma"]
+    points = [(float(t), float(y)) for t, y in zip(grid, series.values)]
+    return _write_outputs(config, "minimax-demo", [
+        ("minimax_demo.csv", header, rows),
+        ("minimax_demo_points.csv", ["t", "y"], points)], start)
 
 
 def run_gram(config: ExperimentConfig) -> str:
@@ -436,10 +416,5 @@ def run_gram(config: ExperimentConfig) -> str:
                     float(pair.R_hat[j, k].real), float(pair.R_hat[j, k].imag),
                     float(pair.J_hat[j, k].real), float(pair.J_hat[j, k].imag),
                 ))
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, "gram.csv")
-    _write_csv(path, ["source", "row", "col", "R_re", "R_im", "J_re", "J_im"],
-               rows)
-    _write_manifest(config.out, "gram", config, [path], len(rows),
-                    time.time() - start)
-    return path
+    header = ["source", "row", "col", "R_re", "R_im", "J_re", "J_im"]
+    return _write_outputs(config, "gram", [("gram.csv", header, rows)], start)

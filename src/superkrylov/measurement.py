@@ -47,10 +47,6 @@ class MeasurementSeries:
         object.__setattr__(self, "timepoints", ts)
         object.__setattr__(self, "values", ys)
 
-    @property
-    def n_points(self) -> int:
-        return self.timepoints.size
-
 
 @dataclass(frozen=True)
 class NoiseBudget:
@@ -178,11 +174,3 @@ def forcing_norm_sq(
     )
     return float(np.sum(weights * vals**2))
 
-
-def series_rows(series: MeasurementSeries) -> list[tuple]:
-    """CSV-ready rows: (pair_j, pair_k, t, y, theta, seed)."""
-    j, k = series.pair
-    return [
-        (j, k, float(t), float(y), series.noise_sigma, series.seed)
-        for t, y in zip(series.timepoints, series.values)
-    ]

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     BadHorizon,
+    BVPSolveFailure,
     OutOfHorizon,
     SingularSystem,
 )
@@ -274,8 +275,6 @@ def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
     try:
         u = np.linalg.solve(q * np.eye(ts.size) + r * G, w)
     except np.linalg.LinAlgError as exc:
-        from .errors import BVPSolveFailure
-
         raise BVPSolveFailure(str(exc)) from exc
     sigma_sq = (kk - r * float(w @ u)) / q
     return ErrorCertificate(t_eval=float(t_eval), component=c,

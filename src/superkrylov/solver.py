@@ -32,9 +32,10 @@ from .errors import (
     DimensionMismatch,
     MissingFit,
     MissingTopEnergy,
+    SingularSystem,
     ZeroWidth,
 )
-from .minimax import MinimaxFit, evaluate_x0, evaluate_x1
+from .minimax import evaluate_x0, evaluate_x1
 from .pauli import HamiltonianClass
 
 
@@ -47,7 +48,6 @@ class KrylovPair:
     J_hat: np.ndarray
     source: str  # "exact" or "minimax"
     t_star: float
-    omega: float | None = None
 
     def __post_init__(self):
         R, J = self.R_hat, self.J_hat
@@ -69,18 +69,13 @@ class RitzResult:
         return float(self.ritz_values[0])
 
 
-def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
-                        t_star: float) -> KrylovPair:
-    """Exact (J_hat, R_hat) from the spectral oracles at timestep t_star.
+def _toeplitz_pair(m: int, r_gap: dict, j_gap: dict, source: str,
+                   t_star: float) -> KrylovPair:
+    """Hermitian Toeplitz pair from its upper-triangle entries per gap.
 
-    Entries depend only on the gap k - j, so only m - 1 distinct values
-    are computed; the lower triangle follows by Hermitian symmetry and the
-    diagonal is exact (R_jj = 1, J_jj = 0).
+    Entry (j, k) with k > j takes the value at gap k - j; the lower
+    triangle is its conjugate and the diagonal is exact (R_jj = 1, J_jj = 0).
     """
-    if m < 2:
-        raise ValueError("Krylov dimension m must be at least 2")
-    r_gap = {g: recovery_probability(spec, v, 0, g, t_star) for g in range(1, m)}
-    j_gap = {g: exact_J_entry(spec, v, 0, g, t_star) for g in range(1, m)}
     R = np.eye(m, dtype=complex)
     J = np.zeros((m, m), dtype=complex)
     for j in range(m):
@@ -90,48 +85,40 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
             R[k, j] = np.conj(R[j, k])
             J[j, k] = j_gap[g]
             J[k, j] = np.conj(J[j, k])
-    return KrylovPair(m=m, R_hat=R, J_hat=J, source="exact", t_star=t_star)
+    return KrylovPair(m=m, R_hat=R, J_hat=J, source=source, t_star=t_star)
+
+
+def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
+                        t_star: float) -> KrylovPair:
+    """Exact (J_hat, R_hat) from the spectral oracles at timestep t_star.
+
+    Entries depend only on the gap k - j, so only m - 1 distinct values
+    are computed.
+    """
+    if m < 2:
+        raise ValueError("Krylov dimension m must be at least 2")
+    r_gap = {g: recovery_probability(spec, v, 0, g, t_star) for g in range(1, m)}
+    j_gap = {g: exact_J_entry(spec, v, 0, g, t_star) for g in range(1, m)}
+    return _toeplitz_pair(m, r_gap, j_gap, "exact", t_star)
 
 
 def assemble_pair_minimax(fits: dict, m: int, t_star: float) -> KrylovPair:
     """(J_hat, R_hat) from minimax fits evaluated at t_star.
 
-    ``fits`` maps either index pairs (j, k) or bare gaps k - j to a
-    MinimaxFit of the corresponding recovery-probability series.  Each
-    Gram entry is the reconstructed value clipped to its physical range
-    [0, 1]; each commutator entry is the reconstructed derivative divided
-    by i(j - k), folded to Hermitian via (X + X^dag)/2.
+    ``fits`` maps each index gap g = k - j (1 <= g < m) to a MinimaxFit of
+    the series R_0g; a missing gap raises MissingFit.  Each Gram entry is
+    the reconstructed value clipped to its physical range [0, 1]; each
+    commutator entry is the reconstructed derivative divided by i(j - k).
     """
     if m < 2:
         raise ValueError("Krylov dimension m must be at least 2")
-
-    def lookup(j, k) -> MinimaxFit:
-        for key in ((j, k), k - j):
-            if key in fits:
-                return fits[key]
-        raise MissingFit(f"no fit for pair ({j},{k}) or gap {k - j}")
-
-    evaluated: dict[int, tuple[float, float]] = {}
-
-    def values_at_t_star(f: MinimaxFit) -> tuple[float, float]:
-        key = id(f)
-        if key not in evaluated:
-            evaluated[key] = (evaluate_x0(f, t_star), evaluate_x1(f, t_star))
-        return evaluated[key]
-
-    R = np.eye(m, dtype=complex)
-    X = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(j + 1, m):
-            x0, x1 = values_at_t_star(lookup(j, k))
-            R[j, k] = min(max(x0, 0.0), 1.0)
-            R[k, j] = np.conj(R[j, k])
-            X[j, k] = x1 / (1j * (j - k))
-            X[k, j] = np.conj(X[j, k])
-    # folding makes the pair exactly Hermitian even if upper and lower
-    # estimates ever disagree (e.g. per-pair fits without the gap shortcut)
-    J = (X + X.conj().T) / 2.0
-    return KrylovPair(m=m, R_hat=R, J_hat=J, source="minimax", t_star=t_star)
+    r_gap, j_gap = {}, {}
+    for g in range(1, m):
+        if g not in fits:
+            raise MissingFit(f"no fit for gap {g}")
+        r_gap[g] = min(max(evaluate_x0(fits[g], t_star), 0.0), 1.0)
+        j_gap[g] = evaluate_x1(fits[g], t_star) / (1j * -g)
+    return _toeplitz_pair(m, r_gap, j_gap, "minimax", t_star)
 
 
 def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
@@ -143,6 +130,8 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
     """
     if eps < 0:
         raise ValueError("threshold eps must be nonnegative")
+    if not (np.all(np.isfinite(pair.R_hat)) and np.all(np.isfinite(pair.J_hat))):
+        raise SingularSystem("projected pair has non-finite entries")
     sig, V = np.linalg.eigh((pair.R_hat + pair.R_hat.conj().T) / 2.0)
     keep = sig > eps
     if not keep.any():

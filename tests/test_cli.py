@@ -83,6 +83,24 @@ class TestExitCodes:
                         "eps_rule = fixed\neps_fixed = 1e6\n")
         assert main(["convergence", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("line, command", [
+        ("m_values = 1,2,4", "convergence"),
+        ("d_values = 1,5", "deriv-scaling"),
+        ("theta_values = -0.001", "convergence"),
+        ("theta_values = nan", "deriv-scaling"),
+        ("theta_values = nan", "convergence"),
+        ("delta_t_fraction = 1.0", "convergence"),
+        ("n = 0", "gram"),
+        ("n = 1", "convergence"),
+        ("master_seed = -3", "convergence"),
+        ("eps_rule = fixed\neps_fixed = -1", "convergence"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, line, command):
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL_CONFIG + f"out = {tmp_path / 'out'}\n{line}\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestOutputs:
     def test_convergence_schema(self, config_file, tmp_path):
@@ -143,15 +161,3 @@ class TestOutputs:
         with open(os.path.join(out_b, "convergence.csv")) as fh:
             b = fh.read()
         assert a != b
-
-    def test_threads_do_not_change_results(self, config_file, tmp_path):
-        out_a = str(tmp_path / "t1")
-        out_b = str(tmp_path / "t4")
-        main(["convergence", "--config", config_file, "--out", out_a])
-        main(["convergence", "--config", config_file, "--out", out_b,
-              "--threads", "4"])
-        with open(os.path.join(out_a, "convergence.csv")) as fh:
-            a = fh.read()
-        with open(os.path.join(out_b, "convergence.csv")) as fh:
-            b = fh.read()
-        assert a == b

@@ -53,6 +53,21 @@ class TestEigendecompose:
         with pytest.raises(NotHermitian):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_hermiticity_tolerance_scales_with_entries(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(64, 64))
+                            + 1j * rng.normal(size=(64, 64)))
+        h = q @ (1e6 * assemble_dense(heisenberg_chain(6, seed=42))) @ q.conj().T
+        # rounding alone leaves an asymmetry above the unscaled 1e-10
+        assert np.max(np.abs(h - h.conj().T)) > 1e-10
+        spec = eigendecompose(h)
+        np.testing.assert_allclose(
+            spec.eigenvalues, np.linalg.eigvalsh((h + h.conj().T) / 2), atol=1e-6)
+        bad = h.copy()
+        bad[0, 1] += 1e-6 * np.max(np.abs(h))
+        with pytest.raises(NotHermitian):
+            eigendecompose(bad)
+
     def test_phase_convention_deterministic(self):
         rng = np.random.default_rng(1)
         h = random_hermitian(rng, 8)

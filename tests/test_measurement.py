@@ -11,7 +11,6 @@ from superkrylov import (
     measure_series,
     sample_grid,
     select_qr,
-    series_rows,
 )
 
 
@@ -67,13 +66,6 @@ class TestMeasureSeries:
         a = measure_series(spec, v, 0, 1, g, 1e-2, seed=123)
         b = measure_series(spec, v, 0, 1, g, 1e-2, seed=123)
         np.testing.assert_array_equal(a.values, b.values)
-
-    def test_csv_rows(self, toy):
-        spec, v = toy
-        g = sample_grid(0.5, 0.15, 3)
-        rows = series_rows(measure_series(spec, v, 0, 2, g, 0.0, seed=4))
-        assert len(rows) == 3
-        assert rows[0][:2] == (0, 2)
 
 
 class TestBudget:

@@ -8,6 +8,7 @@ from superkrylov import (
     KrylovPair,
     MissingFit,
     MissingTopEnergy,
+    SingularSystem,
     ZeroWidth,
     assemble_dense,
     assemble_pair_exact,
@@ -119,6 +120,22 @@ class TestMinimaxAssembly:
             5, t_star)
         assert np.max(np.abs(pair.R_hat)) <= 1.0 + 1e-15
 
+    def test_gap_fits_give_nested_hermitian_toeplitz_pairs(self, chain):
+        _, spec, v, t_star = chain
+        m_max = 5
+        fits = {g: _fit_for_gap(spec, v, g, t_star, D=10, theta=1e-2, seed=g)
+                for g in range(1, m_max)}
+        full = assemble_pair_minimax(fits, m_max, t_star)
+        for X in (full.R_hat, full.J_hat):
+            np.testing.assert_array_equal(X, X.conj().T)
+            for j in range(m_max):
+                for k in range(j, m_max):
+                    assert X[j, k] == X[0, k - j]
+        for m in range(2, m_max):
+            pair = assemble_pair_minimax(fits, m, t_star)
+            np.testing.assert_array_equal(pair.R_hat, full.R_hat[:m, :m])
+            np.testing.assert_array_equal(pair.J_hat, full.J_hat[:m, :m])
+
 
 class TestThresholdSolve:
     def test_identity_gram(self):
@@ -128,6 +145,15 @@ class TestThresholdSolve:
         res = threshold_solve(pair, 0.0)
         np.testing.assert_allclose(res.ritz_values, [-1, 2, 3], atol=1e-14)
         assert res.kept_dim == 3
+
+    @pytest.mark.parametrize("matrix, bad", [("R_hat", np.nan), ("J_hat", np.inf)])
+    def test_non_finite_pair_rejected(self, matrix, bad):
+        entries = {"R_hat": np.eye(3, dtype=complex),
+                   "J_hat": np.zeros((3, 3), dtype=complex)}
+        entries[matrix][0, 1] = entries[matrix][1, 0] = bad
+        pair = KrylovPair(m=3, source="exact", t_star=0.1, **entries)
+        with pytest.raises(SingularSystem):
+            threshold_solve(pair, 0.0)
 
     def test_rank_one_gram(self, chain):
         _, spec, v, _ = chain
