@@ -19,7 +19,7 @@ v = np.ones(2) / np.sqrt(2)
 grid = sk.sample_grid(T_STAR, DELTA_T, D)
 series = sk.measure_series(spec, v, 0, 1, grid, THETA, seed=7)
 
-x_in = np.array([1.0, 0.0, sk.exact_second_derivative(spec, v, 0, 1, 0.0)])
+x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, 1, 0.0, 2)])
 f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TAU, order=3)
 eta0 = sk.estimated_eta_norm_sq(D, THETA)
 

@@ -48,7 +48,6 @@ from .dynamics import (
     eigendecompose,
     evolve,
     exact_J_entry,
-    exact_second_derivative,
     recovery_derivative,
     recovery_probability,
     vectorized_commutator_matrix,

@@ -60,7 +60,6 @@ def main(argv=None) -> int:
             config.master_seed = args.seed
         if args.out is not None:
             config.out = args.out
-        config.validate()
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

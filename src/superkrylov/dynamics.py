@@ -1,21 +1,24 @@
 """Exact spectral dynamics: time evolution and recovery probabilities.
 
 Everything here is powered by one eigendecomposition H = U diag(lam) U^dag.
-Writing the initial state in the eigenbasis, c = U^dag v, w_p = |c_p|^2,
-the recovery probability between Krylov indices j and k collapses to
+With the eigenbasis weights w_p = |<u_p|v>|^2 of the initial state, the
+recovery probability between Krylov indices j and k is the squared
+modulus of one O(N) eigenphase sum,
 
-    R_jk(t) = |<v| e^{-iH(k-j)t} |v>|^2
-            = sum_{p,q} w_p w_q exp(i (j-k) t (lam_p - lam_q)),
+    R_jk(t) = |<v| e^{-iH(k-j)t} |v>|^2 = |f(t)|^2,
+    f(t)    = sum_p w_p exp(i (j-k) t lam_p),
 
 which is real, lies in [0, 1], and depends on (j, k) only through k - j.
-Every time derivative follows in closed form by multiplying the summand
-with powers of i(j-k)(lam_p - lam_q); these closed forms are the exact
-oracles used to calibrate the noisy-measurement estimators.
+Every time derivative follows from the amplitudes f_n = d^n f/dt^n by the
+Leibniz rule, d^n R/dt^n = sum_m C(n, m) f_m conj(f_{n-m}); these closed
+forms are the exact oracles used to calibrate the noisy-measurement
+estimators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -90,50 +93,57 @@ def eigenbasis_weights(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray
     return np.abs(c) ** 2
 
 
-def _phase_sum(spec, v, j, k, t, order=0):
-    """sum_{p,q} w_p w_q (i(j-k) D_pq)^order exp(i(j-k) t D_pq), D = lam_p-lam_q."""
-    w = eigenbasis_weights(spec, v)
-    d = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    factor = (1j * (j - k) * d) ** order if order else 1.0
-    return complex(np.sum(np.outer(w, w) * factor * np.exp(1j * (j - k) * t * d)))
+def _amplitudes(spec, v, j, k, t, order):
+    """Amplitudes f_0..f_order, one row each over the times atleast_1d(t).
+
+    Scalar and array calls run the same loops, so they agree bit for bit.
+    R ignores a shift of H, so lam is centred first to keep lam^n small.
+    """
+    lam = spec.eigenvalues - 0.5 * (spec.eigenvalues[0] + spec.eigenvalues[-1])
+    z = 1j * (j - k) * lam
+    phases = np.exp(np.multiply.outer(np.atleast_1d(t), z))
+    terms = (eigenbasis_weights(spec, v) * phases)[..., None, :]
+    amps = np.sum(terms * z ** np.arange(order + 1)[:, None], axis=-1)
+    return np.moveaxis(amps, -1, 0)
 
 
-def recovery_probability(spec, v, j: int, k: int, t: float) -> float:
-    """R_jk(t) = |<v| e^{-iH(k-j)t} |v>|^2, the survival probability."""
+def _like_t(t, values):
+    """A float for a scalar t, else the array of values over t."""
+    return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def recovery_probability(spec, v, j: int, k: int, t):
+    """R_jk(t) = |<v| e^{-iH(k-j)t} |v>|^2 at a scalar t or an array of t."""
     if j < 0 or k < 0:
         raise ValueError("Krylov indices must be nonnegative")
-    if j == k:
-        return 1.0  # diagonal entries carry no dynamics and are exact
-    val = _phase_sum(spec, v, j, k, t).real
-    return float(min(max(val, 0.0), 1.0))
+    if j == k:  # diagonal entries carry no dynamics and are exact
+        return _like_t(t, np.ones_like(np.atleast_1d(t), dtype=float))
+    f0 = _amplitudes(spec, v, j, k, t, 0)[0]
+    return _like_t(t, np.clip(np.abs(f0) ** 2, 0.0, 1.0))
 
 
-def recovery_derivative(spec, v, j: int, k: int, t: float, order: int) -> float:
-    """Exact order-th time derivative of R_jk(t), from the eigenphase sum."""
+def recovery_derivative(spec, v, j: int, k: int, t, order: int):
+    """Exact order-th time derivative of R_jk at a scalar t or an array of t."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    return _phase_sum(spec, v, j, k, t, order=order).real
+    f = _amplitudes(spec, v, j, k, t, order)
+    val = sum(comb(order, n) * f[n] * np.conj(f[order - n])
+              for n in range(order + 1))
+    return _like_t(t, val.real)
 
 
 def exact_J_entry(spec, v, j: int, k: int, t: float) -> complex:
     """Projected commutator entry Tr(rho_j(t) [rho_k(t), H]).
 
-    Satisfies d/dt R_jk(t) = i(j-k) J_jk(t).  Every entry is purely
-    imaginary (conjugating the trace swaps the commutator sign), so the
-    index swap gives J_kj = conj(J_jk) = -J_jk and J_jj = 0.
+    Satisfies d/dt R_jk(t) = i(j-k) J_jk(t), so J_jk = R_jk'/(i(j-k)) is
+    exactly imaginary, and the index swap gives J_kj = conj(J_jk) = -J_jk
+    and J_jj = 0.
     """
     if j < 0 or k < 0:
         raise ValueError("Krylov indices must be nonnegative")
     if j == k:
         return 0j
-    w = eigenbasis_weights(spec, v)
-    d = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    return complex(np.sum(np.outer(w, w) * d * np.exp(1j * (j - k) * t * d)))
-
-
-def exact_second_derivative(spec, v, j: int, k: int, t: float) -> float:
-    """Exact d^2/dt^2 R_jk(t); at t=0 this is the curvature entering x_in."""
-    return recovery_derivative(spec, v, j, k, t, order=2)
+    return complex(0.0, -recovery_derivative(spec, v, j, k, t, 1) / (j - k))
 
 
 def build_initial_state(spec: SpectralDecomposition, gamma0: float,

@@ -32,7 +32,6 @@ import numpy as np
 from .dynamics import (
     build_initial_state,
     eigendecompose,
-    exact_second_derivative,
     recovery_derivative,
     recovery_probability,
 )
@@ -247,7 +246,7 @@ def _gap_models(ctx: PipelineContext, config: ExperimentConfig, gap: int,
     x_in = np.zeros(config.M)
     x_in[0] = 1.0
     if config.M >= 3:
-        x_in[2] = exact_second_derivative(ctx.spec, ctx.v, 0, gap, 0.0)
+        x_in[2] = recovery_derivative(ctx.spec, ctx.v, 0, gap, 0.0, 2)
     f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
     return [build_model(config.M, x_in, ctx.tau, select_qr(f_norm, eta),
                         last_timepoint=float(grid[-1]))
@@ -358,12 +357,13 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
     The r sweep {r0/10, r0, 10 r0} with fixed q shows under-, balanced,
     and over-fitting; the derivative reconstruction at the balanced point
     is accompanied by its worst-case certificate on a dense time grid.
+    The data carry the largest noise level, max(theta_values).
     """
     start = time.time()
     config.validate()
     ctx = build_context(config)
     gap = 1
-    theta = config.theta_values[0]
+    theta = max(config.theta_values)
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
     seed = _cell_seed(config.master_seed, 3, _theta_key(theta), 0, gap)
     series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
@@ -375,18 +375,17 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
     fit_low, fit0, fit_high = (fit(model, series) for model in models)
     model0 = models[1]
     dense = np.linspace(0.0, ctx.tau, 201)
+    exact_r = recovery_probability(ctx.spec, ctx.v, 0, gap, dense)
+    exact_dr = recovery_derivative(ctx.spec, ctx.v, 0, gap, dense, 1)
     rows = []
-    for t in dense:
-        sigma = error_certificate(model0, grid, float(t), 1).sigma
+    for t, r, dr in zip(dense.tolist(), exact_r.tolist(), exact_dr.tolist()):
         rows.append((
-            float(t),
-            recovery_probability(ctx.spec, ctx.v, 0, gap, float(t)),
-            recovery_derivative(ctx.spec, ctx.v, 0, gap, float(t), 1),
-            evaluate_x0(fit_low, float(t)),
-            evaluate_x0(fit0, float(t)),
-            evaluate_x0(fit_high, float(t)),
-            evaluate_x1(fit0, float(t)),
-            sigma,
+            t, r, dr,
+            evaluate_x0(fit_low, t),
+            evaluate_x0(fit0, t),
+            evaluate_x0(fit_high, t),
+            evaluate_x1(fit0, t),
+            error_certificate(model0, grid, t, 1).sigma,
         ))
     header = ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
               "xhat0_rhigh", "xhat1", "sigma"]
@@ -397,13 +396,16 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
 
 
 def run_gram(config: ExperimentConfig) -> str:
-    """Dump the projected pair matrices (exact, plus estimated if noisy)."""
+    """Dump the projected pair matrices (exact, plus estimated if noisy).
+
+    The estimated pair is fitted at the largest noise level, max(theta_values).
+    """
     start = time.time()
     config.validate()
     ctx = build_context(config)
     m = max(config.m_values)
     pairs = {"exact": assemble_pair_exact(ctx.spec, ctx.v, m, ctx.t_star)}
-    theta = config.theta_values[0]
+    theta = max(config.theta_values)
     if theta > 0:
         fits = _fit_gaps(ctx, config, theta, 0, m)
         pairs["minimax"] = assemble_pair_minimax(fits, m, ctx.t_star)

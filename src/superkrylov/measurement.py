@@ -31,7 +31,6 @@ class MeasurementSeries:
     timepoints: np.ndarray
     values: np.ndarray
     noise_sigma: float
-    seed: int | None = None
 
     def __post_init__(self):
         ts = np.asarray(self.timepoints, dtype=float)
@@ -105,17 +104,12 @@ def measure_series(
     theta = 0 returns exact values; a fixed seed is fully reproducible.
     """
     grid = np.asarray(grid, dtype=float)
-    exact = np.array([recovery_probability(spec, v, j, k, t) for t in grid])
+    values = recovery_probability(spec, v, j, k, grid)
     if theta > 0:
         rng = np.random.default_rng(seed)
-        values = exact + rng.normal(0.0, theta, size=grid.size)
-    else:
-        values = exact
-    seed_field = seed if isinstance(seed, int) else None
-    return MeasurementSeries(
-        pair=(j, k), timepoints=grid, values=values,
-        noise_sigma=float(theta), seed=seed_field,
-    )
+        values = values + rng.normal(0.0, theta, size=grid.size)
+    return MeasurementSeries(pair=(j, k), timepoints=grid, values=values,
+                             noise_sigma=float(theta))
 
 
 def select_qr(f_norm_sq: float, eta_norm_sq: float) -> NoiseBudget:
@@ -169,8 +163,6 @@ def forcing_norm_sq(
     x, wts = np.polynomial.legendre.leggauss(n_nodes)
     nodes = 0.5 * tau * (x + 1.0)
     weights = 0.5 * tau * wts
-    vals = np.array(
-        [recovery_derivative(spec, v, j, k, t, order) for t in nodes]
-    )
+    vals = recovery_derivative(spec, v, j, k, nodes, order)
     return float(np.sum(weights * vals**2))
 

@@ -20,8 +20,15 @@ chain component then follow by repeated integration from the known initial
 condition x_in, and a worst-case error certificate sigma for any pointwise
 functional comes from the same Gram system in closed form.
 
-All kernel inner products are polynomials integrated exactly (no
-quadrature error anywhere in this module).
+Every kernel inner product is an overlap integral
+
+    int_0^min(a,b) (a-s)^p (b-s)^q ds
+        = sum_{k=0}^{q} C(q,k) (b-a)^{q-k} a^{p+k+1} / (p+k+1)    (a <= b),
+
+with the roles of (a, p) and (b, q) swapped when a > b.  All terms are
+nonnegative, so the closed form has no cancellation and no quadrature
+error, and one broadcasting routine (_overlap) serves every Gram matrix,
+reconstruction and certificate in this module.
 """
 
 from __future__ import annotations
@@ -39,15 +46,25 @@ from .errors import (
 )
 from .measurement import MeasurementSeries, NoiseBudget
 
-_P = np.polynomial.polynomial
 
+def _overlap(a, p, b, q) -> np.ndarray:
+    """int_0^min(a,b) (a-s)^p (b-s)^q ds, broadcast over all four arguments.
 
-def _poly_overlap(a: float, p: int, b: float, q: int, upper: float) -> float:
-    """Exact integral of (a-s)^p (b-s)^q over s in [0, upper]."""
-    if upper <= 0 or p < 0 or q < 0:
-        return 0.0
-    prod = _P.polymul(_P.polypow([a, -1.0], p), _P.polypow([b, -1.0], q))
-    return float(_P.polyval(upper, _P.polyint(prod)))
+    a, b >= 0 are times and p, q >= 0 integer powers; see the module
+    docstring for the closed form.  A zero bound min(a, b) gives zero.
+    """
+    a, p, b, q = np.broadcast_arrays(np.asarray(a, dtype=float), p,
+                                     np.asarray(b, dtype=float), q)
+    swap = a > b
+    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+    p, q = np.where(swap, q, p), np.where(swap, p, q)
+    total = np.zeros(lo.shape)
+    coef = np.ones(lo.shape)  # C(q, k), which is 0 once k exceeds q
+    for k in range(int(q.max(initial=0)) + 1):
+        power = p + k + 1
+        total += coef * (hi - lo) ** np.maximum(q - k, 0) * lo ** power / power
+        coef = coef * (q - k) / (k + 1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -131,17 +148,9 @@ def kernel_matrix(model: EstimatorModel, timepoints) -> np.ndarray:
     M=3 and ti = tj = 1 this is 1 + 1/3 + 1/20.  Symmetric PSD.
     """
     ts = _check_grid(model, timepoints)
-    D = ts.size
-    out = np.zeros((D, D))
-    for i in range(D):
-        for j in range(i, D):
-            up = min(ts[i], ts[j])
-            out[i, j] = sum(
-                _poly_overlap(ts[i], p, ts[j], p, up) / factorial(p) ** 2
-                for p in range(model.M)
-            )
-            out[j, i] = out[i, j]
-    return out
+    p = np.arange(model.M)[:, None, None]
+    scale = np.array([factorial(i) ** 2 for i in range(model.M)], dtype=float)
+    return np.sum(_overlap(ts[:, None], p, ts, p) / scale[:, None, None], axis=0)
 
 
 def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
@@ -152,15 +161,8 @@ def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
     ||h_hat||_L2^2 = beta^T G beta, the roughness of the reconstruction.
     """
     ts = _check_grid(model, timepoints)
-    D = ts.size
-    fM = factorial(model.M - 1) ** 2
-    out = np.zeros((D, D))
-    for i in range(D):
-        for j in range(i, D):
-            up = min(ts[i], ts[j])
-            out[i, j] = _poly_overlap(ts[i], model.M - 1, ts[j], model.M - 1, up) / fM
-            out[j, i] = out[i, j]
-    return out
+    p = model.M - 1
+    return _overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
 
 
 def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:
@@ -203,13 +205,9 @@ def evaluate_component(fit_result: MinimaxFit, t: float, component: int) -> floa
         raise ValueError("component out of range")
     if t < 0 or t > model.tau:
         raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
-    val = model.homogeneous(t, component)
     norm = factorial(M - 1 - component) * factorial(M - 1)
-    for b, ti in zip(fit_result.beta, fit_result.timepoints):
-        up = min(t, ti)
-        if up > 0:
-            val += b * _poly_overlap(t, M - 1 - component, ti, M - 1, up) / norm
-    return float(val)
+    kernels = _overlap(t, M - 1 - component, fit_result.timepoints, M - 1)
+    return float(model.homogeneous(t, component) + fit_result.beta @ kernels / norm)
 
 
 def evaluate_x0(fit_result: MinimaxFit, t: float) -> float:
@@ -264,13 +262,9 @@ def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
     if t_eval < 0 or t_eval > model.tau:
         raise OutOfHorizon(f"t_eval = {t_eval} outside [0, {model.tau}]")
     q, r = model.budget.q, model.budget.r
-    fc = factorial(M - 1 - c)
-    fM = factorial(M - 1)
-    w = np.array(
-        [_poly_overlap(ti, M - 1, t_eval, M - 1 - c, min(ti, t_eval)) / (fM * fc)
-         for ti in ts]
-    )
-    kk = _poly_overlap(t_eval, M - 1 - c, t_eval, M - 1 - c, t_eval) / fc**2
+    n = M - 1 - c
+    w = _overlap(ts, M - 1, t_eval, n) / (factorial(M - 1) * factorial(n))
+    kk = float(_overlap(t_eval, n, t_eval, n)) / factorial(n) ** 2
     G = forcing_gram(model, ts)
     try:
         u = np.linalg.solve(q * np.eye(ts.size) + r * G, w)

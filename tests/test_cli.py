@@ -94,11 +94,12 @@ class TestExitCodes:
         ("n = 1", "convergence"),
         ("master_seed = -3", "convergence"),
         ("eps_rule = fixed\neps_fixed = -1", "convergence"),
+        ("", "convergence --seed -1"),  # the runner's own validation
     ])
     def test_bad_value_is_config_error(self, tmp_path, line, command):
         path = tmp_path / "cfg.txt"
         path.write_text(SMALL_CONFIG + f"out = {tmp_path / 'out'}\n{line}\n")
-        assert main([command, "--config", str(path)]) == 2
+        assert main(command.split() + ["--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
 
 
@@ -140,6 +141,19 @@ class TestOutputs:
             rows = fh.readlines()
         assert header == ["source", "row", "col", "R_re", "R_im", "J_re", "J_im"]
         assert len(rows) == 2 * 6 * 6  # exact + minimax, m=6
+
+    def test_largest_theta_used_whatever_its_position(self, tmp_path):
+        outputs = []
+        for i, thetas in enumerate(["0, 0.001, 0.01", "0.001, 0, 0.01"]):
+            path = tmp_path / f"cfg{i}.txt"
+            out = tmp_path / f"out{i}"
+            path.write_text(SMALL_CONFIG + f"theta_values = {thetas}\nout = {out}\n")
+            for command in ("gram", "minimax-demo"):
+                assert main([command, "--config", str(path)]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("gram.csv", "minimax_demo.csv", "minimax_demo_points.csv")])
+        assert outputs[0] == outputs[1]
+        assert b"\nminimax," in outputs[0][0]
 
     def test_manifest_echoes_config(self, config_file, tmp_path):
         out = str(tmp_path / "o5")

@@ -10,12 +10,13 @@ from superkrylov import (
     eigendecompose,
     evolve,
     exact_J_entry,
-    exact_second_derivative,
     heisenberg_chain,
     recovery_derivative,
     recovery_probability,
     vectorized_commutator_matrix,
 )
+
+from _phase_oracle import commutator_reference, recovery_reference
 
 
 def random_hermitian(rng, n):
@@ -171,12 +172,12 @@ class TestProjectedCommutator:
 class TestSecondDerivative:
     def test_diagonal_zero(self, toy):
         spec, v = toy
-        assert exact_second_derivative(spec, v, 2, 2, 0.5) == 0
+        assert recovery_derivative(spec, v, 2, 2, 0.5, 2) == 0
 
     def test_toy_closed_form(self, toy):
         spec, v = toy
         for t in np.linspace(0, 1, 6):
-            val = exact_second_derivative(spec, v, 0, 1, t)
+            val = recovery_derivative(spec, v, 0, 1, t, 2)
             assert abs(val - (-2 * np.cos(2 * t))) < 1e-12
 
     def test_initial_curvature_is_commutator_trace(self):
@@ -189,7 +190,7 @@ class TestSecondDerivative:
         comm = h @ rho - rho @ h
         j, k = 1, 3
         expected = (j - k) ** 2 * np.trace(comm @ comm).real
-        assert abs(exact_second_derivative(spec, v, j, k, 0.0) - expected) < 1e-10
+        assert abs(recovery_derivative(spec, v, j, k, 0.0, 2) - expected) < 1e-10
 
     def test_matches_central_difference(self, toy):
         spec, v = toy
@@ -198,13 +199,64 @@ class TestSecondDerivative:
         fd = (recovery_probability(spec, v, 0, 2, t + h)
               - 2 * recovery_probability(spec, v, 0, 2, t)
               + recovery_probability(spec, v, 0, 2, t - h)) / h**2
-        assert abs(fd - exact_second_derivative(spec, v, 0, 2, t)) < 1e-5
+        assert abs(fd - recovery_derivative(spec, v, 0, 2, t, 2)) < 1e-5
 
     def test_higher_order_derivative(self, toy):
         spec, v = toy
         # third derivative of cos^2(t) is 4 sin(2t)
         val = recovery_derivative(spec, v, 0, 1, 0.3, 3)
         assert abs(val - 4 * np.sin(0.6)) < 1e-12
+
+
+class TestOracleReference:
+    """The amplitude oracle against the brute-force double sum.
+
+    H is shifted by +40 I: the double sum only sees eigenvalue differences,
+    so this pins the centring that keeps powers of lam small.
+    """
+
+    GAPS = [(0, 1), (0, 3), (4, 1), (2, 9)]
+    TIMES = np.linspace(0.0, 2.0, 9)
+
+    @pytest.fixture
+    def shifted(self):
+        rng = np.random.default_rng(11)
+        h = random_hermitian(rng, 12) + 40.0 * np.eye(12)
+        return h, eigendecompose(h), random_state(rng, 12)
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_derivatives_match_double_sum(self, shifted, order):
+        h, spec, v = shifted
+        for j, k in self.GAPS:
+            ref = np.array([recovery_reference(h, v, j, k, t, order)
+                            for t in self.TIMES])
+            got = recovery_derivative(spec, v, j, k, self.TIMES, order)
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+            if order == 0:
+                got = recovery_probability(spec, v, j, k, self.TIMES)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_array_calls_equal_scalar_calls(self, shifted):
+        _, spec, v = shifted
+        for j, k in self.GAPS + [(3, 3)]:
+            scalar = [recovery_probability(spec, v, j, k, t) for t in self.TIMES]
+            np.testing.assert_array_equal(
+                recovery_probability(spec, v, j, k, self.TIMES), scalar)
+            for order in range(5):
+                scalar = [recovery_derivative(spec, v, j, k, t, order)
+                          for t in self.TIMES]
+                np.testing.assert_array_equal(
+                    recovery_derivative(spec, v, j, k, self.TIMES, order), scalar)
+
+    def test_commutator_matches_double_sum_and_is_imaginary(self, shifted):
+        h, spec, v = shifted
+        for j, k in self.GAPS:
+            ref = np.array([commutator_reference(h, v, j, k, t) for t in self.TIMES])
+            got = np.array([exact_J_entry(spec, v, j, k, t) for t in self.TIMES])
+            assert np.all(got.real == 0)
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestInitialState:

@@ -17,6 +17,8 @@ from superkrylov import (
     select_qr,
 )
 
+from superkrylov.minimax import _overlap
+
 from _bvp_oracle import certificate_oracle
 
 T_STAR, DT, TAU = 0.5, 0.15, 1.0
@@ -41,6 +43,31 @@ def toy_series(D, theta=0.0, seed=None):
 def toy_model(q=1.0, r=1e12):
     budget = select_qr(1 / (2 * q), 1 / (2 * r))
     return build_model(3, X_IN, TAU, budget)
+
+
+def poly_overlap(a, p, b, q):
+    """Reference: expand (a-s)^p (b-s)^q with numpy.polynomial and integrate."""
+    P = np.polynomial.polynomial
+    prod = P.polymul(P.polypow([a, -1.0], p), P.polypow([b, -1.0], q))
+    return P.polyval(min(a, b), P.polyint(prod))
+
+
+class TestOverlap:
+    @pytest.mark.parametrize("a, b", [(0.3, 0.8), (0.8, 0.3), (0.6, 0.6),
+                                      (0.0, 0.7), (0.7, 0.0)])
+    @pytest.mark.parametrize("p, q", [(2, 2), (0, 3), (4, 1), (2, 0)])
+    def test_scalar_matches_polynomial_integral(self, a, b, p, q):
+        ref = poly_overlap(a, p, b, q)
+        assert abs(_overlap(a, p, b, q) - ref) <= 1e-13 * abs(ref)
+
+    def test_broadcast_matches_polynomial_integral(self):
+        ts = np.array([0.0, 0.1, 0.35, 0.6, 0.9])
+        p = np.arange(4)[:, None, None]
+        got = _overlap(ts[:, None], p, ts, 3 - p)
+        assert got.shape == (4, 5, 5)
+        ref = [[[poly_overlap(a, pp, b, 3 - pp) for b in ts] for a in ts]
+               for pp in range(4)]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 class TestKernelMatrix:

@@ -26,7 +26,7 @@ from superkrylov import (
     select_qr,
     threshold_solve,
 )
-from superkrylov.dynamics import exact_second_derivative
+from superkrylov.dynamics import recovery_derivative
 from superkrylov.measurement import forcing_norm_sq
 
 
@@ -79,7 +79,7 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
     tau = 1.5 * (t_star + delta_t)
     grid = sample_grid(t_star, delta_t, D)
     series = measure_series(spec, v, 0, gap, grid, theta, seed=seed)
-    x_in = np.array([1.0, 0.0, exact_second_derivative(spec, v, 0, gap, 0.0)])
+    x_in = np.array([1.0, 0.0, recovery_derivative(spec, v, 0, gap, 0.0, 2)])
     f_norm = forcing_norm_sq(spec, v, 0, gap, tau, order=3)
     eta = 2 * D * theta**2
     model = build_model(3, x_in, tau, select_qr(f_norm, eta),
