@@ -52,10 +52,13 @@ class SpectralDecomposition:
 def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
     """Hermitian eigendecomposition with a deterministic phase convention.
 
-    Each eigenvector is rotated so its largest-magnitude component is real
-    and positive, making results reproducible across LAPACK builds.
+    The dtype follows the input: a real symmetric matrix is diagonalized
+    in float64 with real eigenvectors, a complex one in complex128.  Each
+    eigenvector is rotated so its largest-magnitude component is real
+    and positive (for real vectors, a choice of sign), making results
+    reproducible across LAPACK builds.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     # relative to the entry scale, so a rescaled Hamiltonian passes alike
@@ -86,25 +89,38 @@ def evolve(spec: SpectralDecomposition, v: np.ndarray, t: float) -> np.ndarray:
 
 def eigenbasis_weights(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     """Populations w_p = |<u_p|v>|^2 of the state in the eigenbasis."""
-    v = np.asarray(v, dtype=complex)
+    v = np.asarray(v)
     if v.shape != (spec.dim,):
         raise DimensionMismatch("state dimension does not match decomposition")
     c = spec.eigenvectors.conj().T @ v
     return np.abs(c) ** 2
 
 
-def _amplitudes(spec, v, j, k, t, order):
-    """Amplitudes f_0..f_order, one row each over the times atleast_1d(t).
+def _amplitudes(spec, w, d, t, order):
+    """Amplitudes f_0..f_order for the weights w at index differences d = j - k.
 
-    Scalar and array calls run the same loops, so they agree bit for bit.
-    R ignores a shift of H, so lam is centred first to keep lam^n small.
+    d is an int or an array of them, and the result has the shape
+    (order + 1, len(atleast_1d(t))) + shape(d).  Scalar and array calls
+    run the same loops, so they agree bit for bit.  R ignores a shift of
+    H, so lam is centred first to keep lam^n small.
     """
     lam = spec.eigenvalues - 0.5 * (spec.eigenvalues[0] + spec.eigenvalues[-1])
-    z = 1j * (j - k) * lam
+    z = 1j * np.multiply.outer(d, lam)
     phases = np.exp(np.multiply.outer(np.atleast_1d(t), z))
-    terms = (eigenbasis_weights(spec, v) * phases)[..., None, :]
-    amps = np.sum(terms * z ** np.arange(order + 1)[:, None], axis=-1)
+    terms = (w * phases)[..., None, :]
+    amps = np.sum(terms * z[..., None, :] ** np.arange(order + 1)[:, None], axis=-1)
     return np.moveaxis(amps, -1, 0)
+
+
+def _probability(f):
+    """R = |f_0|^2, clipped to its physical range [0, 1]."""
+    return np.clip(np.abs(f[0]) ** 2, 0.0, 1.0)
+
+
+def _derivative(f, order: int):
+    """d^order R/dt^order = sum_n C(order, n) f_n conj(f_{order-n})."""
+    return sum(comb(order, n) * f[n] * np.conj(f[order - n])
+               for n in range(order + 1)).real
 
 
 def _like_t(t, values):
@@ -118,18 +134,16 @@ def recovery_probability(spec, v, j: int, k: int, t):
         raise ValueError("Krylov indices must be nonnegative")
     if j == k:  # diagonal entries carry no dynamics and are exact
         return _like_t(t, np.ones_like(np.atleast_1d(t), dtype=float))
-    f0 = _amplitudes(spec, v, j, k, t, 0)[0]
-    return _like_t(t, np.clip(np.abs(f0) ** 2, 0.0, 1.0))
+    f = _amplitudes(spec, eigenbasis_weights(spec, v), j - k, t, 0)
+    return _like_t(t, _probability(f))
 
 
 def recovery_derivative(spec, v, j: int, k: int, t, order: int):
     """Exact order-th time derivative of R_jk at a scalar t or an array of t."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    f = _amplitudes(spec, v, j, k, t, order)
-    val = sum(comb(order, n) * f[n] * np.conj(f[order - n])
-              for n in range(order + 1))
-    return _like_t(t, val.real)
+    f = _amplitudes(spec, eigenbasis_weights(spec, v), j - k, t, order)
+    return _like_t(t, _derivative(f, order))
 
 
 def exact_J_entry(spec, v, j: int, k: int, t: float) -> complex:

@@ -27,7 +27,6 @@ ZERO_NOISE_R_FACTOR = 1e12
 class MeasurementSeries:
     """Noisy samples y_s = R_jk(t_s) + eta_s on a strictly increasing grid."""
 
-    pair: tuple[int, int]
     timepoints: np.ndarray
     values: np.ndarray
     noise_sigma: float
@@ -108,7 +107,7 @@ def measure_series(
     if theta > 0:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, theta, size=grid.size)
-    return MeasurementSeries(pair=(j, k), timepoints=grid, values=values,
+    return MeasurementSeries(timepoints=grid, values=values,
                              noise_sigma=float(theta))
 
 

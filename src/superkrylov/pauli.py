@@ -9,9 +9,19 @@ Two Hamiltonian families are provided:
   with every term.
 
 Convention: qubit 0 is the leftmost Kronecker factor, so a label "XZI"
-assembles as X (x) Z (x) I.  All quantities downstream are basis-invariant
-traces and overlaps, so any consistent convention would do; this one is
-frozen for reproducibility.
+assembles as X (x) Z (x) I, and qubit q is bit n-1-q of a basis index.
+All quantities downstream are basis-invariant traces and overlaps, so any
+consistent convention would do; this one is frozen for reproducibility.
+
+With the masks flip = bits of the X and Y factors and phase = bits of the
+Y and Z factors, a word sends basis state |r> to
+
+    i^{#Y} (-1)^{popcount(r & phase)} |r ^ flip>,
+
+so it fills one permuted diagonal of the matrix and costs O(N) to add.
+Coefficients are real, so a sum of words whose Y counts are all even
+(both families above) is a real symmetric matrix and assembles as
+float64; any odd-Y word makes it complex128.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeCoupling,
     NonBipartiteEdge,
+    NotHermitian,
 )
 
 MAX_QUBITS_DENSE = 12  # N = 4096, the desk-scale cap for dense assembly
@@ -56,6 +67,11 @@ class PauliString:
     def __post_init__(self):
         if not self.label or any(c not in PAULI_MATRICES for c in self.label):
             raise ValueError(f"invalid Pauli label {self.label!r}")
+        if np.iscomplexobj(self.coefficient):
+            raise NotHermitian(
+                f"coefficient {self.coefficient!r} is complex; a Pauli sum "
+                "is Hermitian only with real weights"
+            )
         if not np.isfinite(self.coefficient):
             raise ValueError("coefficient must be finite")
 
@@ -175,15 +191,31 @@ def pauli_word_matrix(label: str) -> np.ndarray:
 
 
 def assemble_dense(ham: PauliHamiltonian) -> np.ndarray:
-    """Assemble the dense 2^n x 2^n Hermitian matrix of a Pauli sum."""
+    """Assemble the dense 2^n x 2^n Hermitian matrix of a Pauli sum.
+
+    Each word adds coefficient * i^{#Y} (-1)^{popcount(r & phase)} at
+    (r ^ flip, r) for every basis index r (see the module docstring), so
+    a term costs O(N).  The result is float64 when every word has an even
+    number of Y factors and complex128 otherwise.
+    """
     if ham.n_qubits > MAX_QUBITS_DENSE:
         raise DimensionCap(
             f"n_qubits={ham.n_qubits} exceeds dense cap {MAX_QUBITS_DENSE}"
         )
-    dim = 2**ham.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for term in ham.terms:
-        out += term.coefficient * pauli_word_matrix(term.label)
+    n = ham.n_qubits
+    r = np.arange(2**n)
+    parity = np.zeros_like(r)  # popcount(r) mod 2, by XOR-folding the bits
+    for b in range(n):
+        parity ^= (r >> b) & 1
+    bits = [1 << (n - 1 - q) for q in range(n)]
+    n_y = [t.label.count("Y") for t in ham.terms]
+    real = all(c % 2 == 0 for c in n_y)
+    out = np.zeros((r.size, r.size), dtype=float if real else complex)
+    for term, c in zip(ham.terms, n_y):
+        flip = sum(b for b, p in zip(bits, term.label) if p in "XY")
+        phase = sum(b for b, p in zip(bits, term.label) if p in "YZ")
+        weight = term.coefficient * (1, 1j, -1, -1j)[c % 4]
+        out[r ^ flip, r] += weight * (1 - 2 * parity[r & phase])
     return out
 
 

@@ -24,8 +24,10 @@ import numpy as np
 
 from .dynamics import (
     SpectralDecomposition,
-    exact_J_entry,
-    recovery_probability,
+    _amplitudes,
+    _derivative,
+    _probability,
+    eigenbasis_weights,
 )
 from .errors import (
     AllModesThresholded,
@@ -92,13 +94,18 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
                         t_star: float) -> KrylovPair:
     """Exact (J_hat, R_hat) from the spectral oracles at timestep t_star.
 
-    Entries depend only on the gap k - j, so only m - 1 distinct values
-    are computed.
+    Entries depend only on the gap g = k - j, so the m - 1 distinct values
+    come from one weight vector and one amplitude call over all gaps:
+    R_0g = |f_0|^2 as in recovery_probability and J_0g = R_0g'/(-ig) as
+    in exact_J_entry.
     """
     if m < 2:
         raise ValueError("Krylov dimension m must be at least 2")
-    r_gap = {g: recovery_probability(spec, v, 0, g, t_star) for g in range(1, m)}
-    j_gap = {g: exact_J_entry(spec, v, 0, g, t_star) for g in range(1, m)}
+    gaps = np.arange(1, m)
+    f = _amplitudes(spec, eigenbasis_weights(spec, v), -gaps, t_star, 1)[:, 0]
+    r_gap = dict(zip(gaps.tolist(), _probability(f).tolist()))
+    j_gap = {g: complex(0.0, dr / g)
+             for g, dr in zip(gaps.tolist(), _derivative(f, 1).tolist())}
     return _toeplitz_pair(m, r_gap, j_gap, "exact", t_star)
 
 

@@ -49,7 +49,7 @@ def toy_fit(D, theta=0.0, rng=None, budget=None):
     eta = np.zeros(D)
     if theta > 0:
         eta = rng.normal(0, theta, D)
-    series = sk.MeasurementSeries(pair=(0, 1), timepoints=ts, values=y + eta,
+    series = sk.MeasurementSeries(timepoints=ts, values=y + eta,
                                   noise_sigma=theta)
     if budget is None:
         f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TOY_TAU, order=3)

@@ -77,6 +77,47 @@ class TestEigendecompose:
         np.testing.assert_array_equal(u1, u2)
 
 
+class TestRealEigendecomposition:
+    """A real H is diagonalized in real arithmetic; the oracle does not notice."""
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        h = assemble_dense(heisenberg_chain(6, seed=42))
+        return eigendecompose(h), eigendecompose(h.astype(complex))
+
+    def test_real_input_gives_real_eigenvectors(self, specs):
+        real, cplx = specs
+        assert real.eigenvectors.dtype == np.float64
+        assert cplx.eigenvectors.dtype == np.complex128
+        np.testing.assert_allclose(real.eigenvalues, cplx.eigenvalues, atol=1e-13)
+
+    def test_sign_convention(self, specs):
+        u = specs[0].eigenvectors
+        largest = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        assert np.all(largest > 0)
+
+    def test_oracle_agrees_on_degenerate_spectrum(self, specs):
+        real, cplx = specs
+        # degenerate eigenspaces: the two eigenbases differ inside them
+        assert np.min(np.diff(real.eigenvalues)) < 1e-12
+        rng = np.random.default_rng(14)
+        fixed = rng.normal(size=real.dim)
+        fixed /= np.linalg.norm(fixed)
+        states = ((fixed, fixed),
+                  (build_initial_state(real, 0.25), build_initial_state(cplx, 0.25)))
+        ts = np.linspace(0.1, 1.5, 6)
+        for vr, vc in states:
+            for gap in range(1, 6):
+                pairs = [(recovery_probability(real, vr, 0, gap, ts),
+                          recovery_probability(cplx, vc, 0, gap, ts))]
+                pairs += [(recovery_derivative(real, vr, 0, gap, ts, order),
+                           recovery_derivative(cplx, vc, 0, gap, ts, order))
+                          for order in (1, 2)]
+                for a, b in pairs:
+                    scale = max(1.0, np.max(np.abs(b)))
+                    assert np.max(np.abs(a - b)) <= 1e-13 * scale, gap
+
+
 class TestEvolve:
     def test_zero_time_identity(self):
         rng = np.random.default_rng(2)

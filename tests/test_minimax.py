@@ -36,7 +36,7 @@ def toy_series(D, theta=0.0, seed=None):
     y = np.cos(ts) ** 2
     if theta > 0:
         y = y + np.random.default_rng(seed).normal(0, theta, D)
-    return MeasurementSeries(pair=(0, 1), timepoints=ts, values=y,
+    return MeasurementSeries(timepoints=ts, values=y,
                              noise_sigma=theta)
 
 
@@ -108,7 +108,7 @@ class TestFit:
         model = toy_model(q=1.0, r=1.0)
         ts = toy_grid(6)
         y = np.array([model.homogeneous(t) for t in ts])
-        f = fit(model, MeasurementSeries(pair=(0, 1), timepoints=ts, values=y,
+        f = fit(model, MeasurementSeries(timepoints=ts, values=y,
                                          noise_sigma=0.0))
         np.testing.assert_allclose(f.beta, 0.0, atol=1e-12)
 
@@ -140,7 +140,7 @@ class TestEvaluation:
         model = toy_model()
         ts = toy_grid(4)
         f = fit(model, MeasurementSeries(
-            pair=(0, 1), timepoints=ts,
+            timepoints=ts,
             values=np.array([model.homogeneous(t) for t in ts]),
             noise_sigma=0.0))
         t = 0.4
@@ -216,7 +216,7 @@ class TestCertificate:
         f_norm = 8 * TAU - 2 * np.sin(4 * TAU)  # ||d^3 cos^2||^2 over [0,tau]
         for _ in range(20):
             eta = rng.normal(0, 1e-2, ts.size)
-            series = MeasurementSeries(pair=(0, 1), timepoints=ts,
+            series = MeasurementSeries(timepoints=ts,
                                        values=np.cos(ts) ** 2 + eta,
                                        noise_sigma=1e-2)
             budget = select_qr(f_norm, float(eta @ eta))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from superkrylov import (
     IndexOutOfRange,
     NegativeCoupling,
     NonBipartiteEdge,
+    NotHermitian,
+    PauliHamiltonian,
+    PauliString,
     assemble_dense,
     bipartite_symmetry_operator,
     build_bipartite,
@@ -22,6 +27,14 @@ def random_bipartite(rng, n_per_side):
     jz = {e: float(rng.uniform(-1, 1)) for e in jy}
     h = {v: float(rng.uniform(-1, 1)) for v in range(2 * n_per_side)}
     return build_bipartite(n_per_side, jy, jz, h)
+
+
+def kron_sum(ham):
+    """Reference assembly: the weighted sum of Kronecker-chain word matrices."""
+    out = np.zeros((2**ham.n_qubits,) * 2, dtype=complex)
+    for term in ham.terms:
+        out += term.coefficient * pauli_word_matrix(term.label)
+    return out
 
 
 class TestHeisenberg:
@@ -126,3 +139,42 @@ class TestAssembly:
         ham = build_heisenberg(13, {(0, 1): 1.0})
         with pytest.raises(DimensionCap):
             assemble_dense(ham)
+
+    def test_complex_coefficient_rejected(self):
+        for coeff in (1j, 0.5 - 0.5j, 1 + 0j, np.complex128(2.0)):
+            with pytest.raises(NotHermitian):
+                PauliString("XX", coeff)
+        with pytest.raises(ValueError):
+            PauliString("XX", 1j)
+
+    def test_every_three_qubit_word(self):
+        for label in map("".join, itertools.product("IXYZ", repeat=3)):
+            h = assemble_dense(PauliHamiltonian(3, (PauliString(label, -0.75),)))
+            odd_y = label.count("Y") % 2 == 1
+            assert h.dtype == (np.complex128 if odd_y else np.float64), label
+            np.testing.assert_array_equal(h, -0.75 * pauli_word_matrix(label))
+
+    def test_sums_with_odd_y_words_are_complex(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            labels = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(6)]
+            labels.append("Y" + "X" * (n - 1))
+            ham = PauliHamiltonian(n, tuple(PauliString(l, float(rng.normal()))
+                                            for l in labels))
+            h = assemble_dense(ham)
+            assert h.dtype == np.complex128
+            np.testing.assert_array_equal(h, kron_sum(ham))
+
+    def test_model_families_are_real(self):
+        rng = np.random.default_rng(13)
+        for ham in (heisenberg_chain(5, seed=2), random_bipartite(rng, 2)):
+            h = assemble_dense(ham)
+            assert h.dtype == np.float64
+            np.testing.assert_array_equal(h, kron_sum(ham))
+
+    def test_qubit_zero_is_most_significant_bit(self):
+        ham = PauliHamiltonian(2, (PauliString("XI", 1.0), PauliString("IZ", 0.5)))
+        expected = [[0.5, 0, 1, 0], [0, -0.5, 0, 1],
+                    [1, 0, 0.5, 0], [0, 1, 0, -0.5]]
+        np.testing.assert_array_equal(assemble_dense(ham), expected)

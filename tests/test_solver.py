@@ -67,6 +67,34 @@ class TestExactAssembly:
             val = (1j * (j - k) * pair.J_hat[j, k]).real
             assert abs(fd - val) < 1e-7
 
+    def test_one_weight_vector_per_pair(self, chain, monkeypatch):
+        from superkrylov import dynamics, solver
+
+        _, spec, v, t_star = chain
+        calls = []
+        weights = dynamics.eigenbasis_weights
+
+        def counted(*args):
+            calls.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(dynamics, "eigenbasis_weights", counted)
+        monkeypatch.setattr(solver, "eigenbasis_weights", counted)
+        assemble_pair_exact(spec, v, 12, t_star)
+        assert len(calls) == 1
+
+    def test_entries_equal_scalar_oracles(self, chain):
+        from superkrylov import exact_J_entry, recovery_probability
+
+        _, spec, v, t_star = chain
+        m = 12
+        pair = assemble_pair_exact(spec, v, m, t_star)
+        gaps = range(1, m)
+        r = np.array([recovery_probability(spec, v, 0, g, t_star) for g in gaps])
+        J = np.array([exact_J_entry(spec, v, 0, g, t_star) for g in gaps])
+        assert np.max(np.abs(pair.R_hat[0, 1:] - r)) <= 1e-15 * np.max(np.abs(r))
+        assert np.max(np.abs(pair.J_hat[0, 1:] - J)) <= 1e-15 * np.max(np.abs(J))
+
     def test_hermitian(self, chain):
         _, spec, v, t_star = chain
         pair = assemble_pair_exact(spec, v, 6, t_star)
