@@ -32,7 +32,7 @@ for tag, eta_scale in (("under-fit (r0/10)", 10.0),
                        ("balanced  (r0)  ", 1.0),
                        ("over-fit  (10r0)", 0.1)):
     budget = sk.select_qr(f_norm, eta0 * eta_scale)
-    model = sk.build_model(3, x_in, TAU, budget)
+    model = sk.EstimatorModel(3, x_in, TAU, budget)
     fitted = sk.fit(model, series)
     x1 = sk.evaluate_x1(fitted, T_STAR)
     misfit = sk.data_residual(fitted)
@@ -40,11 +40,11 @@ for tag, eta_scale in (("under-fit (r0/10)", 10.0),
           f"data misfit = {misfit:.2e}")
 
 budget = sk.select_qr(f_norm, eta0)
-model = sk.build_model(3, x_in, TAU, budget)
+model = sk.EstimatorModel(3, x_in, TAU, budget)
 fitted = sk.fit(model, series)
-cert = sk.error_certificate(model, grid, T_STAR, 1)
+sigma = sk.error_certificate(model, grid, T_STAR, 1)
 err = abs(sk.evaluate_x1(fitted, T_STAR) - truth)
 print()
 print(f"balanced-fit derivative error  {err:.2e}")
-print(f"worst-case certificate sigma   {cert.sigma:.2e}  (bound holds: "
-      f"{cert.sigma >= err})")
+print(f"worst-case certificate sigma   {sigma:.2e}  (bound holds: "
+      f"{sigma >= err})")

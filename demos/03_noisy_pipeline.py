@@ -30,7 +30,7 @@ for gap in range(1, M_MAX):
         sk.forcing_norm_sq(spec, v, 0, gap, tau, order=3),
         sk.estimated_eta_norm_sq(D, THETA),
     )
-    model = sk.build_model(3, x_in, tau, budget, last_timepoint=float(grid[-1]))
+    model = sk.EstimatorModel(3, x_in, tau, budget)
     fits[gap] = sk.fit(model, series)
 
 j_norm = 2 * spec.spectral_width

@@ -62,10 +62,8 @@ from .measurement import (
     select_qr,
 )
 from .minimax import (
-    ErrorCertificate,
     EstimatorModel,
     MinimaxFit,
-    build_model,
     data_residual,
     error_certificate,
     evaluate_component,

@@ -160,11 +160,10 @@ def exact_J_entry(spec, v, j: int, k: int, t: float) -> complex:
     return complex(0.0, -recovery_derivative(spec, v, j, k, t, 1) / (j - k))
 
 
-def build_initial_state(spec: SpectralDecomposition, gamma0: float,
-                        interior_weights: np.ndarray | None = None) -> np.ndarray:
+def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarray:
     """State with real ground/top overlap product alpha_0 * alpha_{N-1} = gamma0.
 
-    The default split puts sqrt(gamma0) on both extremal eigenvectors; the
+    The state puts sqrt(gamma0) on both extremal eigenvectors; the
     leftover weight 1 - 2*gamma0 is spread uniformly over the interior
     eigenvectors (they do not affect the overlap with the extremal
     commutator eigenvector).  gamma0 = 0.5 is the largest value reachable
@@ -181,13 +180,7 @@ def build_initial_state(spec: SpectralDecomposition, gamma0: float,
             raise OverlapOutOfRange(
                 "gamma0 < 0.5 needs interior eigenvectors to carry the rest"
             )
-        if interior_weights is None:
-            amp[1:-1] = np.sqrt(rest / (n - 2))
-        else:
-            iw = np.asarray(interior_weights, dtype=float)
-            if iw.shape != (n - 2,) or np.any(iw < 0):
-                raise DimensionMismatch("interior_weights must be N-2 nonnegatives")
-            amp[1:-1] = np.sqrt(rest * iw / iw.sum())
+        amp[1:-1] = np.sqrt(rest / (n - 2))
     v = spec.eigenvectors @ amp
     return v / np.linalg.norm(v)
 

@@ -45,13 +45,17 @@ from .measurement import (
 )
 from .minimax import (
     EstimatorModel,
-    build_model,
     error_certificate,
     evaluate_x0,
     evaluate_x1,
     fit,
 )
-from .pauli import assemble_dense, build_bipartite, heisenberg_chain
+from .pauli import (
+    MAX_QUBITS_DENSE,
+    assemble_dense,
+    build_bipartite,
+    heisenberg_chain,
+)
 from .solver import (
     KrylovPair,
     assemble_pair_exact,
@@ -98,14 +102,23 @@ class ExperimentConfig:
             raise ConfigParse("trials >= 1, D >= 2, M >= 2 required")
         if self.n < (2 if self.model == "heisenberg" else 1):
             raise ConfigParse("n must be >= 2 (heisenberg) or >= 1 (bipartite)")
+        qubits = self.n if self.model == "heisenberg" else 2 * self.n
+        if qubits > MAX_QUBITS_DENSE:
+            raise ConfigParse(
+                f"{qubits} qubits exceed the dense cap {MAX_QUBITS_DENSE}")
         if self.model_seed < 0 or self.master_seed < 0:
             raise ConfigParse("model_seed and master_seed must be nonnegative")
         if not (math.isfinite(self.eps_fixed) and self.eps_fixed >= 0):
             raise ConfigParse("eps_fixed must be finite and nonnegative")
+        # a zero threshold keeps the numerically null Gram modes
+        if self.eps_rule == "fixed" and self.eps_fixed == 0:
+            raise ConfigParse("eps_rule = fixed needs eps_fixed > 0")
         if min(self.m_values) < 2 or min(self.d_values) < 2:
             raise ConfigParse("m_values and d_values entries must be >= 2")
         if not all(math.isfinite(t) and t >= 0 for t in self.theta_values):
             raise ConfigParse("theta_values must be finite and nonnegative")
+        if self.eps_rule == "m-theta" and 0.0 in self.theta_values:
+            raise ConfigParse("eps_rule = m-theta needs every theta > 0")
         if not 0.0 < self.delta_t_fraction < 1.0:
             raise ConfigParse("delta_t_fraction must lie in (0, 1)")
         return self
@@ -237,7 +250,7 @@ def _write_outputs(config: ExperimentConfig, command: str, tables: list,
 
 
 def _gap_models(ctx: PipelineContext, config: ExperimentConfig, gap: int,
-                grid: np.ndarray, eta_bounds: list) -> list[EstimatorModel]:
+                eta_bounds: list) -> list[EstimatorModel]:
     """Estimator models for one index gap, one per noise bound ||eta||^2.
 
     The initial condition x_in and the forcing norm are computed once and
@@ -248,8 +261,7 @@ def _gap_models(ctx: PipelineContext, config: ExperimentConfig, gap: int,
     if config.M >= 3:
         x_in[2] = recovery_derivative(ctx.spec, ctx.v, 0, gap, 0.0, 2)
     f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
-    return [build_model(config.M, x_in, ctx.tau, select_qr(f_norm, eta),
-                        last_timepoint=float(grid[-1]))
+    return [EstimatorModel(config.M, x_in, ctx.tau, select_qr(f_norm, eta))
             for eta in eta_bounds]
 
 
@@ -263,7 +275,7 @@ def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
         seed = _cell_seed(config.master_seed, 1, _theta_key(theta), trial, gap)
         series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
                                 seed=np.random.default_rng(seed))
-        [model] = _gap_models(ctx, config, gap, grid, [eta_bound])
+        [model] = _gap_models(ctx, config, gap, [eta_bound])
         fits[gap] = fit(model, series)
     return fits
 
@@ -277,10 +289,8 @@ def _convergence_cell(ctx: PipelineContext, config: ExperimentConfig,
     rows = []
     for m in sorted(config.m_values):
         # leading principal submatrices of the m_max pair are the m-pair
-        exact_m = KrylovPair(
-            m=m, R_hat=exact_full.R_hat[:m, :m], J_hat=exact_full.J_hat[:m, :m],
-            source="exact", t_star=ctx.t_star,
-        )
+        exact_m = KrylovPair(m=m, R_hat=exact_full.R_hat[:m, :m],
+                             J_hat=exact_full.J_hat[:m, :m])
         if theta == 0.0:
             pair = exact_m
             omega = 0.0
@@ -317,12 +327,11 @@ def _scaling_cell(ctx: PipelineContext, config: ExperimentConfig,
     seed = _cell_seed(config.master_seed, 2, _theta_key(theta), trial, D)
     series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
                             seed=np.random.default_rng(seed))
-    [model] = _gap_models(ctx, config, gap, grid,
-                          [estimated_eta_norm_sq(D, theta)])
+    [model] = _gap_models(ctx, config, gap, [estimated_eta_norm_sq(D, theta)])
     f = fit(model, series)
     truth = recovery_derivative(ctx.spec, ctx.v, 0, gap, ctx.t_star, 1)
     abs_error = abs(evaluate_x1(f, ctx.t_star) - truth)
-    sigma = error_certificate(model, grid, ctx.t_star, 1).sigma
+    sigma = error_certificate(model, grid, ctx.t_star, 1)
     return (D, theta, trial, abs_error, sigma)
 
 
@@ -370,8 +379,7 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
                             seed=np.random.default_rng(seed))
     eta0 = estimated_eta_norm_sq(config.D, theta)
     # the r variants come from scaled noise bounds so each budget stays valid
-    models = _gap_models(ctx, config, gap, grid,
-                         [10.0 * eta0, eta0, 0.1 * eta0])
+    models = _gap_models(ctx, config, gap, [10.0 * eta0, eta0, 0.1 * eta0])
     fit_low, fit0, fit_high = (fit(model, series) for model in models)
     model0 = models[1]
     dense = np.linspace(0.0, ctx.tau, 201)
@@ -385,7 +393,7 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
             evaluate_x0(fit0, t),
             evaluate_x0(fit_high, t),
             evaluate_x1(fit0, t),
-            error_certificate(model0, grid, t, 1).sigma,
+            error_certificate(model0, grid, t, 1),
         ))
     header = ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
               "xhat0_rhigh", "xhat1", "sigma"]

@@ -105,31 +105,6 @@ class MinimaxFit:
     residual_norm: float
 
 
-@dataclass(frozen=True)
-class ErrorCertificate:
-    """Worst-case pointwise error bound sigma at (t_eval, component)."""
-
-    t_eval: float
-    component: int
-    sigma: float
-
-
-def build_model(M: int, x_in, tau: float, budget: NoiseBudget,
-                last_timepoint: float | None = None) -> EstimatorModel:
-    """Validate and freeze an estimator model.
-
-    If the measurement grid is known, pass its last timepoint so the
-    horizon check (tau must exceed all data) happens up front.
-    """
-    model = EstimatorModel(M=M, x_in=np.asarray(x_in, dtype=float),
-                           tau=tau, budget=budget)
-    if last_timepoint is not None and tau <= last_timepoint:
-        raise BadHorizon(
-            f"tau = {tau} must exceed the last timepoint {last_timepoint}"
-        )
-    return model
-
-
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if np.any(np.diff(ts) <= 0):
@@ -240,7 +215,7 @@ def roughness(fit_result: MinimaxFit) -> float:
 
 
 def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
-                      component: int) -> ErrorCertificate:
+                      component: int) -> float:
     """Worst-case bound sigma on |x_hat_component(t_eval) - truth|.
 
     Valid for every signal/noise pair inside the budget ellipsoid.  The
@@ -271,5 +246,4 @@ def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
     except np.linalg.LinAlgError as exc:
         raise BVPSolveFailure(str(exc)) from exc
     sigma_sq = (kk - r * float(w @ u)) / q
-    return ErrorCertificate(t_eval=float(t_eval), component=c,
-                            sigma=float(np.sqrt(max(sigma_sq, 0.0))))
+    return float(np.sqrt(max(sigma_sq, 0.0)))

@@ -48,8 +48,6 @@ class KrylovPair:
     m: int
     R_hat: np.ndarray
     J_hat: np.ndarray
-    source: str  # "exact" or "minimax"
-    t_star: float
 
     def __post_init__(self):
         R, J = self.R_hat, self.J_hat
@@ -63,7 +61,6 @@ class RitzResult:
 
     ritz_values: np.ndarray
     kept_dim: int
-    eps: float
 
     @property
     def ground_gap(self) -> float:
@@ -71,8 +68,7 @@ class RitzResult:
         return float(self.ritz_values[0])
 
 
-def _toeplitz_pair(m: int, r_gap: dict, j_gap: dict, source: str,
-                   t_star: float) -> KrylovPair:
+def _toeplitz_pair(m: int, r_gap: dict, j_gap: dict) -> KrylovPair:
     """Hermitian Toeplitz pair from its upper-triangle entries per gap.
 
     Entry (j, k) with k > j takes the value at gap k - j; the lower
@@ -87,7 +83,7 @@ def _toeplitz_pair(m: int, r_gap: dict, j_gap: dict, source: str,
             R[k, j] = np.conj(R[j, k])
             J[j, k] = j_gap[g]
             J[k, j] = np.conj(J[j, k])
-    return KrylovPair(m=m, R_hat=R, J_hat=J, source=source, t_star=t_star)
+    return KrylovPair(m=m, R_hat=R, J_hat=J)
 
 
 def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
@@ -106,7 +102,7 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
     r_gap = dict(zip(gaps.tolist(), _probability(f).tolist()))
     j_gap = {g: complex(0.0, dr / g)
              for g, dr in zip(gaps.tolist(), _derivative(f, 1).tolist())}
-    return _toeplitz_pair(m, r_gap, j_gap, "exact", t_star)
+    return _toeplitz_pair(m, r_gap, j_gap)
 
 
 def assemble_pair_minimax(fits: dict, m: int, t_star: float) -> KrylovPair:
@@ -125,7 +121,7 @@ def assemble_pair_minimax(fits: dict, m: int, t_star: float) -> KrylovPair:
             raise MissingFit(f"no fit for gap {g}")
         r_gap[g] = min(max(evaluate_x0(fits[g], t_star), 0.0), 1.0)
         j_gap[g] = evaluate_x1(fits[g], t_star) / (1j * -g)
-    return _toeplitz_pair(m, r_gap, j_gap, "minimax", t_star)
+    return _toeplitz_pair(m, r_gap, j_gap)
 
 
 def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
@@ -149,7 +145,7 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
     W = V[:, keep] / np.sqrt(sig[keep])
     J_red = W.conj().T @ pair.J_hat @ W
     ritz = np.linalg.eigvalsh((J_red + J_red.conj().T) / 2.0)
-    return RitzResult(ritz_values=ritz, kept_dim=int(keep.sum()), eps=float(eps))
+    return RitzResult(ritz_values=ritz, kept_dim=int(keep.sum()))
 
 
 def ground_energy(result: RitzResult, class_tag: HamiltonianClass,

@@ -49,12 +49,11 @@ def toy_fit(D, theta=0.0, rng=None, budget=None):
     eta = np.zeros(D)
     if theta > 0:
         eta = rng.normal(0, theta, D)
-    series = sk.MeasurementSeries(timepoints=ts, values=y + eta,
-                                  noise_sigma=theta)
+    series = sk.MeasurementSeries(timepoints=ts, values=y + eta)
     if budget is None:
         f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TOY_TAU, order=3)
         budget = sk.select_qr(f_norm, float(eta @ eta))
-    model = sk.build_model(3, TOY_X_IN, TOY_TAU, budget)
+    model = sk.EstimatorModel(3, TOY_X_IN, TOY_TAU, budget)
     return model, ts, sk.fit(model, series), eta
 
 
@@ -146,7 +145,7 @@ def test_criterion_04_class_properties():
 
 def test_criterion_05_kernel_unit_value_and_psd():
     budget = sk.select_qr(0.5, 0.5)
-    model = sk.build_model(3, TOY_X_IN, 2.0, budget)
+    model = sk.EstimatorModel(3, TOY_X_IN, 2.0, budget)
     k_mat = sk.kernel_matrix(model, np.array([1.0]))
     assert abs(k_mat[0, 0] - (1 + 1 / 3 + 1 / 20)) < 1e-12
     rng = np.random.default_rng(505)
@@ -199,7 +198,7 @@ def test_criterion_07_certificate_soundness_and_oracle():
         for _ in range(trials):
             model, ts, f, eta = toy_fit(15, theta=theta, rng=rng)
             err = abs(sk.evaluate_x1(f, TOY_T) - truth)
-            sigma = sk.error_certificate(model, ts, TOY_T, 1).sigma
+            sigma = sk.error_certificate(model, ts, TOY_T, 1)
             assert sigma >= err
     # estimated budgets: allow the chi-square tail to break at most 5 trials
     rng = np.random.default_rng(708)
@@ -208,7 +207,7 @@ def test_criterion_07_certificate_soundness_and_oracle():
         budget = sk.select_qr(f_norm, sk.estimated_eta_norm_sq(15, 1e-3))
         model, ts, f, _ = toy_fit(15, theta=1e-3, rng=rng, budget=budget)
         err = abs(sk.evaluate_x1(f, TOY_T) - truth)
-        sound += sk.error_certificate(model, ts, TOY_T, 1).sigma >= err
+        sound += sk.error_certificate(model, ts, TOY_T, 1) >= err
     assert sound >= 95
     # closed-form certificate vs the independent dense boundary-value solve
     rng = np.random.default_rng(709)
@@ -222,8 +221,8 @@ def test_criterion_07_certificate_soundness_and_oracle():
         comp = int(rng.integers(0, 2))
         t_eval = float(rng.uniform(0.2, 0.8))
         budget = sk.select_qr(1 / (2 * q), 1 / (2 * r))
-        model = sk.build_model(3, TOY_X_IN, TOY_TAU, budget)
-        sigma = sk.error_certificate(model, ts, t_eval, comp).sigma
+        model = sk.EstimatorModel(3, TOY_X_IN, TOY_TAU, budget)
+        sigma = sk.error_certificate(model, ts, t_eval, comp)
         oracle = certificate_oracle(ts, q, r, TOY_TAU, t_eval, comp,
                                     n_cells=2000)
         worst = max(worst, abs(sigma - oracle) / oracle)

@@ -94,6 +94,12 @@ class TestExitCodes:
         ("n = 1", "convergence"),
         ("master_seed = -3", "convergence"),
         ("eps_rule = fixed\neps_fixed = -1", "convergence"),
+        # a zero threshold keeps the null Gram modes
+        ("eps_rule = fixed\neps_fixed = 0", "convergence"),
+        ("eps_rule = m-theta\ntheta_values = 0,0.001", "convergence"),
+        # past the 12-qubit dense cap
+        ("n = 13", "convergence"),
+        ("model = bipartite\nn = 7", "gram"),
         ("", "convergence --seed -1"),  # the runner's own validation
     ])
     def test_bad_value_is_config_error(self, tmp_path, line, command):

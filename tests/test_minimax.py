@@ -3,9 +3,9 @@ import pytest
 
 from superkrylov import (
     BadHorizon,
+    EstimatorModel,
     MeasurementSeries,
     OutOfHorizon,
-    build_model,
     data_residual,
     error_certificate,
     evaluate_x0,
@@ -36,13 +36,12 @@ def toy_series(D, theta=0.0, seed=None):
     y = np.cos(ts) ** 2
     if theta > 0:
         y = y + np.random.default_rng(seed).normal(0, theta, D)
-    return MeasurementSeries(timepoints=ts, values=y,
-                             noise_sigma=theta)
+    return MeasurementSeries(timepoints=ts, values=y)
 
 
 def toy_model(q=1.0, r=1e12):
     budget = select_qr(1 / (2 * q), 1 / (2 * r))
-    return build_model(3, X_IN, TAU, budget)
+    return EstimatorModel(3, X_IN, TAU, budget)
 
 
 def poly_overlap(a, p, b, q):
@@ -108,8 +107,7 @@ class TestFit:
         model = toy_model(q=1.0, r=1.0)
         ts = toy_grid(6)
         y = np.array([model.homogeneous(t) for t in ts])
-        f = fit(model, MeasurementSeries(timepoints=ts, values=y,
-                                         noise_sigma=0.0))
+        f = fit(model, MeasurementSeries(timepoints=ts, values=y))
         np.testing.assert_allclose(f.beta, 0.0, atol=1e-12)
 
     def test_residual_invariant(self):
@@ -141,8 +139,7 @@ class TestEvaluation:
         ts = toy_grid(4)
         f = fit(model, MeasurementSeries(
             timepoints=ts,
-            values=np.array([model.homogeneous(t) for t in ts]),
-            noise_sigma=0.0))
+            values=np.array([model.homogeneous(t) for t in ts])))
         t = 0.4
         assert abs(evaluate_x1(f, t) - t * X_IN[2]) < 1e-10
 
@@ -176,7 +173,7 @@ class TestFitBalance:
         f_norm = 1.0
         residuals = []
         for r in (1.0, 10.0, 100.0, 1000.0):
-            model = build_model(3, X_IN, TAU, select_qr(f_norm, 1 / (2 * r)))
+            model = EstimatorModel(3, X_IN, TAU, select_qr(f_norm, 1 / (2 * r)))
             residuals.append(data_residual(fit(model, series)))
         assert all(a >= b - 1e-15 for a, b in zip(residuals, residuals[1:]))
 
@@ -184,7 +181,7 @@ class TestFitBalance:
         series = toy_series(15, theta=1e-2, seed=8)
         rough = []
         for q in (0.1, 1.0, 10.0, 100.0):
-            model = build_model(3, X_IN, TAU, select_qr(1 / (2 * q), 1.0))
+            model = EstimatorModel(3, X_IN, TAU, select_qr(1 / (2 * q), 1.0))
             rough.append(roughness(fit(model, series)))
         assert all(a >= b - 1e-15 for a, b in zip(rough, rough[1:]))
 
@@ -194,18 +191,18 @@ class TestCertificate:
         ts = toy_grid(15)
         sigmas = []
         for r in (1.0, 10.0, 100.0):
-            model = build_model(3, X_IN, TAU, select_qr(1.0, 1 / (2 * r)))
-            cert = error_certificate(model, ts, T_STAR, 1)
-            assert cert.sigma >= 0
-            sigmas.append(cert.sigma)
+            model = EstimatorModel(3, X_IN, TAU, select_qr(1.0, 1 / (2 * r)))
+            sigma = error_certificate(model, ts, T_STAR, 1)
+            assert sigma >= 0
+            sigmas.append(sigma)
         assert all(a >= b for a, b in zip(sigmas, sigmas[1:]))
 
     def test_matches_dense_bvp_oracle(self):
         ts = toy_grid(10)
         q, r = 0.3, 15.0
-        model = build_model(3, X_IN, TAU, select_qr(1 / (2 * q), 1 / (2 * r)))
+        model = EstimatorModel(3, X_IN, TAU, select_qr(1 / (2 * q), 1 / (2 * r)))
         for t_eval, comp in ((T_STAR, 1), (0.3, 0)):
-            sigma = error_certificate(model, ts, t_eval, comp).sigma
+            sigma = error_certificate(model, ts, t_eval, comp)
             oracle = certificate_oracle(ts, q, r, TAU, t_eval, comp, n_cells=2000)
             assert abs(sigma - oracle) / oracle < 0.01
 
@@ -217,10 +214,9 @@ class TestCertificate:
         for _ in range(20):
             eta = rng.normal(0, 1e-2, ts.size)
             series = MeasurementSeries(timepoints=ts,
-                                       values=np.cos(ts) ** 2 + eta,
-                                       noise_sigma=1e-2)
+                                       values=np.cos(ts) ** 2 + eta)
             budget = select_qr(f_norm, float(eta @ eta))
-            model = build_model(3, X_IN, TAU, budget)
+            model = EstimatorModel(3, X_IN, TAU, budget)
             f = fit(model, series)
             err = abs(evaluate_x1(f, T_STAR) - (-np.sin(2 * T_STAR)))
-            assert error_certificate(model, ts, T_STAR, 1).sigma >= err
+            assert error_certificate(model, ts, T_STAR, 1) >= err

@@ -1,0 +1,39 @@
+"""The demos, the README Quick start and the benchmark's tracer self-test
+run against the package as it stands, each in a fresh interpreter."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _assert_ok(proc):
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    _assert_ok(_run([str(ROOT / "demos" / demo)]))
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    _assert_ok(_run(["-c", code]))
+
+
+def test_tracer_selftest_passes():
+    # pins the names, arities and call counts the benchmark tracer binds
+    _assert_ok(_run([str(ROOT / "perfbench" / "selftest.py")]))

@@ -4,6 +4,7 @@ import pytest
 from superkrylov import (
     AllModesThresholded,
     DimensionMismatch,
+    EstimatorModel,
     HamiltonianClass,
     KrylovPair,
     MissingFit,
@@ -14,7 +15,6 @@ from superkrylov import (
     assemble_pair_exact,
     assemble_pair_minimax,
     build_initial_state,
-    build_model,
     choose_timestep,
     eigendecompose,
     fit,
@@ -110,8 +110,7 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
     x_in = np.array([1.0, 0.0, recovery_derivative(spec, v, 0, gap, 0.0, 2)])
     f_norm = forcing_norm_sq(spec, v, 0, gap, tau, order=3)
     eta = 2 * D * theta**2
-    model = build_model(3, x_in, tau, select_qr(f_norm, eta),
-                        last_timepoint=float(grid[-1]))
+    model = EstimatorModel(3, x_in, tau, select_qr(f_norm, eta))
     return fit(model, series)
 
 
@@ -168,8 +167,7 @@ class TestMinimaxAssembly:
 class TestThresholdSolve:
     def test_identity_gram(self):
         pair = KrylovPair(m=3, R_hat=np.eye(3, dtype=complex),
-                          J_hat=np.diag([3.0, -1.0, 2.0]).astype(complex),
-                          source="exact", t_star=0.1)
+                          J_hat=np.diag([3.0, -1.0, 2.0]).astype(complex))
         res = threshold_solve(pair, 0.0)
         np.testing.assert_allclose(res.ritz_values, [-1, 2, 3], atol=1e-14)
         assert res.kept_dim == 3
@@ -179,7 +177,7 @@ class TestThresholdSolve:
         entries = {"R_hat": np.eye(3, dtype=complex),
                    "J_hat": np.zeros((3, 3), dtype=complex)}
         entries[matrix][0, 1] = entries[matrix][1, 0] = bad
-        pair = KrylovPair(m=3, source="exact", t_star=0.1, **entries)
+        pair = KrylovPair(m=3, **entries)
         with pytest.raises(SingularSystem):
             threshold_solve(pair, 0.0)
 
@@ -241,7 +239,7 @@ class TestGroundEnergy:
 def _result(vals):
     from superkrylov import RitzResult
 
-    return RitzResult(ritz_values=np.array(vals), kept_dim=len(vals), eps=0.0)
+    return RitzResult(ritz_values=np.array(vals), kept_dim=len(vals))
 
 
 class TestTimestepAndNoiseRate:
@@ -264,8 +262,7 @@ class TestTimestepAndNoiseRate:
         eps = 1e-3
         R[0, 1] += eps
         R[1, 0] += eps
-        other = KrylovPair(m=4, R_hat=R, J_hat=pair.J_hat, source="exact",
-                           t_star=t_star)
+        other = KrylovPair(m=4, R_hat=R, J_hat=pair.J_hat)
         # symmetric rank-2 perturbation has spectral norm exactly eps
         assert abs(noise_rate(other, pair, 1.0) - eps) < 1e-12
 
