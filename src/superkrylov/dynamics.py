@@ -140,6 +140,8 @@ def recovery_probability(spec, v, j: int, k: int, t):
 
 def recovery_derivative(spec, v, j: int, k: int, t, order: int):
     """Exact order-th time derivative of R_jk at a scalar t or an array of t."""
+    if j < 0 or k < 0:
+        raise ValueError("Krylov indices must be nonnegative")
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     f = _amplitudes(spec, eigenbasis_weights(spec, v), j - k, t, order)

@@ -67,6 +67,8 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
+# Gram threshold per Krylov dimension for noise-free data: eps = 1e-12 m.
+NOISE_FREE_EPS_PER_M = 1e-12
 
 
 @dataclass
@@ -110,15 +112,22 @@ class ExperimentConfig:
             raise ConfigParse("model_seed and master_seed must be nonnegative")
         if not (math.isfinite(self.eps_fixed) and self.eps_fixed >= 0):
             raise ConfigParse("eps_fixed must be finite and nonnegative")
-        # a zero threshold keeps the numerically null Gram modes
-        if self.eps_rule == "fixed" and self.eps_fixed == 0:
-            raise ConfigParse("eps_rule = fixed needs eps_fixed > 0")
+        # a threshold below the noise-free floor keeps the numerically
+        # null Gram modes
+        floor = NOISE_FREE_EPS_PER_M * max(self.m_values)
+        if self.eps_rule == "fixed" and self.eps_fixed < floor:
+            raise ConfigParse(
+                f"eps_rule = fixed needs eps_fixed >= {floor:g}, the "
+                "noise-free floor at the largest m")
         if min(self.m_values) < 2 or min(self.d_values) < 2:
             raise ConfigParse("m_values and d_values entries must be >= 2")
         if not all(math.isfinite(t) and t >= 0 for t in self.theta_values):
             raise ConfigParse("theta_values must be finite and nonnegative")
         if self.eps_rule == "m-theta" and 0.0 in self.theta_values:
             raise ConfigParse("eps_rule = m-theta needs every theta > 0")
+        # the noise-free floor sits far below the noise in the Gram entries
+        if self.eps_rule == "noise-free" and any(t > 0 for t in self.theta_values):
+            raise ConfigParse("eps_rule = noise-free needs every theta = 0")
         if not 0.0 < self.delta_t_fraction < 1.0:
             raise ConfigParse("delta_t_fraction must lie in (0, 1)")
         return self
@@ -216,7 +225,7 @@ def _eps(config: ExperimentConfig, m: int, theta: float) -> float:
     if rule == "fixed":
         return config.eps_fixed
     if rule == "noise-free" or (rule == "auto" and theta == 0.0):
-        return 1e-12 * m
+        return NOISE_FREE_EPS_PER_M * m
     return m * theta
 
 

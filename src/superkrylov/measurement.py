@@ -12,6 +12,7 @@ squared l2 norm of the noise vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -144,6 +145,18 @@ def estimated_eta_norm_sq(D: int, theta: float) -> float:
     return 2.0 * D * theta**2
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the QUADRATURE_NODES-point rule on [-1, 1].
+
+    Built on first use, not at import, so runs that never integrate a
+    forcing norm do not pay for it.
+    """
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
 def forcing_norm_sq(
     spec: SpectralDecomposition,
     v: np.ndarray,
@@ -156,11 +169,12 @@ def forcing_norm_sq(
 
     The integrand is a trigonometric polynomial in t, so high-order
     Gauss-Legendre quadrature (QUADRATURE_NODES nodes) is effectively
-    exact at desk scale.
+    exact at desk scale.  The rule is built once per process and rescaled
+    to [0, tau] on each call.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    x, wts = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+    x, wts = _gauss_legendre()
     nodes = 0.5 * tau * (x + 1.0)
     weights = 0.5 * tau * wts
     vals = recovery_derivative(spec, v, j, k, nodes, order)

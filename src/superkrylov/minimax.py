@@ -53,13 +53,14 @@ def _overlap(a, p, b, q) -> np.ndarray:
     a, b >= 0 are times and p, q >= 0 integer powers; see the module
     docstring for the closed form.  A zero bound min(a, b) gives zero.
     """
-    a, p, b, q = np.broadcast_arrays(np.asarray(a, dtype=float), p,
-                                     np.asarray(b, dtype=float), q)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     swap = a > b
-    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+    # asarray keeps scalar calls on 0-d arrays, whose power loop rounds
+    # differently from float64 scalar arithmetic
+    lo, hi = np.asarray(np.minimum(a, b)), np.asarray(np.maximum(a, b))
     p, q = np.where(swap, q, p), np.where(swap, p, q)
-    total = np.zeros(lo.shape)
-    coef = np.ones(lo.shape)  # C(q, k), which is 0 once k exceeds q
+    total = np.zeros(np.broadcast_shapes(lo.shape, p.shape))
+    coef = np.ones(total.shape)  # C(q, k), which is 0 once k exceeds q
     for k in range(int(q.max(initial=0)) + 1):
         power = p + k + 1
         total += coef * (hi - lo) ** np.maximum(q - k, 0) * lo ** power / power

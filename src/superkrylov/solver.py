@@ -74,15 +74,13 @@ def _toeplitz_pair(m: int, r_gap: dict, j_gap: dict) -> KrylovPair:
     Entry (j, k) with k > j takes the value at gap k - j; the lower
     triangle is its conjugate and the diagonal is exact (R_jj = 1, J_jj = 0).
     """
-    R = np.eye(m, dtype=complex)
-    J = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(j + 1, m):
-            g = k - j
-            R[j, k] = r_gap[g]
-            R[k, j] = np.conj(R[j, k])
-            J[j, k] = j_gap[g]
-            J[k, j] = np.conj(J[j, k])
+    gaps = range(1, m)
+    r_row = np.array([1.0, *(r_gap[g] for g in gaps)], dtype=complex)
+    j_row = np.array([0.0, *(j_gap[g] for g in gaps)], dtype=complex)
+    d = np.subtract.outer(np.arange(m), np.arange(m))  # j - k
+    lower, g = d > 0, np.abs(d)
+    R = np.where(lower, r_row[g].conj(), r_row[g])
+    J = np.where(lower, j_row[g].conj(), j_row[g])
     return KrylovPair(m=m, R_hat=R, J_hat=J)
 
 

@@ -96,6 +96,10 @@ class TestExitCodes:
         ("eps_rule = fixed\neps_fixed = -1", "convergence"),
         # a zero threshold keeps the null Gram modes
         ("eps_rule = fixed\neps_fixed = 0", "convergence"),
+        # below the noise-free floor 1e-12 * max(m_values)
+        ("eps_rule = fixed\neps_fixed = 1e-300", "convergence"),
+        # the noise-free floor with theta > 0 keeps noise-dominated modes
+        ("eps_rule = noise-free", "convergence"),
         ("eps_rule = m-theta\ntheta_values = 0,0.001", "convergence"),
         # past the 12-qubit dense cap
         ("n = 13", "convergence"),

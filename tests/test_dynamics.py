@@ -210,6 +210,19 @@ class TestProjectedCommutator:
             assert abs(fd - val) < 1e-7
 
 
+class TestNegativeIndices:
+    @pytest.mark.parametrize("oracle", [
+        lambda spec, v, j, k: recovery_probability(spec, v, j, k, 0.1),
+        lambda spec, v, j, k: recovery_derivative(spec, v, j, k, 0.1, 1),
+        lambda spec, v, j, k: exact_J_entry(spec, v, j, k, 0.1),
+    ], ids=["probability", "derivative", "commutator"])
+    @pytest.mark.parametrize("j, k", [(-1, 0), (0, -1), (-2, -2)])
+    def test_rejected(self, toy, oracle, j, k):
+        spec, v = toy
+        with pytest.raises(ValueError, match="Krylov indices must be nonnegative"):
+            oracle(spec, v, j, k)
+
+
 class TestSecondDerivative:
     def test_diagonal_zero(self, toy):
         spec, v = toy

@@ -12,6 +12,8 @@ from superkrylov import (
     sample_grid,
     select_qr,
 )
+from superkrylov import measurement
+from superkrylov.dynamics import recovery_derivative
 
 
 @pytest.fixture
@@ -112,3 +114,28 @@ class TestForcingNorm:
         tau = 1.0
         val = forcing_norm_sq(spec, v, 0, 1, tau, order=3)
         assert abs(val - (8 * tau - 2 * np.sin(4 * tau))) < 1e-10
+
+    def test_negative_index_rejected(self, toy):
+        spec, v = toy
+        with pytest.raises(ValueError, match="Krylov indices must be nonnegative"):
+            forcing_norm_sq(spec, v, -1, 0, 0.5)
+
+    def test_rule_built_once_and_unchanged(self, toy, monkeypatch):
+        spec, v = toy
+        fresh = np.polynomial.legendre.leggauss
+        calls = []
+
+        def counting(deg):
+            calls.append(deg)
+            return fresh(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        measurement._gauss_legendre.cache_clear()
+        first = forcing_norm_sq(spec, v, 0, 1, 0.7)
+        second = forcing_norm_sq(spec, v, 0, 1, 1.3)
+        assert calls == [measurement.QUADRATURE_NODES]
+        # the same value as a quadrature built afresh for this call
+        for tau, got in [(0.7, first), (1.3, second)]:
+            x, w = fresh(measurement.QUADRATURE_NODES)
+            vals = recovery_derivative(spec, v, 0, 1, 0.5 * tau * (x + 1.0), 3)
+            assert got == float(np.sum(0.5 * tau * w * vals**2))

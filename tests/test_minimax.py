@@ -20,6 +20,7 @@ from superkrylov import (
 from superkrylov.minimax import _overlap
 
 from _bvp_oracle import certificate_oracle
+from _kernel_reference import overlap_reference
 
 T_STAR, DT, TAU = 0.5, 0.15, 1.0
 X_IN = np.array([1.0, 0.0, -2.0])  # cos^2 signal: value 1, slope 0, curvature -2
@@ -67,6 +68,32 @@ class TestOverlap:
         ref = [[[poly_overlap(a, pp, b, 3 - pp) for b in ts] for a in ts]
                for pp in range(4)]
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    def test_matches_broadcast_arrays_reference(self):
+        # the routine without np.broadcast_arrays agrees with the earlier
+        # form to rounding, on every argument shape the module passes
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            D, M = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+            ts = np.sort(rng.uniform(0.0, 1.0, D))
+            ts[0] = 0.0  # a zero bound
+            t, pw = float(rng.choice(ts)), int(rng.integers(0, M))  # t hits a knot
+            cases = [
+                (t, pw, float(rng.uniform()), int(rng.integers(0, M))),
+                (t, pw, t, pw),
+                (0.0, pw, t, M - 1),
+                (t, pw, ts, M - 1),
+                (ts, M - 1, t, pw),
+                (ts[:, None], M - 1, ts, M - 1),
+                (ts[:, None], np.arange(M)[:, None, None], ts,
+                 np.arange(M)[:, None, None]),
+                (ts[:, None], np.arange(M)[:, None, None], ts,
+                 M - 1 - np.arange(M)[:, None, None]),
+            ]
+            for a, p, b, q in cases:
+                got, ref = _overlap(a, p, b, q), overlap_reference(a, p, b, q)
+                assert got.shape == ref.shape
+                np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
 
 class TestKernelMatrix:

@@ -28,6 +28,9 @@ from superkrylov import (
 )
 from superkrylov.dynamics import recovery_derivative
 from superkrylov.measurement import forcing_norm_sq
+from superkrylov.solver import _toeplitz_pair
+
+from _kernel_reference import toeplitz_pair_reference
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,23 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
     eta = 2 * D * theta**2
     model = EstimatorModel(3, x_in, tau, select_qr(f_norm, eta))
     return fit(model, series)
+
+
+class TestToeplitzPair:
+    @pytest.mark.parametrize("m", [2, 3, 17])
+    def test_matches_entrywise_fill(self, m):
+        # same bits as the entry-by-entry fill, signed zeros included
+        rng = np.random.default_rng(m)
+        gaps = range(1, m)
+        real = {g: float(rng.uniform()) for g in gaps}
+        imag = {g: complex(0.0, rng.normal()) for g in gaps}
+        full = {g: complex(*rng.normal(size=2)) for g in gaps}
+        for r_gap, j_gap in [(real, imag), (full, full), (imag, real)]:
+            pair = _toeplitz_pair(m, r_gap, j_gap)
+            R, J = toeplitz_pair_reference(m, r_gap, j_gap)
+            assert pair.R_hat.dtype == R.dtype and pair.J_hat.dtype == J.dtype
+            assert pair.R_hat.tobytes() == R.tobytes()
+            assert pair.J_hat.tobytes() == J.tobytes()
 
 
 class TestMinimaxAssembly:
