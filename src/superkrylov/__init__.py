@@ -35,7 +35,6 @@ from .pauli import (
     PauliHamiltonian,
     PauliString,
     assemble_dense,
-    bipartite_symmetry_operator,
     build_bipartite,
     build_heisenberg,
     heisenberg_chain,
@@ -46,11 +45,9 @@ from .dynamics import (
     build_initial_state,
     eigenbasis_weights,
     eigendecompose,
-    evolve,
     exact_J_entry,
     recovery_derivative,
     recovery_probability,
-    vectorized_commutator_matrix,
 )
 from .measurement import (
     MeasurementSeries,
@@ -64,7 +61,6 @@ from .measurement import (
 from .minimax import (
     EstimatorModel,
     MinimaxFit,
-    data_residual,
     error_certificate,
     evaluate_component,
     evaluate_x0,
@@ -72,7 +68,6 @@ from .minimax import (
     fit,
     forcing_gram,
     kernel_matrix,
-    roughness,
 )
 from .solver import (
     KrylovPair,
@@ -88,10 +83,7 @@ from .experiments import (
     ExperimentConfig,
     build_context,
     parse_config,
-    run_convergence,
-    run_derivative_scaling,
-    run_gram,
-    run_minimax_demo,
+    run,
 )
 
 __version__ = "0.1.0"

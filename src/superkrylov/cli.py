@@ -1,6 +1,6 @@
 """Command-line entry point for the experiment runners.
 
-Subcommands mirror the experiment families:
+Subcommands are the keys of ``experiments.COMMANDS``:
 
     superkrylov convergence  --config cfg.txt [--seed N] [--out DIR]
     superkrylov deriv-scaling --config cfg.txt ...
@@ -16,13 +16,7 @@ import argparse
 import sys
 
 from .errors import ConfigParse, SuperKrylovError
-from .experiments import (
-    parse_config,
-    run_convergence,
-    run_derivative_scaling,
-    run_gram,
-    run_minimax_demo,
-)
+from .experiments import COMMANDS, parse_config, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,13 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ground-state energy estimation experiments",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("convergence", "energy error versus Krylov dimension"),
-        ("deriv-scaling", "derivative error versus datapoint count"),
-        ("minimax-demo", "under/over-fitting traces with certificates"),
-        ("gram", "dump projected pair matrices"),
-    ):
-        _add_common(subs.add_parser(name, help=text))
+    for name, runner in COMMANDS.items():
+        _add_common(subs.add_parser(
+            name, help=(runner.__doc__ or "").partition("\n")[0]))
     return parser
 
 
@@ -60,18 +50,7 @@ def main(argv=None) -> int:
             config.master_seed = args.seed
         if args.out is not None:
             config.out = args.out
-    except ConfigParse as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.command == "convergence":
-            path = run_convergence(config)
-        elif args.command == "deriv-scaling":
-            path = run_derivative_scaling(config)
-        elif args.command == "minimax-demo":
-            path = run_minimax_demo(config)
-        else:
-            path = run_gram(config)
+        path = run(args.command, config)
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

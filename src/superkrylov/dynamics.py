@@ -1,4 +1,4 @@
-"""Exact spectral dynamics: time evolution and recovery probabilities.
+"""Exact spectral dynamics: recovery probabilities and their derivatives.
 
 Everything here is powered by one eigendecomposition H = U diag(lam) U^dag.
 With the eigenbasis weights w_p = |<u_p|v>|^2 of the initial state, the
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
-    DimensionCap,
     DimensionMismatch,
     NotHermitian,
     OverlapOutOfRange,
@@ -76,15 +75,6 @@ def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
     phases = phases / np.abs(phases)
     u = u / phases[np.newaxis, :]
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
-
-
-def evolve(spec: SpectralDecomposition, v: np.ndarray, t: float) -> np.ndarray:
-    """Apply U e^{-i diag(lam) t} U^dag to the state v."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (spec.dim,):
-        raise DimensionMismatch("state dimension does not match decomposition")
-    u = spec.eigenvectors
-    return u @ (np.exp(-1j * spec.eigenvalues * t) * (u.conj().T @ v))
 
 
 def eigenbasis_weights(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
@@ -185,18 +175,3 @@ def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarra
         amp[1:-1] = np.sqrt(rest / (n - 2))
     v = spec.eigenvectors @ amp
     return v / np.linalg.norm(v)
-
-
-def vectorized_commutator_matrix(h: np.ndarray) -> np.ndarray:
-    """Dense N^2 x N^2 matrix I (x) H - conj(H) (x) I of the commutator map.
-
-    Test-only helper: its spectrum is the multiset of eigenvalue
-    differences {lam_p - lam_q}, and e^{-iktJ} factorizes as
-    conj(U(t))^{-k} (x) U(t)^{-k}.  Capped at N <= 16.
-    """
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    if n > 16:
-        raise DimensionCap(f"N={n} exceeds the N<=16 cap for dense vectorization")
-    eye = np.eye(n)
-    return np.kron(eye, h) - np.kron(h.conj(), eye)

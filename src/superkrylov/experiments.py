@@ -1,18 +1,18 @@
 """Config-driven experiment runners emitting CSV tables and run manifests.
 
-Each runner wires the full pipeline -- Hamiltonian assembly, exact
-diagonalization reference, (noisy) recovery-probability measurement,
-minimax fitting, pair assembly, thresholded eigensolve -- for one family
-of sweeps:
+``run(command, config)`` wires the full pipeline -- Hamiltonian assembly,
+exact diagonalization reference, (noisy) recovery-probability
+measurement, minimax fitting, pair assembly, thresholded eigensolve --
+for one family of sweeps, the ``COMMANDS`` entry of that name:
 
-* ``run_convergence``: ground-energy error versus Krylov dimension m,
-  for one or more noise levels theta.
-* ``run_derivative_scaling``: pointwise derivative error and certificate
-  versus the number of datapoints D.
-* ``run_minimax_demo``: dense traces of the exact signal, noisy samples,
-  and reconstructions under three noise-weight choices (under-fit,
-  balanced, over-fit).
-* ``run_gram``: dump of the exact (and, with noise, estimated) projected
+* ``convergence``: ground-energy error versus Krylov dimension m, for one
+  or more noise levels theta.
+* ``deriv-scaling``: pointwise derivative error and certificate versus
+  the number of datapoints D.
+* ``minimax-demo``: dense traces of the exact signal, noisy samples, and
+  reconstructions under three noise-weight choices (under-fit, balanced,
+  over-fit).
+* ``gram``: dump of the exact (and, with noise, estimated) projected
   matrices.
 
 All floating output is formatted with 17 significant digits so reruns
@@ -85,7 +85,10 @@ class ExperimentConfig:
     d_values: list = field(default_factory=lambda: [5, 10, 20, 40])
     M: int = 3
     delta_t_fraction: float = 0.15
-    eps_rule: str = "auto"  # auto | noise-free | m-theta | fixed
+    # auto | m-theta | fixed.  m-theta gives the same threshold as auto on
+    # every config validate accepts (all theta > 0); it stays because the
+    # benchmark's noisy-convergence workload config sets it.
+    eps_rule: str = "auto"
     eps_fixed: float = 0.0
     trials: int = 1
     master_seed: int = 0
@@ -98,7 +101,7 @@ class ExperimentConfig:
             raise ConfigParse("m_values, theta_values, d_values must be nonempty")
         if not 0.0 < self.gamma0 <= 0.5:
             raise ConfigParse("gamma0 must lie in (0, 0.5]")
-        if self.eps_rule not in ("auto", "noise-free", "m-theta", "fixed"):
+        if self.eps_rule not in ("auto", "m-theta", "fixed"):
             raise ConfigParse(f"unknown eps_rule {self.eps_rule!r}")
         if self.trials < 1 or self.D < 2 or self.M < 2:
             raise ConfigParse("trials >= 1, D >= 2, M >= 2 required")
@@ -125,9 +128,6 @@ class ExperimentConfig:
             raise ConfigParse("theta_values must be finite and nonnegative")
         if self.eps_rule == "m-theta" and 0.0 in self.theta_values:
             raise ConfigParse("eps_rule = m-theta needs every theta > 0")
-        # the noise-free floor sits far below the noise in the Gram entries
-        if self.eps_rule == "noise-free" and any(t > 0 for t in self.theta_values):
-            raise ConfigParse("eps_rule = noise-free needs every theta = 0")
         if not 0.0 < self.delta_t_fraction < 1.0:
             raise ConfigParse("delta_t_fraction must lie in (0, 1)")
         return self
@@ -221,57 +221,35 @@ def _cell_seed(master_seed: int, *parts) -> np.random.SeedSequence:
 
 
 def _eps(config: ExperimentConfig, m: int, theta: float) -> float:
-    rule = config.eps_rule
-    if rule == "fixed":
+    if config.eps_rule == "fixed":
         return config.eps_fixed
-    if rule == "noise-free" or (rule == "auto" and theta == 0.0):
-        return NOISE_FREE_EPS_PER_M * m
-    return m * theta
+    return NOISE_FREE_EPS_PER_M * m if theta == 0.0 else m * theta
 
 
 def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _write_outputs(config: ExperimentConfig, command: str, tables: list,
-                   start: float) -> str:
-    """Write (name, header, rows) CSV tables and the manifest.
-
-    Returns the first table's path; the manifest counts its records.
-    """
-    os.makedirs(config.out, exist_ok=True)
-    paths = []
-    for name, header, rows in tables:
-        path = os.path.join(config.out, name)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
-        paths.append(path)
-    manifest = {"schema_version": SCHEMA_VERSION, "command": command,
-                "config": asdict(config), "outputs": paths,
-                "n_records": len(tables[0][2]),
-                "wall_time_s": round(time.time() - start, 3)}
-    with open(os.path.join(config.out, f"{command}_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return paths[0]
-
-
-def _gap_models(ctx: PipelineContext, config: ExperimentConfig, gap: int,
-                eta_bounds: list) -> list[EstimatorModel]:
-    """Estimator models for one index gap, one per noise bound ||eta||^2.
+def _fit_series(ctx: PipelineContext, config: ExperimentConfig, gap: int,
+                grid: np.ndarray, theta: float, seed_parts: tuple,
+                eta_bounds: list) -> tuple:
+    """Measure one seeded noisy series of R_{0,gap} on the grid and fit it
+    once per noise bound ||eta||^2; returns the series and the fits.
 
     The initial condition x_in and the forcing norm are computed once and
-    shared; only the budget's r differs between the models.
+    shared; only the budget's r differs between the fits' models.
     """
+    seed = np.random.default_rng(_cell_seed(config.master_seed, *seed_parts))
+    series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta, seed=seed)
     x_in = np.zeros(config.M)
     x_in[0] = 1.0
-    if config.M >= 3:
-        x_in[2] = recovery_derivative(ctx.spec, ctx.v, 0, gap, 0.0, 2)
+    # R is even in t, so its odd derivatives vanish at 0
+    for p in range(2, config.M, 2):
+        x_in[p] = recovery_derivative(ctx.spec, ctx.v, 0, gap, 0.0, p)
     f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
-    return [EstimatorModel(config.M, x_in, ctx.tau, select_qr(f_norm, eta))
-            for eta in eta_bounds]
+    fits = [fit(EstimatorModel(config.M, x_in, ctx.tau, select_qr(f_norm, eta)),
+                series) for eta in eta_bounds]
+    return series, fits
 
 
 def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
@@ -281,11 +259,9 @@ def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
     eta_bound = estimated_eta_norm_sq(config.D, theta)
     fits = {}
     for gap in range(1, m_max):
-        seed = _cell_seed(config.master_seed, 1, _theta_key(theta), trial, gap)
-        series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
-                                seed=np.random.default_rng(seed))
-        [model] = _gap_models(ctx, config, gap, [eta_bound])
-        fits[gap] = fit(model, series)
+        _, [fits[gap]] = _fit_series(ctx, config, gap, grid, theta,
+                                     (1, _theta_key(theta), trial, gap),
+                                     [eta_bound])
     return fits
 
 
@@ -315,44 +291,35 @@ def _convergence_cell(ctx: PipelineContext, config: ExperimentConfig,
     return rows
 
 
-def run_convergence(config: ExperimentConfig) -> str:
-    """Ground-energy error versus Krylov dimension; returns the CSV path."""
-    start = time.time()
-    config.validate()
-    ctx = build_context(config)
+def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
+    """Ground-energy error versus Krylov dimension m, per noise level."""
     rows = [row for theta in config.theta_values
             for trial in range(config.trials)
             for row in _convergence_cell(ctx, config, theta, trial)]
     header = ["m", "theta", "gamma0", "trial", "delta0_prime", "estimate",
               "rel_error", "omega", "kept_dim"]
-    return _write_outputs(config, "convergence",
-                          [("convergence.csv", header, rows)], start)
+    return [("convergence.csv", header, rows)]
 
 
 def _scaling_cell(ctx: PipelineContext, config: ExperimentConfig,
                   D: int, theta: float, trial: int) -> tuple:
     gap = 1
     grid = sample_grid(ctx.t_star, ctx.delta_t, D)
-    seed = _cell_seed(config.master_seed, 2, _theta_key(theta), trial, D)
-    series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
-                            seed=np.random.default_rng(seed))
-    [model] = _gap_models(ctx, config, gap, [estimated_eta_norm_sq(D, theta)])
-    f = fit(model, series)
+    _, [f] = _fit_series(ctx, config, gap, grid, theta,
+                         (2, _theta_key(theta), trial, D),
+                         [estimated_eta_norm_sq(D, theta)])
     truth = recovery_derivative(ctx.spec, ctx.v, 0, gap, ctx.t_star, 1)
     abs_error = abs(evaluate_x1(f, ctx.t_star) - truth)
-    sigma = error_certificate(model, grid, ctx.t_star, 1)
+    sigma = error_certificate(f.model, grid, ctx.t_star, 1)
     return (D, theta, trial, abs_error, sigma)
 
 
-def run_derivative_scaling(config: ExperimentConfig) -> str:
+def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
     """Derivative error and certificate versus datapoint count D.
 
     Per-trial rows are followed by summary rows (trial = -1) holding the
     trial-averaged error and certificate for each (D, theta).
     """
-    start = time.time()
-    config.validate()
-    ctx = build_context(config)
     rows = [_scaling_cell(ctx, config, D, theta, trial)
             for D in config.d_values
             for theta in config.theta_values
@@ -365,32 +332,25 @@ def run_derivative_scaling(config: ExperimentConfig) -> str:
                             float(np.mean([r[3] for r in sel])),
                             float(np.mean([r[4] for r in sel]))))
     header = ["D", "theta", "trial", "abs_error", "sigma_certificate"]
-    return _write_outputs(config, "deriv-scaling",
-                          [("deriv_scaling.csv", header, rows + summary)], start)
+    return [("deriv_scaling.csv", header, rows + summary)]
 
 
-def run_minimax_demo(config: ExperimentConfig) -> str:
-    """Dense traces of exact signal versus reconstructions at three weights.
+def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
+    """Under-, balanced and over-fitted traces with derivative certificates.
 
     The r sweep {r0/10, r0, 10 r0} with fixed q shows under-, balanced,
     and over-fitting; the derivative reconstruction at the balanced point
     is accompanied by its worst-case certificate on a dense time grid.
     The data carry the largest noise level, max(theta_values).
     """
-    start = time.time()
-    config.validate()
-    ctx = build_context(config)
     gap = 1
     theta = max(config.theta_values)
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
-    seed = _cell_seed(config.master_seed, 3, _theta_key(theta), 0, gap)
-    series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta,
-                            seed=np.random.default_rng(seed))
     eta0 = estimated_eta_norm_sq(config.D, theta)
     # the r variants come from scaled noise bounds so each budget stays valid
-    models = _gap_models(ctx, config, gap, [10.0 * eta0, eta0, 0.1 * eta0])
-    fit_low, fit0, fit_high = (fit(model, series) for model in models)
-    model0 = models[1]
+    series, [fit_low, fit0, fit_high] = _fit_series(
+        ctx, config, gap, grid, theta, (3, _theta_key(theta), 0, gap),
+        [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
     exact_r = recovery_probability(ctx.spec, ctx.v, 0, gap, dense)
     exact_dr = recovery_derivative(ctx.spec, ctx.v, 0, gap, dense, 1)
@@ -402,24 +362,20 @@ def run_minimax_demo(config: ExperimentConfig) -> str:
             evaluate_x0(fit0, t),
             evaluate_x0(fit_high, t),
             evaluate_x1(fit0, t),
-            error_certificate(model0, grid, t, 1),
+            error_certificate(fit0.model, grid, t, 1),
         ))
     header = ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
               "xhat0_rhigh", "xhat1", "sigma"]
     points = [(float(t), float(y)) for t, y in zip(grid, series.values)]
-    return _write_outputs(config, "minimax-demo", [
-        ("minimax_demo.csv", header, rows),
-        ("minimax_demo_points.csv", ["t", "y"], points)], start)
+    return [("minimax_demo.csv", header, rows),
+            ("minimax_demo_points.csv", ["t", "y"], points)]
 
 
-def run_gram(config: ExperimentConfig) -> str:
-    """Dump the projected pair matrices (exact, plus estimated if noisy).
+def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
+    """Projected pair matrices, exact and (with noise) estimated.
 
     The estimated pair is fitted at the largest noise level, max(theta_values).
     """
-    start = time.time()
-    config.validate()
-    ctx = build_context(config)
     m = max(config.m_values)
     pairs = {"exact": assemble_pair_exact(ctx.spec, ctx.v, m, ctx.t_star)}
     theta = max(config.theta_values)
@@ -436,4 +392,46 @@ def run_gram(config: ExperimentConfig) -> str:
                     float(pair.J_hat[j, k].real), float(pair.J_hat[j, k].imag),
                 ))
     header = ["source", "row", "col", "R_re", "R_im", "J_re", "J_im"]
-    return _write_outputs(config, "gram", [("gram.csv", header, rows)], start)
+    return [("gram.csv", header, rows)]
+
+
+# subcommand -> runner (ctx, config) -> [(csv_name, header, rows), ...]
+COMMANDS = {
+    "convergence": _convergence,
+    "deriv-scaling": _derivative_scaling,
+    "minimax-demo": _minimax_demo,
+    "gram": _gram,
+}
+
+
+def run(command: str, config: ExperimentConfig) -> str:
+    """Run one ``COMMANDS`` entry and write its CSV tables and manifest.
+
+    Returns the first table's path; the manifest counts its records.  An
+    output directory that cannot be created raises ``ConfigParse`` before
+    any cell is computed.
+    """
+    start = time.time()
+    config.validate()
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigParse(
+            f"cannot write output directory {config.out!r}: {exc}") from exc
+    tables = COMMANDS[command](build_context(config), config)
+    paths = []
+    for name, header, rows in tables:
+        path = os.path.join(config.out, name)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        paths.append(path)
+    manifest = {"schema_version": SCHEMA_VERSION, "command": command,
+                "config": asdict(config), "outputs": paths,
+                "n_records": len(tables[0][2]),
+                "wall_time_s": round(time.time() - start, 3)}
+    with open(os.path.join(config.out, f"{command}_manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return paths[0]

@@ -196,25 +196,6 @@ def evaluate_x1(fit_result: MinimaxFit, t: float) -> float:
     return evaluate_component(fit_result, t, 1)
 
 
-def data_residual(fit_result: MinimaxFit) -> float:
-    """Sum of squared misfits at the data points, sum_s (y_s - x_hat_0(t_s))^2.
-
-    Equals (q/r)^2 ||beta||^2: growing r drives the reconstruction through
-    the data (over-fitting), growing q smooths it away from the data.
-    """
-    x0 = np.array([evaluate_x0(fit_result, t) for t in fit_result.timepoints])
-    return float(np.sum((fit_result.values - x0) ** 2))
-
-
-def roughness(fit_result: MinimaxFit) -> float:
-    """Squared L2 norm of the fitted forcing, int_0^tau (x_hat_0^{(M)})^2.
-
-    Equals beta^T G beta; nonincreasing as the smoothness weight q grows.
-    """
-    G = forcing_gram(fit_result.model, fit_result.timepoints)
-    return float(fit_result.beta @ G @ fit_result.beta)
-
-
 def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
                       component: int) -> float:
     """Worst-case bound sigma on |x_hat_component(t_eval) - truth|.

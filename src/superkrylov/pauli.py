@@ -27,7 +27,7 @@ float64; any odd-Y word makes it complex128.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,11 +130,9 @@ def build_heisenberg(n: int, couplings: dict[tuple[int, int], float]) -> PauliHa
     )
 
 
-def heisenberg_chain(n: int, seed: int | None = None,
-                     rng: np.random.Generator | None = None) -> PauliHamiltonian:
+def heisenberg_chain(n: int, seed: int | None = None) -> PauliHamiltonian:
     """Nearest-neighbour chain with J_{b,b+1} drawn uniformly from (0, 1)."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     couplings = {(b, b + 1): float(rng.uniform(0.0, 1.0)) for b in range(n - 1)}
     return build_heisenberg(n, couplings)
 
@@ -217,9 +215,3 @@ def assemble_dense(ham: PauliHamiltonian) -> np.ndarray:
         weight = term.coefficient * (1, 1j, -1, -1j)[c % 4]
         out[r ^ flip, r] += weight * (1 - 2 * parity[r & phase])
     return out
-
-
-def bipartite_symmetry_operator(n_per_side: int) -> np.ndarray:
-    """W = prod_{j in V1} Y_j prod_{k in V2} Z_k, satisfying W H W^dag = -H."""
-    label = "Y" * n_per_side + "Z" * n_per_side
-    return pauli_word_matrix(label)

@@ -1,4 +1,5 @@
-"""Brute-force eigenphase double sums for R_jk(t), its derivatives and J_jk(t).
+"""Brute-force eigenphase double sums for R_jk(t), its derivatives and J_jk(t),
+and the dense matrix of the commutator map itself.
 
 With H = U diag(lam) U^dag and w_p = |<u_p|v>|^2, the recovery
 probability and the projected commutator entry are the O(N^2) sums
@@ -33,3 +34,13 @@ def commutator_reference(h, v, j, k, t):
     """J_jk(t) as the double sum over eigenvalue pairs."""
     ww, d = _weights_and_differences(h, v)
     return complex(np.sum(ww * d * np.exp(1j * (j - k) * t * d)))
+
+
+def vectorized_commutator_matrix(h):
+    """Dense N^2 x N^2 matrix I (x) H - conj(H) (x) I of the map X -> [H, X].
+
+    Its spectrum is the multiset of eigenvalue differences {lam_p - lam_q},
+    and e^{-iktJ} factorizes as conj(U(t))^{-k} (x) U(t)^{-k}.
+    """
+    eye = np.eye(h.shape[0])
+    return np.kron(eye, h) - np.kron(np.conj(h), eye)

