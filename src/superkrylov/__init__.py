@@ -12,7 +12,6 @@ from .errors import (
     AllModesThresholded,
     BadHorizon,
     BadWindow,
-    BVPSolveFailure,
     ConfigParse,
     ConvergenceFailure,
     DimensionCap,

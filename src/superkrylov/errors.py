@@ -54,11 +54,9 @@ class OutOfHorizon(SuperKrylovError, ValueError):
 
 
 class SingularSystem(SuperKrylovError, RuntimeError):
-    """Regularized kernel system could not be factorized (NaN inputs?)."""
-
-
-class BVPSolveFailure(SuperKrylovError, RuntimeError):
-    """Certificate boundary-value problem could not be solved."""
+    """A linear system could not be solved to finite values, or a minimax
+    certificate variance came out negative or NaN (too ill-conditioned to
+    certify)."""
 
 
 class MissingFit(SuperKrylovError, KeyError):

@@ -25,6 +25,7 @@ import json
 import os
 import math
 import time
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -79,10 +80,10 @@ class ExperimentConfig:
     n: int = 6
     model_seed: int = 42
     gamma0: float = 0.25
-    m_values: list = field(default_factory=lambda: list(range(2, 31)))
-    theta_values: list = field(default_factory=lambda: [0.0])
+    m_values: list[int] = field(default_factory=lambda: list(range(2, 31)))
+    theta_values: list[float] = field(default_factory=lambda: [0.0])
     D: int = 15
-    d_values: list = field(default_factory=lambda: [5, 10, 20, 40])
+    d_values: list[int] = field(default_factory=lambda: [5, 10, 20, 40])
     M: int = 3
     delta_t_fraction: float = 0.15
     # auto | m-theta | fixed.  m-theta gives the same threshold as auto on
@@ -133,16 +134,13 @@ class ExperimentConfig:
         return self
 
 
-_INT_LIST = {"m_values", "d_values"}
-_FLOAT_LIST = {"theta_values"}
-_INT = {"n", "model_seed", "D", "M", "trials", "master_seed"}
-_FLOAT = {"gamma0", "delta_t_fraction", "eps_fixed"}
-_STR = {"model", "eps_rule", "out"}
-
-
 def parse_config(path: str) -> ExperimentConfig:
-    """Read a ``key = value`` config file (comma-separated lists, # comments)."""
+    """Read a ``key = value`` config file (comma-separated lists, # comments).
+
+    Each key's type is its ``ExperimentConfig`` annotation.
+    """
     cfg = ExperimentConfig()
+    types = typing.get_type_hints(ExperimentConfig)
     try:
         with open(path) as fh:
             text = fh.read()
@@ -156,19 +154,15 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigParse(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in types:
+            raise ConfigParse(f"{path}:{lineno}: unknown key {key!r}")
+        kind = types[key]
         try:
-            if key in _INT_LIST:
-                setattr(cfg, key, [int(x) for x in val.split(",") if x.strip()])
-            elif key in _FLOAT_LIST:
-                setattr(cfg, key, [float(x) for x in val.split(",") if x.strip()])
-            elif key in _INT:
-                setattr(cfg, key, int(val))
-            elif key in _FLOAT:
-                setattr(cfg, key, float(val))
-            elif key in _STR:
-                setattr(cfg, key, val)
+            if typing.get_origin(kind) is list:
+                [item] = typing.get_args(kind)
+                setattr(cfg, key, [item(x) for x in val.split(",") if x.strip()])
             else:
-                raise ConfigParse(f"{path}:{lineno}: unknown key {key!r}")
+                setattr(cfg, key, kind(val))
         except ValueError as exc:
             raise ConfigParse(f"{path}:{lineno}: bad value for {key}") from exc
     return cfg.validate()

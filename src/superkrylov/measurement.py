@@ -38,7 +38,7 @@ class MeasurementSeries:
         ys = np.asarray(self.values, dtype=float)
         if ts.ndim != 1 or ts.shape != ys.shape or ts.size < 2:
             raise ValueError("need matching 1-D grids with D >= 2")
-        if np.any(np.diff(ts) <= 0):
+        if not np.all(np.diff(ts) > 0):  # a NaN fails this too
             raise ValueError("timepoints must be strictly increasing")
         if not np.all(np.isfinite(ys)):
             raise ValueError("measurement values must be finite")
@@ -62,8 +62,9 @@ class NoiseBudget:
     eta_norm_sq_bound: float
 
     def __post_init__(self):
-        if self.q <= 0 or self.r <= 0:
-            raise NonPositiveBound("budget weights q, r must be positive")
+        finite = np.isfinite([self.f_norm_sq_bound, self.eta_norm_sq_bound])
+        if not (0 < self.q < np.inf and 0 < self.r < np.inf and finite.all()):
+            raise NonPositiveBound("q, r must be positive and q, r, bounds finite")
         slack = 0.5 * (1 + 1e-12)
         if self.q * self.f_norm_sq_bound > slack:
             raise NonPositiveBound("q * f_norm_sq_bound exceeds 1/2")
@@ -118,10 +119,11 @@ def select_qr(f_norm_sq: float, eta_norm_sq: float) -> NoiseBudget:
     would send r to infinity; it is capped at 1e12 * q to keep the fit
     linear system well conditioned.
     """
-    if f_norm_sq <= 0:
-        raise NonPositiveBound(f"f_norm_sq = {f_norm_sq} must be positive")
-    if eta_norm_sq < 0:
-        raise NonPositiveBound(f"eta_norm_sq = {eta_norm_sq} must be nonnegative")
+    if not 0 < f_norm_sq < np.inf:
+        raise NonPositiveBound(f"f_norm_sq = {f_norm_sq} must be positive and finite")
+    if not 0 <= eta_norm_sq < np.inf:
+        raise NonPositiveBound(
+            f"eta_norm_sq = {eta_norm_sq} must be nonnegative and finite")
     q = 1.0 / (2.0 * f_norm_sq)
     r = 1.0 / (2.0 * eta_norm_sq) if eta_norm_sq > 0 else ZERO_NOISE_R_FACTOR * q
     return NoiseBudget(q=q, r=r, f_norm_sq_bound=f_norm_sq,

@@ -15,10 +15,16 @@ ridge system
 
     (q/r I + G) beta = y_tilde,       y_tilde_s = y_s - sum_p t_s^p x_in[p]/p!,
 
-with G the Gram matrix of the remainder kernels.  Reconstructions of every
-chain component then follow by repeated integration from the known initial
-condition x_in, and a worst-case error certificate sigma for any pointwise
-functional comes from the same Gram system in closed form.
+with G the Gram matrix of the remainder kernels.  Component l at time t
+has the representer kappa(s) = (t-s)^{M-1-l}/(M-1-l)! on [0, t]; its
+overlaps w_i = <k_i, kappa> with the data kernels give the reconstruction
+x_hat_l(t) = drift + w^T beta and, through the fit's own matrix, the
+worst-case error certificate over the budget ellipsoid,
+
+    sigma^2 = ( <kappa, kappa> - w^T (q/r I + G)^{-1} w ) / q.
+
+An unsolvable system, or a sigma^2 that rounding makes negative or NaN,
+raises SingularSystem.
 
 Every kernel inner product is an overlap integral
 
@@ -38,12 +44,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (
-    BadHorizon,
-    BVPSolveFailure,
-    OutOfHorizon,
-    SingularSystem,
-)
+from .errors import BadHorizon, OutOfHorizon, SingularSystem
 from .measurement import MeasurementSeries, NoiseBudget
 
 
@@ -81,14 +82,14 @@ class EstimatorModel:
         x_in = np.asarray(self.x_in, dtype=float)
         if self.M < 2:
             raise ValueError("chain order M must be at least 2")
-        if x_in.shape != (self.M,):
-            raise ValueError("x_in must have length M")
-        if self.tau <= 0:
-            raise BadHorizon("horizon tau must be positive")
+        if x_in.shape != (self.M,) or not np.all(np.isfinite(x_in)):
+            raise ValueError("x_in must hold M finite values")
+        if not 0 < self.tau < np.inf:
+            raise BadHorizon("horizon tau must be positive and finite")
         object.__setattr__(self, "x_in", x_in)
 
-    def homogeneous(self, t: float, component: int = 0) -> float:
-        """Drift-only trajectory: component of the Taylor flow of x_in."""
+    def homogeneous(self, t, component: int = 0):
+        """Drift-only trajectory at time(s) t: the Taylor flow of x_in."""
         return sum(
             t ** (p - component) * self.x_in[p] / factorial(p - component)
             for p in range(component, self.M)
@@ -102,17 +103,17 @@ class MinimaxFit:
     beta: np.ndarray
     model: EstimatorModel
     timepoints: np.ndarray
-    values: np.ndarray
     residual_norm: float
 
 
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
+    # every comparison is written so that a NaN fails it
     ts = np.asarray(ts, dtype=float)
-    if np.any(np.diff(ts) <= 0):
+    if not np.all(np.diff(ts) > 0):
         raise ValueError("timepoints must be strictly increasing")
-    if ts[-1] >= model.tau:
+    if not ts[-1] < model.tau:
         raise BadHorizon("timepoints must lie strictly inside [0, tau)")
-    if ts[0] < 0:
+    if not ts[0] >= 0:
         raise OutOfHorizon("timepoints must be nonnegative")
     return ts
 
@@ -141,6 +142,32 @@ def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
     return _overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
 
 
+def _ridge_solve(model: EstimatorModel, ts: np.ndarray, rhs: np.ndarray):
+    """Solve (q/r I + G) x = rhs on the grid ts; returns x and the matrix."""
+    system = (model.budget.q / model.budget.r * np.eye(ts.size)
+              + forcing_gram(model, ts))
+    try:
+        x = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("ridge system gave a non-finite solution")
+    return x, system
+
+
+def _representer(model: EstimatorModel, ts: np.ndarray, t: float,
+                 component: int) -> np.ndarray:
+    """Overlaps w_i = <k_i, kappa> of the data kernels on ts with the
+    representer kappa of component `component` at time t."""
+    M = model.M
+    if not 0 <= component < M:
+        raise ValueError("component out of range")
+    if not 0 <= t <= model.tau:
+        raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
+    n = M - 1 - component
+    return _overlap(ts, M - 1, t, n) / (factorial(M - 1) * factorial(n))
+
+
 def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:
     """Solve the ridge system for the kernel weights beta.
 
@@ -149,22 +176,10 @@ def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:
     (q/r I + G) beta = y_tilde with G the forcing Gram matrix.
     """
     ts = _check_grid(model, series.timepoints)
-    y = series.values
-    if not np.all(np.isfinite(y)):
-        raise SingularSystem("non-finite measurement values")
-    y_tilde = y - np.array([model.homogeneous(t) for t in ts])
-    lam = model.budget.q / model.budget.r
-    G = forcing_gram(model, ts)
-    system = lam * np.eye(ts.size) + G
-    try:
-        beta = np.linalg.solve(system, y_tilde)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(beta)):
-        raise SingularSystem("fit produced non-finite weights")
+    y_tilde = series.values - model.homogeneous(ts)
+    beta, system = _ridge_solve(model, ts, y_tilde)
     residual = float(np.linalg.norm(system @ beta - y_tilde))
     return MinimaxFit(beta=beta, model=model, timepoints=ts,
-                      values=np.asarray(y, dtype=float),
                       residual_norm=residual)
 
 
@@ -176,14 +191,8 @@ def evaluate_component(fit_result: MinimaxFit, t: float, component: int) -> floa
     value is continuous (C^{M-1-l}) across the data knots.
     """
     model = fit_result.model
-    M = model.M
-    if component < 0 or component >= M:
-        raise ValueError("component out of range")
-    if t < 0 or t > model.tau:
-        raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
-    norm = factorial(M - 1 - component) * factorial(M - 1)
-    kernels = _overlap(t, M - 1 - component, fit_result.timepoints, M - 1)
-    return float(model.homogeneous(t, component) + fit_result.beta @ kernels / norm)
+    w = _representer(model, fit_result.timepoints, t, component)
+    return float(model.homogeneous(t, component) + fit_result.beta @ w)
 
 
 def evaluate_x0(fit_result: MinimaxFit, t: float) -> float:
@@ -200,32 +209,24 @@ def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
                       component: int) -> float:
     """Worst-case bound sigma on |x_hat_component(t_eval) - truth|.
 
-    Valid for every signal/noise pair inside the budget ellipsoid.  The
-    pointwise functional at (t_eval, component) has the integral
-    representation kappa(s) = (t_eval-s)^{M-1-c}/(M-1-c)! on [0, t_eval]
-    against the forcing, so the certificate reduces to the same Gram
-    algebra as the fit:
+    Valid for every signal/noise pair inside the budget ellipsoid.  With
+    kappa the representer of (t_eval, component) and w its overlaps with
+    the data kernels, the certificate uses the fit's matrix:
 
-        sigma^2 = (1/q) ( <kappa, kappa> - r w^T (q I + r G)^{-1} w ),
+        sigma^2 = ( <kappa, kappa> - w^T (q/r I + G)^{-1} w ) / q.
 
-    with w_i = <k_i, kappa> the overlaps of the data kernels with kappa.
-    The closed form is validated against a dense finite-difference
-    boundary-value solve in the test suite.
+    A sigma^2 that rounding makes negative, or NaN, raises SingularSystem
+    naming t_eval and the component.  The closed form is validated against
+    a dense finite-difference boundary-value solve in the test suite.
     """
-    ts = _check_grid(model, np.asarray(timepoints, dtype=float))
-    M, c = model.M, component
-    if c < 0 or c >= M:
-        raise ValueError("component out of range")
-    if t_eval < 0 or t_eval > model.tau:
-        raise OutOfHorizon(f"t_eval = {t_eval} outside [0, {model.tau}]")
-    q, r = model.budget.q, model.budget.r
-    n = M - 1 - c
-    w = _overlap(ts, M - 1, t_eval, n) / (factorial(M - 1) * factorial(n))
+    ts = _check_grid(model, timepoints)
+    w = _representer(model, ts, t_eval, component)
+    n = model.M - 1 - component
     kk = float(_overlap(t_eval, n, t_eval, n)) / factorial(n) ** 2
-    G = forcing_gram(model, ts)
-    try:
-        u = np.linalg.solve(q * np.eye(ts.size) + r * G, w)
-    except np.linalg.LinAlgError as exc:
-        raise BVPSolveFailure(str(exc)) from exc
-    sigma_sq = (kk - r * float(w @ u)) / q
-    return float(np.sqrt(max(sigma_sq, 0.0)))
+    u, _ = _ridge_solve(model, ts, w)
+    sigma_sq = (kk - float(w @ u)) / model.budget.q
+    if not sigma_sq >= 0:
+        raise SingularSystem(
+            f"certificate variance {sigma_sq:.3g} at t = {t_eval}, component "
+            f"{component}: the ridge system is too ill-conditioned to certify")
+    return float(np.sqrt(sigma_sq))

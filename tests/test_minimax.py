@@ -5,6 +5,8 @@ from superkrylov import (
     BadHorizon,
     EstimatorModel,
     MeasurementSeries,
+    NoiseBudget,
+    NonPositiveBound,
     OutOfHorizon,
     error_certificate,
     evaluate_x0,
@@ -136,9 +138,10 @@ class TestFit:
         np.testing.assert_allclose(f.beta, 0.0, atol=1e-12)
 
     def test_residual_invariant(self):
-        f = fit(toy_model(), toy_series(15, theta=1e-3, seed=1))
+        series = toy_series(15, theta=1e-3, seed=1)
+        f = fit(toy_model(), series)
         ts = f.timepoints
-        y_tilde = f.values - np.array([f.model.homogeneous(t) for t in ts])
+        y_tilde = series.values - np.array([f.model.homogeneous(t) for t in ts])
         assert f.residual_norm < 1e-10 * max(np.linalg.norm(y_tilde), 1.0)
 
     def test_zero_noise_convergence_in_D(self):
@@ -201,7 +204,7 @@ class TestFitBalance:
             model = EstimatorModel(3, X_IN, TAU, select_qr(f_norm, 1 / (2 * r)))
             f = fit(model, series)
             x0 = np.array([evaluate_x0(f, t) for t in f.timepoints])
-            residuals.append(float(np.sum((f.values - x0) ** 2)))
+            residuals.append(float(np.sum((series.values - x0) ** 2)))
         assert all(a >= b - 1e-15 for a, b in zip(residuals, residuals[1:]))
 
     def test_roughness_nonincreasing_in_q(self):
@@ -248,3 +251,39 @@ class TestCertificate:
             f = fit(model, series)
             err = abs(evaluate_x1(f, T_STAR) - (-np.sin(2 * T_STAR)))
             assert error_certificate(model, ts, T_STAR, 1) >= err
+
+
+NAN = float("nan")
+NON_FINITE_CASES = {
+    "evaluate at t = nan": (OutOfHorizon, lambda: evaluate_x0(
+        fit(toy_model(), toy_series(10)), NAN)),
+    "certificate at t = nan": (OutOfHorizon, lambda: error_certificate(
+        toy_model(), toy_grid(10), NAN, 1)),
+    "certificate on a grid with nan": (ValueError, lambda: error_certificate(
+        toy_model(), np.array([0.3, NAN, 0.6]), T_STAR, 1)),
+    "series with a nan timepoint": (ValueError, lambda: MeasurementSeries(
+        timepoints=[0.1, NAN, 0.3], values=[1.0, 1.0, 1.0])),
+    "model with tau = nan": (BadHorizon, lambda: EstimatorModel(
+        3, X_IN, NAN, toy_model().budget)),
+    "model with tau = inf": (BadHorizon, lambda: EstimatorModel(
+        3, X_IN, np.inf, toy_model().budget)),
+    "model with nan x_in": (ValueError, lambda: EstimatorModel(
+        3, [1.0, NAN, 0.0], TAU, toy_model().budget)),
+    "budget with q = nan": (NonPositiveBound, lambda: NoiseBudget(
+        q=NAN, r=1.0, f_norm_sq_bound=0.1, eta_norm_sq_bound=0.1)),
+    "budget with r = inf": (NonPositiveBound, lambda: NoiseBudget(
+        q=1.0, r=np.inf, f_norm_sq_bound=0.1, eta_norm_sq_bound=0.0)),
+    "budget with a nan bound": (NonPositiveBound, lambda: NoiseBudget(
+        q=1.0, r=1.0, f_norm_sq_bound=NAN, eta_norm_sq_bound=0.1)),
+    "select_qr with f_norm_sq = nan": (NonPositiveBound,
+                                       lambda: select_qr(NAN, 0.1)),
+    "select_qr with eta_norm_sq = nan": (NonPositiveBound,
+                                         lambda: select_qr(1.0, NAN)),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CASES)
+def test_non_finite_input_rejected(case):
+    error, call = NON_FINITE_CASES[case]
+    with pytest.raises(error):
+        call()
