@@ -1,6 +1,6 @@
 """Exact spectral dynamics: recovery probabilities and their derivatives.
 
-Everything here is powered by one eigendecomposition H = U diag(lam) U^dag.
+Everything here works in the eigenbasis of H = sum_p lam_p |u_p><u_p|.
 With the eigenbasis weights w_p = |<u_p|v>|^2 of the initial state, the
 recovery probability between Krylov indices j and k is the squared
 modulus of one O(N) eigenphase sum,
@@ -13,6 +13,13 @@ Every time derivative follows from the amplitudes f_n = d^n f/dt^n by the
 Leibniz rule, d^n R/dt^n = sum_m C(n, m) f_m conj(f_{n-m}); these closed
 forms are the exact oracles used to calibrate the noisy-measurement
 estimators.
+
+So the oracles need the eigenvalues and the weights, never the
+eigenvectors themselves.  ``eigendecompose(h)`` keeps the eigenvectors U
+and states are vectors in the computational basis; with
+``vectors=False`` it keeps only the eigenvalues, and states are then
+amplitude vectors <u_p|v> over the eigenvectors (H's own eigenbasis, in
+which U is the identity).
 """
 
 from __future__ import annotations
@@ -30,14 +37,22 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-10
+# rows per strip of the Hermiticity check, so that it holds no N x N
+# temporary
+_STRIP_ROWS = 64
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian H."""
+    """Eigenvalues (ascending) and, optionally, eigenvectors of a Hermitian H.
+
+    With ``eigenvectors=None`` the decomposition is in H's own eigenbasis:
+    the eigenvector matrix is the identity, so it is not stored, and
+    states are amplitude vectors over the eigenvectors.
+    """
 
     eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # unitary, columns are eigenvectors
+    eigenvectors: np.ndarray | None  # unitary, columns are eigenvectors
 
     @property
     def dim(self) -> int:
@@ -48,7 +63,18 @@ class SpectralDecomposition:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
+def _entry_scale_and_asymmetry(h: np.ndarray) -> tuple[float, float]:
+    """max |h| and max |h - h^dag|, one strip of rows and columns at a time."""
+    scale = asymmetry = 0.0
+    for i in range(0, h.shape[0], _STRIP_ROWS):
+        rows = h[i:i + _STRIP_ROWS]
+        scale = max(scale, float(np.max(np.abs(rows))))
+        asymmetry = max(asymmetry, float(np.max(
+            np.abs(rows - h[:, i:i + _STRIP_ROWS].conj().T))))
+    return scale, asymmetry
+
+
+def eigendecompose(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     """Hermitian eigendecomposition with a deterministic phase convention.
 
     The dtype follows the input: a real symmetric matrix is diagonalized
@@ -56,16 +82,23 @@ def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
     eigenvector is rotated so its largest-magnitude component is real
     and positive (for real vectors, a choice of sign), making results
     reproducible across LAPACK builds.
+
+    With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``)
+    and the result is in H's eigenbasis (``eigenvectors=None``), which is
+    all the recovery-probability oracles need.
     """
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+        raise DimensionMismatch("expected a nonempty square matrix")
+    scale, asymmetry = _entry_scale_and_asymmetry(h)
     # relative to the entry scale, so a rescaled Hamiltonian passes alike
-    tol = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(h))))
-    asymmetry = float(np.max(np.abs(h - h.conj().T)))
+    tol = HERMITICITY_TOL * max(1.0, scale)
     if asymmetry > tol:
         raise NotHermitian(f"asymmetry {asymmetry:.3e} exceeds {tol:.3e}")
     try:
+        if not vectors:
+            return SpectralDecomposition(eigenvalues=np.linalg.eigvalsh(h),
+                                         eigenvectors=None)
         lam, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
@@ -82,7 +115,7 @@ def eigenbasis_weights(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray
     v = np.asarray(v)
     if v.shape != (spec.dim,):
         raise DimensionMismatch("state dimension does not match decomposition")
-    c = spec.eigenvectors.conj().T @ v
+    c = v if spec.eigenvectors is None else spec.eigenvectors.conj().T @ v
     return np.abs(c) ** 2
 
 
@@ -159,7 +192,8 @@ def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarra
     leftover weight 1 - 2*gamma0 is spread uniformly over the interior
     eigenvectors (they do not affect the overlap with the extremal
     commutator eigenvector).  gamma0 = 0.5 is the largest value reachable
-    by a vectorized pure state.
+    by a vectorized pure state.  Without eigenvectors the state is the
+    amplitude vector itself.
     """
     if not 0.0 < gamma0 <= 0.5:
         raise OverlapOutOfRange(f"gamma0 = {gamma0} outside (0, 0.5]")
@@ -173,5 +207,5 @@ def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarra
                 "gamma0 < 0.5 needs interior eigenvectors to carry the rest"
             )
         amp[1:-1] = np.sqrt(rest / (n - 2))
-    v = spec.eigenvectors @ amp
+    v = amp if spec.eigenvectors is None else spec.eigenvectors @ amp
     return v / np.linalg.norm(v)

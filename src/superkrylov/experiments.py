@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .dynamics import (
+    SpectralDecomposition,
     build_initial_state,
     eigendecompose,
     recovery_derivative,
@@ -53,6 +54,7 @@ from .minimax import (
 )
 from .pauli import (
     MAX_QUBITS_DENSE,
+    HamiltonianClass,
     assemble_dense,
     build_bipartite,
     heisenberg_chain,
@@ -98,8 +100,14 @@ class ExperimentConfig:
     def validate(self):
         if self.model not in ("heisenberg", "bipartite"):
             raise ConfigParse(f"unknown model {self.model!r}")
-        if not self.m_values or not self.theta_values or not self.d_values:
-            raise ConfigParse("m_values, theta_values, d_values must be nonempty")
+        for key in ("m_values", "theta_values", "d_values"):
+            values = getattr(self, key)
+            if not values:
+                raise ConfigParse(f"{key} must be nonempty")
+            # a repeated entry would write copies that read as independent
+            # trials or cells, and deriv-scaling would average them
+            if len(set(values)) != len(values):
+                raise ConfigParse(f"{key} has a repeated entry")
         if not 0.0 < self.gamma0 <= 0.5:
             raise ConfigParse("gamma0 must lie in (0, 0.5]")
         if self.eps_rule not in ("auto", "m-theta", "fixed"):
@@ -170,12 +178,16 @@ def parse_config(path: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """Diagonalized model plus reference quantities shared by all cells."""
+    """Diagonalized model plus reference quantities shared by all cells.
 
-    spec: object
+    ``spec`` holds no eigenvectors: ``v`` is the initial state's amplitude
+    vector in H's eigenbasis.
+    """
+
+    spec: SpectralDecomposition
     v: np.ndarray
     lam0: float
-    class_tag: object
+    class_tag: HamiltonianClass
     top_energy: float | None
     t_star: float
     delta_t: float
@@ -183,7 +195,12 @@ class PipelineContext:
 
 
 def build_context(config: ExperimentConfig) -> PipelineContext:
-    """Assemble, diagonalize, and fix the timestep and measurement window."""
+    """Assemble, diagonalize, and fix the timestep and measurement window.
+
+    The oracles need only the eigenvalues and the initial state's weights,
+    so H is diagonalized without eigenvectors and the state is built in
+    its eigenbasis.
+    """
     if config.model == "heisenberg":
         ham = heisenberg_chain(config.n, seed=config.model_seed)
     else:
@@ -193,7 +210,7 @@ def build_context(config: ExperimentConfig) -> PipelineContext:
         jz = {e: float(rng.uniform(0, 1)) for e in edges}
         h = {i: float(rng.uniform(0, 1)) for i in range(2 * npair)}
         ham = build_bipartite(npair, edges, jz, h)
-    spec = eigendecompose(assemble_dense(ham))
+    spec = eigendecompose(assemble_dense(ham), vectors=False)
     v = build_initial_state(spec, config.gamma0)
     width_j = 2.0 * spec.spectral_width
     t_star = choose_timestep(width_j)
@@ -401,10 +418,11 @@ COMMANDS = {
 def run(command: str, config: ExperimentConfig) -> str:
     """Run one ``COMMANDS`` entry and write its CSV tables and manifest.
 
-    Returns the first table's path; the manifest counts its records.  An
-    output directory that cannot be created raises ``ConfigParse`` before
-    any cell is computed.
+    Returns the first table's path; the manifest counts its records and
+    splits ``wall_time_s`` into ``stage_s``.  An output directory that
+    cannot be created raises ``ConfigParse`` before any cell is computed.
     """
+    # validation and the output directory count toward build_context
     start = time.time()
     config.validate()
     try:
@@ -412,7 +430,10 @@ def run(command: str, config: ExperimentConfig) -> str:
     except OSError as exc:
         raise ConfigParse(
             f"cannot write output directory {config.out!r}: {exc}") from exc
-    tables = COMMANDS[command](build_context(config), config)
+    ctx = build_context(config)
+    built = time.time()
+    tables = COMMANDS[command](ctx, config)
+    computed = time.time()
     paths = []
     for name, header, rows in tables:
         path = os.path.join(config.out, name)
@@ -421,10 +442,14 @@ def run(command: str, config: ExperimentConfig) -> str:
             for row in rows:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
         paths.append(path)
+    written = time.time()
     manifest = {"schema_version": SCHEMA_VERSION, "command": command,
                 "config": asdict(config), "outputs": paths,
                 "n_records": len(tables[0][2]),
-                "wall_time_s": round(time.time() - start, 3)}
+                "stage_s": {"build_context": round(built - start, 3),
+                            "cells": round(computed - built, 3),
+                            "write": round(written - computed, 3)},
+                "wall_time_s": round(written - start, 3)}
     with open(os.path.join(config.out, f"{command}_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

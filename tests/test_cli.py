@@ -105,6 +105,10 @@ class TestExitCodes:
         ("n = 13", "convergence"),
         ("model = bipartite\nn = 7", "gram"),
         ("", "convergence --seed -1"),  # the runner's own validation
+        # repeated entries would write copies that read as independent rows
+        ("m_values = 2,3,3", "convergence"),
+        ("theta_values = 0.001,0.001", "convergence"),
+        ("d_values = 5,5", "deriv-scaling"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, line, command):
         path = tmp_path / "cfg.txt"
@@ -186,6 +190,17 @@ class TestOutputs:
         assert manifest["config"]["n"] == 4
         assert manifest["config"]["master_seed"] == 11
         assert manifest["schema_version"] == 1
+
+    def test_manifest_times_each_stage(self, config_file, tmp_path):
+        out = str(tmp_path / "o6")
+        assert main(["convergence", "--config", config_file, "--out", out]) == 0
+        with open(os.path.join(out, "convergence_manifest.json")) as fh:
+            manifest = json.load(fh)
+        stages = manifest["stage_s"]
+        assert set(stages) == {"build_context", "cells", "write"}
+        assert all(s >= 0 for s in stages.values())
+        # each of the four values is rounded to 1 ms
+        assert abs(sum(stages.values()) - manifest["wall_time_s"]) <= 2e-3 + 1e-9
 
     def test_seed_override(self, config_file, tmp_path):
         out_a = str(tmp_path / "a")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from superkrylov import (
+    DimensionMismatch,
     NotHermitian,
     OverlapOutOfRange,
     assemble_dense,
@@ -18,6 +19,7 @@ from _phase_oracle import (
     recovery_reference,
     vectorized_commutator_matrix,
 )
+from superkrylov.dynamics import _entry_scale_and_asymmetry
 
 
 def random_hermitian(rng, n):
@@ -51,24 +53,39 @@ class TestEigendecompose:
         rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
         assert np.max(np.abs(rebuilt - h)) < 1e-10
 
-    def test_not_hermitian_rejected(self):
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_not_hermitian_rejected(self, vectors):
         with pytest.raises(NotHermitian):
-            eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=vectors)
 
-    def test_hermiticity_tolerance_scales_with_entries(self):
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_hermiticity_tolerance_scales_with_entries(self, vectors):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(64, 64))
                             + 1j * rng.normal(size=(64, 64)))
         h = q @ (1e6 * assemble_dense(heisenberg_chain(6, seed=42))) @ q.conj().T
         # rounding alone leaves an asymmetry above the unscaled 1e-10
         assert np.max(np.abs(h - h.conj().T)) > 1e-10
-        spec = eigendecompose(h)
+        spec = eigendecompose(h, vectors=vectors)
         np.testing.assert_allclose(
             spec.eigenvalues, np.linalg.eigvalsh((h + h.conj().T) / 2), atol=1e-6)
         bad = h.copy()
         bad[0, 1] += 1e-6 * np.max(np.abs(h))
         with pytest.raises(NotHermitian):
-            eigendecompose(bad)
+            eigendecompose(bad, vectors=vectors)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_non_square_or_empty_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            eigendecompose(np.zeros(shape))
+
+    def test_strip_check_equals_dense_check(self):
+        # 100 rows: the last strip is partial
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(100, 100)) + 1j * rng.normal(size=(100, 100))
+        scale, asymmetry = _entry_scale_and_asymmetry(h)
+        assert scale == np.max(np.abs(h))
+        assert asymmetry == np.max(np.abs(h - h.conj().T))
 
     def test_phase_convention_deterministic(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,17 @@
+import numpy as np
 import pytest
 
-from superkrylov import SingularSystem, error_certificate, estimated_eta_norm_sq
+from superkrylov import (
+    SingularSystem,
+    assemble_dense,
+    assemble_pair_exact,
+    build_initial_state,
+    eigendecompose,
+    error_certificate,
+    estimated_eta_norm_sq,
+    recovery_derivative,
+)
+from superkrylov import experiments
 from superkrylov.experiments import (
     ExperimentConfig,
     _fit_series,
@@ -38,3 +49,49 @@ def test_ill_conditioned_certificate_raises():
                          [estimated_eta_norm_sq(cfg.D, theta)])
     with pytest.raises(SingularSystem, match="component 1"):
         error_certificate(f.model, grid, ctx.t_star, 1)
+
+
+FRAME_CONFIGS = [
+    ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25),
+    ExperimentConfig(model="bipartite", n=3, model_seed=42, gamma0=0.25),
+]
+
+
+@pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=["heisenberg6", "bipartite3"])
+def test_context_never_forms_eigenvectors(cfg, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("build_context must not compute eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert build_context(cfg).spec.eigenvectors is None
+
+
+def _close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=["heisenberg6", "bipartite3"])
+def test_context_matches_eigenvector_reference(cfg, monkeypatch):
+    # the eigenbasis frame must reproduce every oracle of the full
+    # eigendecomposition of the very matrix build_context diagonalizes
+    dense = []
+
+    def capture(ham):
+        dense.append(assemble_dense(ham))
+        return dense[-1]
+
+    monkeypatch.setattr(experiments, "assemble_dense", capture)
+    ctx = build_context(cfg)
+    ref_spec = eigendecompose(dense[0])
+    ref_v = build_initial_state(ref_spec, cfg.gamma0)
+    assert abs(ctx.lam0 - ref_spec.eigenvalues[0]) <= 1e-12 * abs(ctx.lam0)
+    times = np.append(sample_grid(ctx.t_star, ctx.delta_t, cfg.D), ctx.t_star)
+    for gap in range(1, 30):
+        for order in range(3):
+            _close(recovery_derivative(ctx.spec, ctx.v, 0, gap, times, order),
+                   recovery_derivative(ref_spec, ref_v, 0, gap, times, order))
+    pair = assemble_pair_exact(ctx.spec, ctx.v, 30, ctx.t_star)
+    ref = assemble_pair_exact(ref_spec, ref_v, 30, ctx.t_star)
+    _close(pair.R_hat, ref.R_hat)
+    _close(pair.J_hat, ref.J_hat)
