@@ -38,6 +38,7 @@ from .pauli import (
     build_heisenberg,
     heisenberg_chain,
     pauli_word_matrix,
+    qubit_factors,
 )
 from .dynamics import (
     SpectralDecomposition,

@@ -21,6 +21,7 @@ with identical config and seed are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import math
@@ -55,9 +56,11 @@ from .minimax import (
 from .pauli import (
     MAX_QUBITS_DENSE,
     HamiltonianClass,
+    PauliHamiltonian,
     assemble_dense,
     build_bipartite,
     heisenberg_chain,
+    qubit_factors,
 )
 from .solver import (
     KrylovPair,
@@ -181,7 +184,8 @@ class PipelineContext:
     """Diagonalized model plus reference quantities shared by all cells.
 
     ``spec`` holds no eigenvectors: ``v`` is the initial state's amplitude
-    vector in H's eigenbasis.
+    vector in H's eigenbasis.  ``factor_qubits`` is the qubit count of
+    each qubit-disjoint factor H was diagonalized by, in order.
     """
 
     spec: SpectralDecomposition
@@ -192,6 +196,29 @@ class PipelineContext:
     t_star: float
     delta_t: float
     tau: float
+    factor_qubits: tuple[int, ...]
+
+
+def _hamiltonian(config: ExperimentConfig) -> PauliHamiltonian:
+    """The config's model; the bipartite one couples qubit i to n + i only."""
+    if config.model == "heisenberg":
+        return heisenberg_chain(config.n, seed=config.model_seed)
+    rng = np.random.default_rng(config.model_seed)
+    npair = config.n
+    edges = {(i, npair + i): float(rng.uniform(0, 1)) for i in range(npair)}
+    jz = {e: float(rng.uniform(0, 1)) for e in edges}
+    h = {i: float(rng.uniform(0, 1)) for i in range(2 * npair)}
+    return build_bipartite(npair, edges, jz, h)
+
+
+def _factored_spectrum(factors: tuple[PauliHamiltonian, ...]) -> np.ndarray:
+    """Ascending spectrum of a sum of qubit-disjoint factors: every sum of
+    one eigenvalue per factor.  Each factor is assembled and checked for
+    Hermiticity on its own; a single factor's spectrum comes back as is."""
+    spectra = [eigendecompose(assemble_dense(part), vectors=False).eigenvalues
+               for part in factors]
+    return np.sort(functools.reduce(
+        lambda a, b: np.add.outer(a, b).ravel(), spectra))
 
 
 def build_context(config: ExperimentConfig) -> PipelineContext:
@@ -199,18 +226,14 @@ def build_context(config: ExperimentConfig) -> PipelineContext:
 
     The oracles need only the eigenvalues and the initial state's weights,
     so H is diagonalized without eigenvectors and the state is built in
-    its eigenbasis.
+    its eigenbasis.  Each qubit-disjoint factor of H is assembled and
+    diagonalized on its own, and H's spectrum is the sorted Kronecker sum
+    of theirs; a connected model is one factor, H itself.
     """
-    if config.model == "heisenberg":
-        ham = heisenberg_chain(config.n, seed=config.model_seed)
-    else:
-        rng = np.random.default_rng(config.model_seed)
-        npair = config.n
-        edges = {(i, npair + i): float(rng.uniform(0, 1)) for i in range(npair)}
-        jz = {e: float(rng.uniform(0, 1)) for e in edges}
-        h = {i: float(rng.uniform(0, 1)) for i in range(2 * npair)}
-        ham = build_bipartite(npair, edges, jz, h)
-    spec = eigendecompose(assemble_dense(ham), vectors=False)
+    ham = _hamiltonian(config)
+    factors = qubit_factors(ham)
+    spec = SpectralDecomposition(eigenvalues=_factored_spectrum(factors),
+                                 eigenvectors=None)
     v = build_initial_state(spec, config.gamma0)
     width_j = 2.0 * spec.spectral_width
     t_star = choose_timestep(width_j)
@@ -220,6 +243,7 @@ def build_context(config: ExperimentConfig) -> PipelineContext:
         spec=spec, v=v, lam0=float(spec.eigenvalues[0]),
         class_tag=ham.class_tag, top_energy=ham.top_energy,
         t_star=t_star, delta_t=delta_t, tau=tau,
+        factor_qubits=tuple(part.n_qubits for part in factors),
     )
 
 
@@ -445,6 +469,7 @@ def run(command: str, config: ExperimentConfig) -> str:
     written = time.time()
     manifest = {"schema_version": SCHEMA_VERSION, "command": command,
                 "config": asdict(config), "outputs": paths,
+                "factor_qubits": list(ctx.factor_qubits),
                 "n_records": len(tables[0][2]),
                 "stage_s": {"build_context": round(built - start, 3),
                             "cells": round(computed - built, 3),

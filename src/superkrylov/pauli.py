@@ -22,6 +22,11 @@ so it fills one permuted diagonal of the matrix and costs O(N) to add.
 Coefficients are real, so a sum of words whose Y counts are all even
 (both families above) is a real symmetric matrix and assembles as
 float64; any odd-Y word makes it complex128.
+
+A sum whose interaction graph splits, such as the bipartite model built
+from the edges (i, n+i) alone, is a sum of factors on disjoint qubit sets
+(``qubit_factors``); its spectrum is the Kronecker sum of theirs, so no
+2^n x 2^n matrix is needed to diagonalize it.
 """
 
 from __future__ import annotations
@@ -215,3 +220,44 @@ def assemble_dense(ham: PauliHamiltonian) -> np.ndarray:
         weight = term.coefficient * (1, 1j, -1, -1j)[c % 4]
         out[r ^ flip, r] += weight * (1 - 2 * parity[r & phase])
     return out
+
+
+def qubit_factors(ham: PauliHamiltonian) -> tuple[PauliHamiltonian, ...]:
+    """Split H into sums on disjoint qubit sets, H = sum_c H_c.
+
+    A union-find over the qubits each word acts on (its non-I letters)
+    groups them into the connected components of the interaction graph;
+    each factor holds the words of one component, relabelled on its own
+    qubits in ascending order, and the factors come in the order of their
+    lowest qubit.  All-I words (a constant shift) go to the first factor,
+    and a qubit no word touches is a factor with no terms.  The factors
+    commute, so the spectrum of H is the Kronecker sum of theirs.  When
+    the graph is connected the result is ``(ham,)`` itself.
+    """
+    n = ham.n_qubits
+    parent = list(range(n))
+
+    def root(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    supports = [[q for q, p in enumerate(t.label) if p != "I"]
+                for t in ham.terms]
+    for support in supports:
+        for q in support[1:]:
+            parent[root(q)] = root(support[0])
+    roots = [root(q) for q in range(n)]
+    qubits: dict[int, list[int]] = {}
+    for q, r in enumerate(roots):
+        qubits.setdefault(r, []).append(q)
+    if len(qubits) == 1:
+        return (ham,)
+    words: dict[int, list[PauliString]] = {r: [] for r in qubits}
+    for term, support in zip(ham.terms, supports):
+        r = roots[support[0]] if support else roots[0]
+        label = "".join(term.label[q] for q in qubits[r])
+        words[r].append(PauliString(label, term.coefficient))
+    return tuple(PauliHamiltonian(len(qubits[r]), tuple(words[r]))
+                 for r in qubits)

@@ -202,6 +202,18 @@ class TestOutputs:
         # each of the four values is rounded to 1 ms
         assert abs(sum(stages.values()) - manifest["wall_time_s"]) <= 2e-3 + 1e-9
 
+    @pytest.mark.parametrize("model, factor_qubits", [
+        ("model = bipartite\nn = 3", [2, 2, 2]),  # qubit i couples to 3 + i
+        ("model = heisenberg", [4]),
+    ])
+    def test_manifest_records_factor_qubits(self, tmp_path, model, factor_qubits):
+        path = tmp_path / "cfg.txt"
+        out = tmp_path / "out"
+        path.write_text(SMALL_CONFIG + f"theta_values = 0\nout = {out}\n{model}\n")
+        assert main(["convergence", "--config", str(path)]) == 0
+        manifest = json.loads((out / "convergence_manifest.json").read_text())
+        assert manifest["factor_qubits"] == factor_qubits
+
     def test_seed_override(self, config_file, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

@@ -15,6 +15,7 @@ from superkrylov import experiments
 from superkrylov.experiments import (
     ExperimentConfig,
     _fit_series,
+    _hamiltonian,
     _scaling_cell,
     _theta_key,
     build_context,
@@ -72,18 +73,12 @@ def _close(got, ref):
 
 
 @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=["heisenberg6", "bipartite3"])
-def test_context_matches_eigenvector_reference(cfg, monkeypatch):
-    # the eigenbasis frame must reproduce every oracle of the full
-    # eigendecomposition of the very matrix build_context diagonalizes
-    dense = []
-
-    def capture(ham):
-        dense.append(assemble_dense(ham))
-        return dense[-1]
-
-    monkeypatch.setattr(experiments, "assemble_dense", capture)
+def test_context_matches_eigenvector_reference(cfg):
+    # the eigenbasis frame, built from qubit-disjoint factors, must
+    # reproduce every oracle of the full eigendecomposition of the whole
+    # Hamiltonian
     ctx = build_context(cfg)
-    ref_spec = eigendecompose(dense[0])
+    ref_spec = eigendecompose(assemble_dense(_hamiltonian(cfg)))
     ref_v = build_initial_state(ref_spec, cfg.gamma0)
     assert abs(ctx.lam0 - ref_spec.eigenvalues[0]) <= 1e-12 * abs(ctx.lam0)
     times = np.append(sample_grid(ctx.t_star, ctx.delta_t, cfg.D), ctx.t_star)
@@ -95,3 +90,25 @@ def test_context_matches_eigenvector_reference(cfg, monkeypatch):
     ref = assemble_pair_exact(ref_spec, ref_v, 30, ctx.t_star)
     _close(pair.R_hat, ref.R_hat)
     _close(pair.J_hat, ref.J_hat)
+
+
+@pytest.mark.parametrize("cfg, shapes, factor_qubits", [
+    # the bipartite model couples qubit i to n + i only: five 4 x 4 factors
+    (ExperimentConfig(model="bipartite", n=5, model_seed=42, gamma0=0.25),
+     [(4, 4)] * 5, (2, 2, 2, 2, 2)),
+    (ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25),
+     [(64, 64)], (6,)),
+], ids=["bipartite5", "heisenberg6"])
+def test_context_assembles_only_factors(cfg, shapes, factor_qubits, monkeypatch):
+    assembled = []
+
+    def record(ham):
+        h = assemble_dense(ham)
+        assembled.append(h.shape)
+        return h
+
+    monkeypatch.setattr(experiments, "assemble_dense", record)
+    ctx = build_context(cfg)
+    assert assembled == shapes
+    assert ctx.factor_qubits == factor_qubits
+    assert ctx.spec.dim == 2 ** sum(factor_qubits)

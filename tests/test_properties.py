@@ -1,6 +1,8 @@
-"""Property tests on random real Pauli sums of up to four qubits, and on
-random signal/noise pairs inside the minimax budget ellipsoid."""
+"""Property tests on random real Pauli sums of up to four qubits, on
+block-structured sums of up to eight, and on random signal/noise pairs
+inside the minimax budget ellipsoid."""
 
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -20,10 +22,13 @@ from superkrylov import (
     error_certificate,
     evaluate_x1,
     fit,
+    heisenberg_chain,
     pauli_word_matrix,
+    qubit_factors,
     select_qr,
     threshold_solve,
 )
+from superkrylov.experiments import _factored_spectrum
 
 
 @st.composite
@@ -36,7 +41,62 @@ def pauli_sums(draw, min_qubits=1):
     return PauliHamiltonian(n, tuple(terms))
 
 
+coefficients = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def block_sums(draw):
+    """Words on disjoint random qubit blocks, with idle qubits (a block with
+    no words), constant shifts (all-I words) and odd-Y (complex) words."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    terms = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        block = order[lo:hi]
+        for _ in range(draw(st.integers(0, 3))):
+            label = ["I"] * n
+            letters = draw(st.text(alphabet="IXYZ", min_size=len(block),
+                                   max_size=len(block)))
+            for q, c in zip(block, letters):
+                label[q] = c
+            terms.append(PauliString("".join(label), draw(coefficients)))
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append(PauliString("I" * n, draw(coefficients)))
+    return PauliHamiltonian(n, tuple(draw(st.permutations(terms))))
+
+
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _non_identity_words(ham):
+    # a factor keeps each word's letters in qubit order, so the word
+    # without its I letters names it in H and in its factor alike
+    return Counter((t.label.replace("I", ""), t.coefficient)
+                   for t in ham.terms if set(t.label) != {"I"})
+
+
+@SETTINGS
+@given(st.one_of(block_sums(), pauli_sums()))
+def test_factored_spectrum_equals_dense(ham):
+    factors = qubit_factors(ham)
+    ref = np.linalg.eigvalsh(assemble_dense(ham))
+    got = _factored_spectrum(factors)
+    width = ref[-1] - ref[0]
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, width))
+    assert sum(part.n_qubits for part in factors) == ham.n_qubits
+    # each non-identity word lies in exactly one factor, the shifts in one
+    assert sum((_non_identity_words(part) for part in factors), Counter()) \
+        == _non_identity_words(ham)
+    shifts = [sum(set(t.label) == {"I"} for t in part.terms) for part in factors]
+    assert sum(shifts) == sum(set(t.label) == {"I"} for t in ham.terms)
+    assert sum(s > 0 for s in shifts) <= 1
+
+
+def test_connected_model_is_its_own_factor():
+    ham = heisenberg_chain(6, seed=42)
+    [part] = qubit_factors(ham)
+    assert part is ham
 
 
 @SETTINGS
