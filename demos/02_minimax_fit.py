@@ -32,7 +32,7 @@ for tag, eta_scale in (("under-fit (r0/10)", 10.0),
                        ("balanced  (r0)  ", 1.0),
                        ("over-fit  (10r0)", 0.1)):
     budget = sk.select_qr(f_norm, eta0 * eta_scale)
-    model = sk.EstimatorModel(3, x_in, TAU, budget)
+    model = sk.EstimatorModel(x_in, TAU, budget)
     fitted = sk.fit(model, series)
     x1 = sk.evaluate_x1(fitted, T_STAR)
     x0 = np.array([sk.evaluate_x0(fitted, t) for t in grid])
@@ -41,7 +41,7 @@ for tag, eta_scale in (("under-fit (r0/10)", 10.0),
           f"data misfit = {misfit:.2e}")
 
 budget = sk.select_qr(f_norm, eta0)
-model = sk.EstimatorModel(3, x_in, TAU, budget)
+model = sk.EstimatorModel(x_in, TAU, budget)
 fitted = sk.fit(model, series)
 sigma = sk.error_certificate(model, grid, T_STAR, 1)
 err = abs(sk.evaluate_x1(fitted, T_STAR) - truth)

@@ -22,7 +22,7 @@ delta_t = 0.15 * t_star
 tau = 1.5 * (t_star + delta_t)
 grid = sk.sample_grid(t_star, delta_t, D)
 
-fits = {}
+fits = []  # fits[g - 1] is the fit for gap g
 for gap in range(1, M_MAX):
     series = sk.measure_series(spec, v, 0, gap, grid, THETA, seed=1000 + gap)
     x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, gap, 0.0, 2)])
@@ -30,14 +30,14 @@ for gap in range(1, M_MAX):
         sk.forcing_norm_sq(spec, v, 0, gap, tau, order=3),
         sk.estimated_eta_norm_sq(D, THETA),
     )
-    model = sk.EstimatorModel(3, x_in, tau, budget)
-    fits[gap] = sk.fit(model, series)
+    model = sk.EstimatorModel(x_in, tau, budget)
+    fits.append(sk.fit(model, series))
 
 j_norm = 2 * spec.spectral_width
 print(f"theta = {THETA}, D = {D}, gamma0 = {GAMMA0}")
 print(f"{'m':>4} {'estimate':>12} {'rel error':>10} {'omega':>9} {'kept':>5}")
 for m in (2, 5, 10, 15, 20):
-    pair = sk.assemble_pair_minimax(fits, m, t_star)
+    pair = sk.assemble_pair_minimax(fits[:m - 1], t_star)
     exact = sk.assemble_pair_exact(spec, v, m, t_star)
     omega = sk.noise_rate(pair, exact, j_norm)
     result = sk.threshold_solve(pair, m * THETA)

@@ -17,7 +17,6 @@ from .errors import (
     DimensionCap,
     DimensionMismatch,
     IndexOutOfRange,
-    MissingFit,
     MissingTopEnergy,
     NegativeCoupling,
     NonBipartiteEdge,

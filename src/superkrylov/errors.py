@@ -59,10 +59,6 @@ class SingularSystem(SuperKrylovError, RuntimeError):
     certify)."""
 
 
-class MissingFit(SuperKrylovError, KeyError):
-    """No minimax fit supplied for a required index gap k - j."""
-
-
 class AllModesThresholded(SuperKrylovError, RuntimeError):
     """Threshold removed every eigenmode of the Gram matrix."""
 

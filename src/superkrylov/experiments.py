@@ -282,21 +282,22 @@ def _fit_series(ctx: PipelineContext, config: ExperimentConfig, gap: int,
     for p in range(2, config.M, 2):
         x_in[p] = recovery_derivative(ctx.spec, ctx.v, 0, gap, 0.0, p)
     f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
-    fits = [fit(EstimatorModel(config.M, x_in, ctx.tau, select_qr(f_norm, eta)),
-                series) for eta in eta_bounds]
+    fits = [fit(EstimatorModel(x_in, ctx.tau, select_qr(f_norm, eta)), series)
+            for eta in eta_bounds]
     return series, fits
 
 
 def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
-              trial: int, m_max: int) -> dict:
-    """One minimax fit per index gap, on a freshly sampled noisy series."""
+              trial: int) -> list:
+    """One minimax fit per index gap g = 1..max(m_values) - 1, each on a
+    freshly sampled noisy series; fits[g - 1] is the fit for gap g."""
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
     eta_bound = estimated_eta_norm_sq(config.D, theta)
-    fits = {}
-    for gap in range(1, m_max):
-        _, [fits[gap]] = _fit_series(ctx, config, gap, grid, theta,
-                                     (1, _theta_key(theta), trial, gap),
-                                     [eta_bound])
+    fits = []
+    for gap in range(1, max(config.m_values)):
+        _, [f] = _fit_series(ctx, config, gap, grid, theta,
+                             (1, _theta_key(theta), trial, gap), [eta_bound])
+        fits.append(f)
     return fits
 
 
@@ -304,18 +305,18 @@ def _convergence_cell(ctx: PipelineContext, config: ExperimentConfig,
                       theta: float, trial: int) -> list[tuple]:
     m_max = max(config.m_values)
     exact_full = assemble_pair_exact(ctx.spec, ctx.v, m_max, ctx.t_star)
-    fits = None if theta == 0.0 else _fit_gaps(ctx, config, theta, trial, m_max)
+    fits = None if theta == 0.0 else _fit_gaps(ctx, config, theta, trial)
     j_norm = 2.0 * ctx.spec.spectral_width
     rows = []
     for m in sorted(config.m_values):
         # leading principal submatrices of the m_max pair are the m-pair
-        exact_m = KrylovPair(m=m, R_hat=exact_full.R_hat[:m, :m],
+        exact_m = KrylovPair(R_hat=exact_full.R_hat[:m, :m],
                              J_hat=exact_full.J_hat[:m, :m])
         if theta == 0.0:
             pair = exact_m
             omega = 0.0
         else:
-            pair = assemble_pair_minimax(fits, m, ctx.t_star)
+            pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
             omega = noise_rate(pair, exact_m, j_norm)
         result = threshold_solve(pair, _eps(config, m, theta))
         estimate = ground_energy(result, ctx.class_tag,
@@ -415,8 +416,8 @@ def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
     pairs = {"exact": assemble_pair_exact(ctx.spec, ctx.v, m, ctx.t_star)}
     theta = max(config.theta_values)
     if theta > 0:
-        fits = _fit_gaps(ctx, config, theta, 0, m)
-        pairs["minimax"] = assemble_pair_minimax(fits, m, ctx.t_star)
+        pairs["minimax"] = assemble_pair_minimax(
+            _fit_gaps(ctx, config, theta, 0), ctx.t_star)
     rows = []
     for source, pair in pairs.items():
         for j in range(m):

@@ -80,12 +80,11 @@ def sample_grid(t_star: float, delta_t: float, D: int) -> np.ndarray:
     """
     if D < 2:
         raise ValueError("need at least two timepoints")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    if t_star - delta_t <= 0:
-        raise BadWindow(
-            f"window ({t_star - delta_t}, {t_star + delta_t}) touches t <= 0"
-        )
+    if not 0 < delta_t < np.inf:  # a NaN fails this too
+        raise ValueError("delta_t must be positive and finite")
+    if not 0 < t_star - delta_t < np.inf:
+        raise BadWindow(f"window ({t_star - delta_t}, {t_star + delta_t}) "
+                        "must be finite and lie in t > 0")
     h = 2.0 * delta_t / D
     return t_star - delta_t + h / 2 + h * np.arange(D)
 
@@ -103,6 +102,8 @@ def measure_series(
 
     theta = 0 returns exact values; a fixed seed is fully reproducible.
     """
+    if not 0 <= theta < np.inf:  # a NaN fails this too
+        raise ValueError("theta must be nonnegative and finite")
     grid = np.asarray(grid, dtype=float)
     values = recovery_probability(spec, v, j, k, grid)
     if theta > 0:
@@ -142,8 +143,8 @@ def estimated_eta_norm_sq(D: int, theta: float) -> float:
     """
     if D < 1:
         raise ValueError("D must be positive")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not 0 <= theta < np.inf:  # a NaN fails this too
+        raise ValueError("theta must be nonnegative and finite")
     return 2.0 * D * theta**2
 
 
@@ -174,8 +175,8 @@ def forcing_norm_sq(
     exact at desk scale.  The rule is built once per process and rescaled
     to [0, tau] on each call.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:  # a NaN fails this too
+        raise ValueError("tau must be positive and finite")
     x, wts = _gauss_legendre()
     nodes = 0.5 * tau * (x + 1.0)
     weights = 0.5 * tau * wts

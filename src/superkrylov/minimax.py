@@ -2,9 +2,11 @@
 
 The signal x0(t) = R_jk(t) is modelled as the first component of a chain
 x_l' = x_{l+1} (l = 0..M-2) driven by an unknown forcing h(t) = x0^{(M)}(t)
-on the horizon [0, tau].  Given noisy samples y_s = x0(t_s) + eta_s and an
-ellipsoidal prior -- q * ||h||_L2^2 <= 1/2 and r * ||eta||_2^2 <= 1/2 --
-the worst-case-optimal reconstruction is a kernel regressor:
+on the horizon [0, tau], from the known initial condition x_in =
+(x0(0), ..., x0^{(M-1)}(0)), whose length is M.  Given noisy samples
+y_s = x0(t_s) + eta_s and an ellipsoidal prior -- q * ||h||_L2^2 <= 1/2
+and r * ||eta||_2^2 <= 1/2 -- the worst-case-optimal reconstruction is a
+kernel regressor:
 
     h_hat(s) = sum_i beta_i * chi_i(s) (t_i - s)^{M-1} / (M-1)!,
 
@@ -71,22 +73,25 @@ def _overlap(a, p, b, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorModel:
-    """Chain order M, initial condition x_in, horizon tau, and budget."""
+    """Initial condition x_in (its length is the chain order M), horizon
+    tau, and budget."""
 
-    M: int
     x_in: np.ndarray
     tau: float
     budget: NoiseBudget
 
     def __post_init__(self):
         x_in = np.asarray(self.x_in, dtype=float)
-        if self.M < 2:
-            raise ValueError("chain order M must be at least 2")
-        if x_in.shape != (self.M,) or not np.all(np.isfinite(x_in)):
-            raise ValueError("x_in must hold M finite values")
+        if x_in.ndim != 1 or x_in.size < 2 or not np.all(np.isfinite(x_in)):
+            raise ValueError("x_in must be a 1-D array of M >= 2 finite values")
         if not 0 < self.tau < np.inf:
             raise BadHorizon("horizon tau must be positive and finite")
         object.__setattr__(self, "x_in", x_in)
+
+    @property
+    def M(self) -> int:
+        """Chain order: the length of x_in."""
+        return self.x_in.size
 
     def homogeneous(self, t, component: int = 0):
         """Drift-only trajectory at time(s) t: the Taylor flow of x_in."""

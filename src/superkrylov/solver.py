@@ -9,11 +9,13 @@ state gives a small generalized eigenproblem
 
 where R_hat collects recovery probabilities (the Gram matrix of the
 Krylov family) and J_hat the projected commutator.  Both matrices depend
-only on the index gap k - j, are Hermitian, and in the noise-free case
-R_hat is real while J_hat is purely imaginary, which makes the Ritz
-spectrum exactly antisymmetric.  The Gram matrix is nearly singular by
-design (that is what convergence looks like), so the solve first discards
-Gram eigendirections below a threshold eps and whitens the rest.
+only on the index gap k - j and are Hermitian, so each is fixed by its
+first row, one value per gap, and the m-pair is the leading block of
+every larger one.  In the noise-free case R_hat is real while J_hat is
+purely imaginary, which makes the Ritz spectrum exactly antisymmetric.
+The Gram matrix is nearly singular by design (that is what convergence
+looks like), so the solve first discards Gram eigendirections below a
+threshold eps and whitens the rest.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .dynamics import (
 from .errors import (
     AllModesThresholded,
     DimensionMismatch,
-    MissingFit,
     MissingTopEnergy,
     SingularSystem,
     ZeroWidth,
@@ -45,14 +46,18 @@ from .pauli import HamiltonianClass
 class KrylovPair:
     """Hermitian m x m pair (J_hat, R_hat) with unit diagonal Gram."""
 
-    m: int
     R_hat: np.ndarray
     J_hat: np.ndarray
 
     def __post_init__(self):
         R, J = self.R_hat, self.J_hat
-        if R.shape != (self.m, self.m) or J.shape != (self.m, self.m):
-            raise DimensionMismatch("pair matrices must be m x m")
+        if R.ndim != 2 or R.shape[0] != R.shape[1] or J.shape != R.shape:
+            raise DimensionMismatch("pair matrices must be square, of one shape")
+
+    @property
+    def m(self) -> int:
+        """Krylov dimension: the order of R_hat and J_hat."""
+        return self.R_hat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -68,20 +73,20 @@ class RitzResult:
         return float(self.ritz_values[0])
 
 
-def _toeplitz_pair(m: int, r_gap: dict, j_gap: dict) -> KrylovPair:
-    """Hermitian Toeplitz pair from its upper-triangle entries per gap.
+def _toeplitz_pair(r_row, j_row) -> KrylovPair:
+    """Hermitian Toeplitz pair from its first rows, indexed by gap k - j.
 
-    Entry (j, k) with k > j takes the value at gap k - j; the lower
-    triangle is its conjugate and the diagonal is exact (R_jj = 1, J_jj = 0).
+    Entry (j, k) with k >= j takes row[k - j] and the lower triangle is its
+    conjugate, so row[0] is the diagonal (R_jj = 1, J_jj = 0 for a pair).
     """
-    gaps = range(1, m)
-    r_row = np.array([1.0, *(r_gap[g] for g in gaps)], dtype=complex)
-    j_row = np.array([0.0, *(j_gap[g] for g in gaps)], dtype=complex)
+    r_row = np.asarray(r_row, dtype=complex)
+    j_row = np.asarray(j_row, dtype=complex)
+    m = r_row.size
     d = np.subtract.outer(np.arange(m), np.arange(m))  # j - k
     lower, g = d > 0, np.abs(d)
     R = np.where(lower, r_row[g].conj(), r_row[g])
     J = np.where(lower, j_row[g].conj(), j_row[g])
-    return KrylovPair(m=m, R_hat=R, J_hat=J)
+    return KrylovPair(R_hat=R, J_hat=J)
 
 
 def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
@@ -97,29 +102,31 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
         raise ValueError("Krylov dimension m must be at least 2")
     gaps = np.arange(1, m)
     f = _amplitudes(spec, eigenbasis_weights(spec, v), -gaps, t_star, 1)[:, 0]
-    r_gap = dict(zip(gaps.tolist(), _probability(f).tolist()))
-    j_gap = {g: complex(0.0, dr / g)
-             for g, dr in zip(gaps.tolist(), _derivative(f, 1).tolist())}
-    return _toeplitz_pair(m, r_gap, j_gap)
+    r_row = np.ones(m, dtype=complex)
+    r_row[1:] = _probability(f)
+    # written through .imag so the real parts stay +0 (1j * x gives -0
+    # wherever x < 0)
+    j_row = np.zeros(m, dtype=complex)
+    j_row.imag[1:] = _derivative(f, 1) / gaps
+    return _toeplitz_pair(r_row, j_row)
 
 
-def assemble_pair_minimax(fits: dict, m: int, t_star: float) -> KrylovPair:
+def assemble_pair_minimax(fits, t_star: float) -> KrylovPair:
     """(J_hat, R_hat) from minimax fits evaluated at t_star.
 
-    ``fits`` maps each index gap g = k - j (1 <= g < m) to a MinimaxFit of
-    the series R_0g; a missing gap raises MissingFit.  Each Gram entry is
-    the reconstructed value clipped to its physical range [0, 1]; each
-    commutator entry is the reconstructed derivative divided by i(j - k).
+    ``fits[g - 1]`` is a MinimaxFit of the series R_0g for the index gap
+    g = k - j, so the pair has dimension len(fits) + 1; the m-pair comes
+    from ``fits[:m - 1]``.  Each Gram entry is the reconstructed value
+    clipped to its physical range [0, 1]; each commutator entry is the
+    reconstructed derivative divided by i(j - k).
     """
-    if m < 2:
-        raise ValueError("Krylov dimension m must be at least 2")
-    r_gap, j_gap = {}, {}
-    for g in range(1, m):
-        if g not in fits:
-            raise MissingFit(f"no fit for gap {g}")
-        r_gap[g] = min(max(evaluate_x0(fits[g], t_star), 0.0), 1.0)
-        j_gap[g] = evaluate_x1(fits[g], t_star) / (1j * -g)
-    return _toeplitz_pair(m, r_gap, j_gap)
+    if not fits:
+        raise ValueError("need a fit for at least gap 1 (Krylov dimension 2)")
+    r_row, j_row = [1.0], [0.0]
+    for g, f in enumerate(fits, 1):
+        r_row.append(min(max(evaluate_x0(f, t_star), 0.0), 1.0))
+        j_row.append(evaluate_x1(f, t_star) / (1j * -g))
+    return _toeplitz_pair(r_row, j_row)
 
 
 def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
@@ -129,7 +136,7 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
     survivors are whitened (scaled by sigma^{-1/2}) so the reduced problem
     is an ordinary Hermitian eigenproblem.
     """
-    if eps < 0:
+    if not eps >= 0:  # a NaN fails this too
         raise ValueError("threshold eps must be nonnegative")
     if not (np.all(np.isfinite(pair.R_hat)) and np.all(np.isfinite(pair.J_hat))):
         raise SingularSystem("projected pair has non-finite entries")
@@ -169,8 +176,9 @@ def choose_timestep(spectral_width: float) -> float:
     The commutator spectrum spans [-(lam_max - lam_min), lam_max - lam_min],
     so pass spectral_width = 2 (lam_max - lam_min).
     """
-    if spectral_width <= 0:
-        raise ZeroWidth("commutator spectrum has zero width")
+    if not 0 < spectral_width < np.inf:
+        raise ZeroWidth(f"commutator spectrum width {spectral_width} "
+                        "must be positive and finite")
     return float(np.pi / spectral_width)
 
 
@@ -184,8 +192,8 @@ def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
     """
     if pair_estimated.m != pair_exact.m:
         raise DimensionMismatch("pairs have different Krylov dimensions")
-    if j_spectral_norm <= 0:
-        raise ValueError("j_spectral_norm must be positive")
+    if not 0 < j_spectral_norm < np.inf:
+        raise ValueError("j_spectral_norm must be positive and finite")
     dR = np.linalg.norm(pair_estimated.R_hat - pair_exact.R_hat, ord=2)
     dJ = np.linalg.norm(pair_estimated.J_hat - pair_exact.J_hat, ord=2)
     return float(dR + dJ / j_spectral_norm)

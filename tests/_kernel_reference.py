@@ -6,8 +6,8 @@
 
 as ``minimax._overlap`` computed it before it stopped materializing the
 broadcast of its four arguments, and ``toeplitz_pair_reference`` fills the
-Hermitian Toeplitz pair entry by entry, as ``solver._toeplitz_pair`` did
-before it indexed one row by |j - k|.
+Hermitian Toeplitz pair from its first rows entry by entry, as
+``solver._toeplitz_pair`` did before it indexed one row by |j - k|.
 """
 
 import numpy as np
@@ -28,14 +28,16 @@ def overlap_reference(a, p, b, q):
     return total
 
 
-def toeplitz_pair_reference(m, r_gap, j_gap):
-    R = np.eye(m, dtype=complex)
+def toeplitz_pair_reference(r_row, j_row):
+    m = len(r_row)
+    R = np.zeros((m, m), dtype=complex)
     J = np.zeros((m, m), dtype=complex)
     for j in range(m):
+        R[j, j], J[j, j] = r_row[0], j_row[0]
         for k in range(j + 1, m):
             g = k - j
-            R[j, k] = r_gap[g]
+            R[j, k] = r_row[g]
             R[k, j] = np.conj(R[j, k])
-            J[j, k] = j_gap[g]
+            J[j, k] = j_row[g]
             J[k, j] = np.conj(J[j, k])
     return R, J

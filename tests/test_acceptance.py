@@ -54,7 +54,7 @@ def toy_fit(D, theta=0.0, rng=None, budget=None):
     if budget is None:
         f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TOY_TAU, order=3)
         budget = sk.select_qr(f_norm, float(eta @ eta))
-    model = sk.EstimatorModel(3, TOY_X_IN, TOY_TAU, budget)
+    model = sk.EstimatorModel(TOY_X_IN, TOY_TAU, budget)
     return model, ts, sk.fit(model, series), eta
 
 
@@ -146,7 +146,7 @@ def test_criterion_04_class_properties():
 
 def test_criterion_05_kernel_unit_value_and_psd():
     budget = sk.select_qr(0.5, 0.5)
-    model = sk.EstimatorModel(3, TOY_X_IN, 2.0, budget)
+    model = sk.EstimatorModel(TOY_X_IN, 2.0, budget)
     k_mat = sk.kernel_matrix(model, np.array([1.0]))
     assert abs(k_mat[0, 0] - (1 + 1 / 3 + 1 / 20)) < 1e-12
     rng = np.random.default_rng(505)
@@ -222,7 +222,7 @@ def test_criterion_07_certificate_soundness_and_oracle():
         comp = int(rng.integers(0, 2))
         t_eval = float(rng.uniform(0.2, 0.8))
         budget = sk.select_qr(1 / (2 * q), 1 / (2 * r))
-        model = sk.EstimatorModel(3, TOY_X_IN, TOY_TAU, budget)
+        model = sk.EstimatorModel(TOY_X_IN, TOY_TAU, budget)
         sigma = sk.error_certificate(model, ts, t_eval, comp)
         oracle = certificate_oracle(ts, q, r, TOY_TAU, t_eval, comp,
                                     n_cells=2000)

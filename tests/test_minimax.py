@@ -42,7 +42,7 @@ def toy_series(D, theta=0.0, seed=None):
 
 def toy_model(q=1.0, r=1e12):
     budget = select_qr(1 / (2 * q), 1 / (2 * r))
-    return EstimatorModel(3, X_IN, TAU, budget)
+    return EstimatorModel(X_IN, TAU, budget)
 
 
 def poly_overlap(a, p, b, q):
@@ -94,6 +94,18 @@ class TestOverlap:
                 got, ref = _overlap(a, p, b, q), overlap_reference(a, p, b, q)
                 assert got.shape == ref.shape
                 np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
+
+class TestModel:
+    def test_order_is_length_of_x_in(self):
+        assert toy_model().M == 3
+        assert EstimatorModel(np.zeros(5), TAU, toy_model().budget).M == 5
+
+    @pytest.mark.parametrize("x_in", [[[1.0, 0.0], [0.0, -2.0]], [1.0], []],
+                             ids=["2-D", "length 1", "empty"])
+    def test_x_in_must_be_1d_of_length_two_or_more(self, x_in):
+        with pytest.raises(ValueError):
+            EstimatorModel(x_in, TAU, toy_model().budget)
 
 
 class TestKernelMatrix:
@@ -201,7 +213,7 @@ class TestFitBalance:
         f_norm = 1.0
         residuals = []
         for r in (1.0, 10.0, 100.0, 1000.0):
-            model = EstimatorModel(3, X_IN, TAU, select_qr(f_norm, 1 / (2 * r)))
+            model = EstimatorModel(X_IN, TAU, select_qr(f_norm, 1 / (2 * r)))
             f = fit(model, series)
             x0 = np.array([evaluate_x0(f, t) for t in f.timepoints])
             residuals.append(float(np.sum((series.values - x0) ** 2)))
@@ -211,7 +223,7 @@ class TestFitBalance:
         series = toy_series(15, theta=1e-2, seed=8)
         rough = []
         for q in (0.1, 1.0, 10.0, 100.0):
-            model = EstimatorModel(3, X_IN, TAU, select_qr(1 / (2 * q), 1.0))
+            model = EstimatorModel(X_IN, TAU, select_qr(1 / (2 * q), 1.0))
             f = fit(model, series)
             rough.append(float(f.beta @ forcing_gram(model, f.timepoints) @ f.beta))
         assert all(a >= b - 1e-15 for a, b in zip(rough, rough[1:]))
@@ -222,7 +234,7 @@ class TestCertificate:
         ts = toy_grid(15)
         sigmas = []
         for r in (1.0, 10.0, 100.0):
-            model = EstimatorModel(3, X_IN, TAU, select_qr(1.0, 1 / (2 * r)))
+            model = EstimatorModel(X_IN, TAU, select_qr(1.0, 1 / (2 * r)))
             sigma = error_certificate(model, ts, T_STAR, 1)
             assert sigma >= 0
             sigmas.append(sigma)
@@ -231,7 +243,7 @@ class TestCertificate:
     def test_matches_dense_bvp_oracle(self):
         ts = toy_grid(10)
         q, r = 0.3, 15.0
-        model = EstimatorModel(3, X_IN, TAU, select_qr(1 / (2 * q), 1 / (2 * r)))
+        model = EstimatorModel(X_IN, TAU, select_qr(1 / (2 * q), 1 / (2 * r)))
         for t_eval, comp in ((T_STAR, 1), (0.3, 0)):
             sigma = error_certificate(model, ts, t_eval, comp)
             oracle = certificate_oracle(ts, q, r, TAU, t_eval, comp, n_cells=2000)
@@ -247,7 +259,7 @@ class TestCertificate:
             series = MeasurementSeries(timepoints=ts,
                                        values=np.cos(ts) ** 2 + eta)
             budget = select_qr(f_norm, float(eta @ eta))
-            model = EstimatorModel(3, X_IN, TAU, budget)
+            model = EstimatorModel(X_IN, TAU, budget)
             f = fit(model, series)
             err = abs(evaluate_x1(f, T_STAR) - (-np.sin(2 * T_STAR)))
             assert error_certificate(model, ts, T_STAR, 1) >= err
@@ -264,11 +276,11 @@ NON_FINITE_CASES = {
     "series with a nan timepoint": (ValueError, lambda: MeasurementSeries(
         timepoints=[0.1, NAN, 0.3], values=[1.0, 1.0, 1.0])),
     "model with tau = nan": (BadHorizon, lambda: EstimatorModel(
-        3, X_IN, NAN, toy_model().budget)),
+        X_IN, NAN, toy_model().budget)),
     "model with tau = inf": (BadHorizon, lambda: EstimatorModel(
-        3, X_IN, np.inf, toy_model().budget)),
+        X_IN, np.inf, toy_model().budget)),
     "model with nan x_in": (ValueError, lambda: EstimatorModel(
-        3, [1.0, NAN, 0.0], TAU, toy_model().budget)),
+        [1.0, NAN, 0.0], TAU, toy_model().budget)),
     "budget with q = nan": (NonPositiveBound, lambda: NoiseBudget(
         q=NAN, r=1.0, f_norm_sq_bound=0.1, eta_norm_sq_bound=0.1)),
     "budget with r = inf": (NonPositiveBound, lambda: NoiseBudget(

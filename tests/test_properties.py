@@ -160,7 +160,7 @@ def test_certificate_bounds_error_inside_budget(M, D, x_in, c, eta, log_bounds,
         return drift + sum(c[j] * factorial(j) * t ** (j + M - order)
                            / factorial(j + M - order) for j in k)
 
-    model = EstimatorModel(M, x_in, tau, select_qr(f_bound, eta_bound))
+    model = EstimatorModel(x_in, tau, select_qr(f_bound, eta_bound))
     f = fit(model, MeasurementSeries(timepoints=ts, values=taylor(ts, 0) + eta))
     t = tau * t_frac / 64
     err = abs(evaluate_x1(f, t) - taylor(t, 1))

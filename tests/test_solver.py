@@ -3,11 +3,11 @@ import pytest
 
 from superkrylov import (
     AllModesThresholded,
+    BadWindow,
     DimensionMismatch,
     EstimatorModel,
     HamiltonianClass,
     KrylovPair,
-    MissingFit,
     MissingTopEnergy,
     SingularSystem,
     ZeroWidth,
@@ -17,6 +17,7 @@ from superkrylov import (
     build_initial_state,
     choose_timestep,
     eigendecompose,
+    estimated_eta_norm_sq,
     fit,
     ground_energy,
     heisenberg_chain,
@@ -113,7 +114,7 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
     x_in = np.array([1.0, 0.0, recovery_derivative(spec, v, 0, gap, 0.0, 2)])
     f_norm = forcing_norm_sq(spec, v, 0, gap, tau, order=3)
     eta = 2 * D * theta**2
-    model = EstimatorModel(3, x_in, tau, select_qr(f_norm, eta))
+    model = EstimatorModel(x_in, tau, select_qr(f_norm, eta))
     return fit(model, series)
 
 
@@ -122,13 +123,16 @@ class TestToeplitzPair:
     def test_matches_entrywise_fill(self, m):
         # same bits as the entry-by-entry fill, signed zeros included
         rng = np.random.default_rng(m)
-        gaps = range(1, m)
-        real = {g: float(rng.uniform()) for g in gaps}
-        imag = {g: complex(0.0, rng.normal()) for g in gaps}
-        full = {g: complex(*rng.normal(size=2)) for g in gaps}
-        for r_gap, j_gap in [(real, imag), (full, full), (imag, real)]:
-            pair = _toeplitz_pair(m, r_gap, j_gap)
-            R, J = toeplitz_pair_reference(m, r_gap, j_gap)
+        real = [float(x) for x in rng.uniform(size=m - 1)]
+        imag = [complex(0.0, x) for x in rng.normal(size=m - 1)]
+        full = [complex(*rng.normal(size=2)) for _ in range(m - 1)]
+        neg_zero = [complex(-0.0, x) for x in rng.normal(size=m - 1)]
+        for r_gaps, j_gaps in [(real, imag), (full, full), (imag, real),
+                               (neg_zero, neg_zero)]:
+            r_row, j_row = [1.0, *r_gaps], [0.0, *j_gaps]
+            pair = _toeplitz_pair(r_row, j_row)
+            R, J = toeplitz_pair_reference(r_row, j_row)
+            assert pair.m == m
             assert pair.R_hat.dtype == R.dtype and pair.J_hat.dtype == J.dtype
             assert pair.R_hat.tobytes() == R.tobytes()
             assert pair.J_hat.tobytes() == J.tobytes()
@@ -138,55 +142,57 @@ class TestMinimaxAssembly:
     def test_zero_noise_matches_exact(self, chain):
         _, spec, v, t_star = chain
         m = 4
-        fits = {g: _fit_for_gap(spec, v, g, t_star) for g in range(1, m)}
-        est = assemble_pair_minimax(fits, m, t_star)
+        fits = [_fit_for_gap(spec, v, g, t_star) for g in range(1, m)]
+        est = assemble_pair_minimax(fits, t_star)
         exact = assemble_pair_exact(spec, v, m, t_star)
         assert np.max(np.abs(est.R_hat - exact.R_hat)) < 1e-5
         assert np.max(np.abs(est.J_hat - exact.J_hat)) < 1e-4
 
     def test_end_to_end_small_gap(self, chain):
         ham, spec, v, t_star = chain
-        fits = {1: _fit_for_gap(spec, v, 1, t_star, D=60)}
-        pair = assemble_pair_minimax(fits, 2, t_star)
+        fits = [_fit_for_gap(spec, v, 1, t_star, D=60)]
+        pair = assemble_pair_minimax(fits, t_star)
         exact = assemble_pair_exact(spec, v, 2, t_star)
         d_est = threshold_solve(pair, 1e-12 * 2).ground_gap
         d_ref = threshold_solve(exact, 1e-12 * 2).ground_gap
         assert abs(d_est - d_ref) < 1e-4
 
-    def test_missing_fit(self, chain):
-        _, spec, v, t_star = chain
-        with pytest.raises(MissingFit):
-            assemble_pair_minimax({1: _fit_for_gap(spec, v, 1, t_star, D=5)},
-                                  3, t_star)
+    def test_no_fits_rejected(self, chain):
+        # dimension len(fits) + 1 = 1 is rejected, as m < 2 is for the exact pair
+        for fits in ([], ()):
+            with pytest.raises(ValueError):
+                assemble_pair_minimax(fits, chain[3])
 
     def test_gram_entries_clipped(self, chain):
         _, spec, v, t_star = chain
         pair = assemble_pair_minimax(
-            {g: _fit_for_gap(spec, v, g, t_star, D=10, theta=5e-2, seed=g)
-             for g in range(1, 5)},
-            5, t_star)
+            [_fit_for_gap(spec, v, g, t_star, D=10, theta=5e-2, seed=g)
+             for g in range(1, 5)],
+            t_star)
         assert np.max(np.abs(pair.R_hat)) <= 1.0 + 1e-15
 
     def test_gap_fits_give_nested_hermitian_toeplitz_pairs(self, chain):
         _, spec, v, t_star = chain
         m_max = 5
-        fits = {g: _fit_for_gap(spec, v, g, t_star, D=10, theta=1e-2, seed=g)
-                for g in range(1, m_max)}
-        full = assemble_pair_minimax(fits, m_max, t_star)
+        fits = [_fit_for_gap(spec, v, g, t_star, D=10, theta=1e-2, seed=g)
+                for g in range(1, m_max)]
+        full = assemble_pair_minimax(fits, t_star)
+        assert full.m == m_max
         for X in (full.R_hat, full.J_hat):
             np.testing.assert_array_equal(X, X.conj().T)
             for j in range(m_max):
                 for k in range(j, m_max):
                     assert X[j, k] == X[0, k - j]
         for m in range(2, m_max):
-            pair = assemble_pair_minimax(fits, m, t_star)
-            np.testing.assert_array_equal(pair.R_hat, full.R_hat[:m, :m])
-            np.testing.assert_array_equal(pair.J_hat, full.J_hat[:m, :m])
+            pair = assemble_pair_minimax(fits[:m - 1], t_star)
+            # bit for bit, signed zeros included
+            for X, Y in ((pair.R_hat, full.R_hat), (pair.J_hat, full.J_hat)):
+                assert X.tobytes() == np.ascontiguousarray(Y[:m, :m]).tobytes()
 
 
 class TestThresholdSolve:
     def test_identity_gram(self):
-        pair = KrylovPair(m=3, R_hat=np.eye(3, dtype=complex),
+        pair = KrylovPair(R_hat=np.eye(3, dtype=complex),
                           J_hat=np.diag([3.0, -1.0, 2.0]).astype(complex))
         res = threshold_solve(pair, 0.0)
         np.testing.assert_allclose(res.ritz_values, [-1, 2, 3], atol=1e-14)
@@ -197,7 +203,7 @@ class TestThresholdSolve:
         entries = {"R_hat": np.eye(3, dtype=complex),
                    "J_hat": np.zeros((3, 3), dtype=complex)}
         entries[matrix][0, 1] = entries[matrix][1, 0] = bad
-        pair = KrylovPair(m=3, **entries)
+        pair = KrylovPair(**entries)
         with pytest.raises(SingularSystem):
             threshold_solve(pair, 0.0)
 
@@ -282,7 +288,7 @@ class TestTimestepAndNoiseRate:
         eps = 1e-3
         R[0, 1] += eps
         R[1, 0] += eps
-        other = KrylovPair(m=4, R_hat=R, J_hat=pair.J_hat)
+        other = KrylovPair(R_hat=R, J_hat=pair.J_hat)
         # symmetric rank-2 perturbation has spectral norm exactly eps
         assert abs(noise_rate(other, pair, 1.0) - eps) < 1e-12
 
@@ -292,3 +298,64 @@ class TestTimestepAndNoiseRate:
         b = assemble_pair_exact(spec, v, 4, t_star)
         with pytest.raises(DimensionMismatch):
             noise_rate(a, b, 1.0)
+
+
+NAN = float("nan")
+
+
+def _pair(spec, v, t_star):
+    return assemble_pair_exact(spec, v, 3, t_star)
+
+
+# (error, call on (spec, v, t_star)) for each rejected scalar or shape; every
+# comparison is written so that a NaN fails it
+BAD_INPUT_CASES = {
+    "sample_grid with t_star = nan": (
+        BadWindow, lambda s, v, t: sample_grid(NAN, 0.1, 5)),
+    "sample_grid with delta_t = nan": (
+        ValueError, lambda s, v, t: sample_grid(1.0, NAN, 5)),
+    "measure_series with theta = nan": (
+        ValueError, lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], NAN)),
+    "measure_series with theta < 0": (
+        ValueError, lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], -1e-3)),
+    "estimated_eta_norm_sq with theta = nan": (
+        ValueError, lambda s, v, t: estimated_eta_norm_sq(5, NAN)),
+    "estimated_eta_norm_sq with theta < 0": (
+        ValueError, lambda s, v, t: estimated_eta_norm_sq(5, -1e-3)),
+    "estimated_eta_norm_sq with D = 0": (
+        ValueError, lambda s, v, t: estimated_eta_norm_sq(0, 1e-3)),
+    "forcing_norm_sq with tau = nan": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, NAN)),
+    "forcing_norm_sq with tau = inf": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, np.inf)),
+    "forcing_norm_sq with tau = 0": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.0)),
+    "choose_timestep with width = nan": (
+        ZeroWidth, lambda s, v, t: choose_timestep(NAN)),
+    "noise_rate with norm = nan": (
+        ValueError, lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), NAN)),
+    "noise_rate with norm = 0": (
+        ValueError, lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), 0.0)),
+    "threshold_solve with eps = nan": (
+        ValueError, lambda s, v, t: threshold_solve(_pair(s, v, t), NAN)),
+    "threshold_solve with eps < 0": (
+        ValueError, lambda s, v, t: threshold_solve(_pair(s, v, t), -1.0)),
+    "KrylovPair with non-square matrices": (
+        DimensionMismatch, lambda s, v, t: KrylovPair(
+            R_hat=np.ones((2, 3), dtype=complex),
+            J_hat=np.zeros((2, 3), dtype=complex))),
+    "KrylovPair with 1-D matrices": (
+        DimensionMismatch, lambda s, v, t: KrylovPair(
+            R_hat=np.ones(3, dtype=complex), J_hat=np.zeros(3, dtype=complex))),
+    "KrylovPair with mismatched matrices": (
+        DimensionMismatch, lambda s, v, t: KrylovPair(
+            R_hat=np.eye(3, dtype=complex), J_hat=np.zeros((2, 2), dtype=complex))),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
+def test_bad_input_rejected(case, chain):
+    error, call = BAD_INPUT_CASES[case]
+    _, spec, v, t_star = chain
+    with pytest.raises(error):
+        call(spec, v, t_star)
