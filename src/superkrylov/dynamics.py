@@ -125,8 +125,11 @@ def _amplitudes(spec, w, d, t, order):
     d is an int or an array of them, and the result has the shape
     (order + 1, len(atleast_1d(t))) + shape(d).  Scalar and array calls
     run the same loops, so they agree bit for bit.  R ignores a shift of
-    H, so lam is centred first to keep lam^n small.
+    H, so lam is centred first to keep lam^n small.  Every t must be
+    finite; a negative t is valid, since R is even in t.
     """
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     lam = spec.eigenvalues - 0.5 * (spec.eigenvalues[0] + spec.eigenvalues[-1])
     z = 1j * np.multiply.outer(d, lam)
     phases = np.exp(np.multiply.outer(np.atleast_1d(t), z))

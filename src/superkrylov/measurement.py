@@ -11,6 +11,7 @@ squared l2 norm of the noise vector.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -78,8 +79,8 @@ def sample_grid(t_star: float, delta_t: float, D: int) -> np.ndarray:
     Endpoints are inset by half a spacing, so the grid stays strictly
     inside the window and contains t* whenever D is odd.
     """
-    if D < 2:
-        raise ValueError("need at least two timepoints")
+    if not (isinstance(D, numbers.Integral) and D >= 2):
+        raise ValueError("the number D of timepoints must be an integer >= 2")
     if not 0 < delta_t < np.inf:  # a NaN fails this too
         raise ValueError("delta_t must be positive and finite")
     if not 0 < t_star - delta_t < np.inf:
@@ -141,8 +142,8 @@ def estimated_eta_norm_sq(D: int, theta: float) -> float:
     0.95) and 0.988 at D = 15 (the default D).  So below D = 8 the budget
     premise fails in more than 5% of trials.
     """
-    if D < 1:
-        raise ValueError("D must be positive")
+    if not (isinstance(D, numbers.Integral) and D >= 1):
+        raise ValueError("D must be a positive integer")
     if not 0 <= theta < np.inf:  # a NaN fails this too
         raise ValueError("theta must be nonnegative and finite")
     return 2.0 * D * theta**2

@@ -36,12 +36,16 @@ Every kernel inner product is an overlap integral
 with the roles of (a, p) and (b, q) swapped when a > b.  All terms are
 nonnegative, so the closed form has no cancellation and no quadrature
 error, and one broadcasting routine (_overlap) serves every Gram matrix,
-reconstruction and certificate in this module.
+reconstruction and certificate in this module.  The representer overlaps
+w depend only on the grid, M, t and the component, so they are cached per
+(grid, M, t, component) and returned read-only; a sweep that reads every
+gap, theta and trial at the one timestep t* computes each w once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -114,6 +118,9 @@ class MinimaxFit:
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
     # every comparison is written so that a NaN fails it
     ts = np.asarray(ts, dtype=float)
+    # the representer cache keys a grid by its bytes, which drop the shape
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("timepoints must be a nonempty 1-D array")
     if not np.all(np.diff(ts) > 0):
         raise ValueError("timepoints must be strictly increasing")
     if not ts[-1] < model.tau:
@@ -169,8 +176,24 @@ def _representer(model: EstimatorModel, ts: np.ndarray, t: float,
         raise ValueError("component out of range")
     if not 0 <= t <= model.tau:
         raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
-    n = M - 1 - component
-    return _overlap(ts, M - 1, t, n) / (factorial(M - 1) * factorial(n))
+    # key by float64 bytes, as a hand-built MinimaxFit may hold a list
+    ts_bytes = np.asarray(ts, dtype=float).tobytes()
+    return _grid_representer(ts_bytes, M, float(t), M - 1 - component)
+
+
+# a sweep reads a few grids at one timestep; the bound only caps memory
+@lru_cache(maxsize=256)
+def _grid_representer(ts_bytes: bytes, M: int, t: float, n: int) -> np.ndarray:
+    """Overlaps of the order-(M-1) data kernels on the grid ts_bytes with
+    (t-s)^n/n! on [0, t].
+
+    The key holds only bytes and scalars, and the result is read-only
+    because every caller shares it; a hit returns the miss's array.
+    """
+    ts = np.frombuffer(ts_bytes)
+    w = _overlap(ts, M - 1, t, n) / (factorial(M - 1) * factorial(n))
+    w.flags.writeable = False
+    return w
 
 
 def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:

@@ -6,6 +6,7 @@ from superkrylov import (
     NotHermitian,
     OverlapOutOfRange,
     assemble_dense,
+    assemble_pair_exact,
     build_initial_state,
     eigendecompose,
     exact_J_entry,
@@ -219,6 +220,27 @@ class TestNegativeIndices:
         spec, v = toy
         with pytest.raises(ValueError, match="Krylov indices must be nonnegative"):
             oracle(spec, v, j, k)
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("oracle", [
+        lambda spec, v, t: recovery_probability(spec, v, 0, 1, t),
+        lambda spec, v, t: recovery_derivative(spec, v, 0, 1, t, 1),
+        lambda spec, v, t: exact_J_entry(spec, v, 0, 1, t),
+        lambda spec, v, t: assemble_pair_exact(spec, v, 3, t),
+    ], ids=["probability", "derivative", "commutator", "exact pair"])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.1, np.nan])],
+                             ids=["nan", "inf", "array with nan"])
+    def test_rejected(self, toy, oracle, t):
+        spec, v = toy
+        with pytest.raises(ValueError, match="times must be finite"):
+            oracle(spec, v, t)
+
+    def test_negative_time_is_valid(self, toy):
+        # R is even in t
+        spec, v = toy
+        assert recovery_probability(spec, v, 0, 1, -0.3) == pytest.approx(
+            recovery_probability(spec, v, 0, 1, 0.3), rel=1e-15)
 
 
 class TestSecondDerivative:

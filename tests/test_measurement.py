@@ -42,6 +42,11 @@ class TestSampleGrid:
         with pytest.raises(BadWindow):
             sample_grid(0.1, 0.1, 5)
 
+    def test_numpy_integer_size_accepted(self):
+        np.testing.assert_array_equal(sample_grid(0.5, 0.15, np.int64(7)),
+                                      sample_grid(0.5, 0.15, 7))
+        assert estimated_eta_norm_sq(np.int64(5), 1e-3) == estimated_eta_norm_sq(5, 1e-3)
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             sample_grid(0.5, 0.1, 1)

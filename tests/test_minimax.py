@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from superkrylov import (
     select_qr,
 )
 
-from superkrylov.minimax import _overlap
+from superkrylov.minimax import _grid_representer, _overlap, _representer
 
 from _bvp_oracle import certificate_oracle
 from _kernel_reference import overlap_reference
@@ -263,6 +265,55 @@ class TestCertificate:
             f = fit(model, series)
             err = abs(evaluate_x1(f, T_STAR) - (-np.sin(2 * T_STAR)))
             assert error_certificate(model, ts, T_STAR, 1) >= err
+
+
+def fresh_representer(model, ts, t, component):
+    """The overlaps w computed directly, without the per-grid cache."""
+    n = model.M - 1 - component
+    return _overlap(ts, model.M - 1, t, n) / (factorial(model.M - 1) * factorial(n))
+
+
+class TestRepresenterCache:
+    def test_hit_and_miss_equal_fresh_computation_bit_for_bit(self):
+        model, ts = toy_model(), toy_grid(15)
+        ref = fresh_representer(model, ts, T_STAR, 1)
+        _grid_representer.cache_clear()
+        miss = _representer(model, ts, T_STAR, 1)
+        hit = _representer(model, ts.copy(), T_STAR, 1)
+        info = _grid_representer.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert hit is miss
+        assert miss.tobytes() == ref.tobytes()
+
+    def test_result_is_read_only(self):
+        w = _representer(toy_model(), toy_grid(15), T_STAR, 0)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    def test_each_grid_order_and_component_gets_its_own_value(self):
+        model, ts = toy_model(), toy_grid(15)
+        nudged = ts.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)  # one ulp
+        order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, model.budget)
+        cases = [(model, ts, 1), (model, nudged, 1), (order4, ts, 1),
+                 (model, ts, 0)]
+        _grid_representer.cache_clear()
+        for i, (m, grid, component) in enumerate(cases, start=1):
+            w = _representer(m, grid, T_STAR, component)
+            assert _grid_representer.cache_info().misses == i
+            assert w.tobytes() == fresh_representer(
+                m, grid, T_STAR, component).tobytes()
+
+
+@pytest.mark.parametrize("grid", [np.empty(0), toy_grid(6).reshape(2, 3)],
+                         ids=["empty", "2-D"])
+@pytest.mark.parametrize("call", [
+    lambda grid: forcing_gram(toy_model(), grid),
+    lambda grid: error_certificate(toy_model(), grid, T_STAR, 1),
+], ids=["forcing_gram", "error_certificate"])
+def test_grid_must_be_nonempty_1d(call, grid):
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        call(grid)
 
 
 NAN = float("nan")

@@ -314,6 +314,10 @@ BAD_INPUT_CASES = {
         BadWindow, lambda s, v, t: sample_grid(NAN, 0.1, 5)),
     "sample_grid with delta_t = nan": (
         ValueError, lambda s, v, t: sample_grid(1.0, NAN, 5)),
+    "sample_grid with D = 2.5": (
+        ValueError, lambda s, v, t: sample_grid(1.0, 0.1, 2.5)),
+    "sample_grid with D = nan": (
+        ValueError, lambda s, v, t: sample_grid(1.0, 0.1, NAN)),
     "measure_series with theta = nan": (
         ValueError, lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], NAN)),
     "measure_series with theta < 0": (
@@ -324,6 +328,10 @@ BAD_INPUT_CASES = {
         ValueError, lambda s, v, t: estimated_eta_norm_sq(5, -1e-3)),
     "estimated_eta_norm_sq with D = 0": (
         ValueError, lambda s, v, t: estimated_eta_norm_sq(0, 1e-3)),
+    "estimated_eta_norm_sq with D = nan": (
+        ValueError, lambda s, v, t: estimated_eta_norm_sq(NAN, 1e-3)),
+    "estimated_eta_norm_sq with D = 2.5": (
+        ValueError, lambda s, v, t: estimated_eta_norm_sq(2.5, 1e-3)),
     "forcing_norm_sq with tau = nan": (
         ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, NAN)),
     "forcing_norm_sq with tau = inf": (
