@@ -36,10 +36,19 @@ Every kernel inner product is an overlap integral
 with the roles of (a, p) and (b, q) swapped when a > b.  All terms are
 nonnegative, so the closed form has no cancellation and no quadrature
 error, and one broadcasting routine (_overlap) serves every Gram matrix,
-reconstruction and certificate in this module.  The representer overlaps
-w depend only on the grid, M, t and the component, so they are cached per
-(grid, M, t, component) and returned read-only; a sweep that reads every
-gap, theta and trial at the one timestep t* computes each w once.
+reconstruction and certificate in this module.  Two of its results depend
+only on the grid and not on the data, so they are cached and returned
+read-only, keyed by the grid's float64 bytes and scalars:
+
+* the forcing Gram G, per (grid, M); a sweep fits every gap, theta and
+  trial on one grid, so it builds G once per grid;
+* the representer overlaps w, per (grid, M, t, component); a sweep that
+  reads every gap, theta and trial at the one timestep t* computes each
+  w once.
+
+Each cache holds at most 256 entries.  A Gram on D timepoints holds D^2
+floats, 51 KB at D = 80, so 256 of them take 13 MB; a representer holds
+D floats.  The grid checks run before either cache is consulted.
 """
 
 from __future__ import annotations
@@ -118,7 +127,7 @@ class MinimaxFit:
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
     # every comparison is written so that a NaN fails it
     ts = np.asarray(ts, dtype=float)
-    # the representer cache keys a grid by its bytes, which drop the shape
+    # the caches key a grid by its bytes, which drop the shape
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("timepoints must be a nonempty 1-D array")
     if not np.all(np.diff(ts) > 0):
@@ -148,10 +157,22 @@ def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
     G_ij = int_0^min(ti,tj) (ti-s)^{M-1} (tj-s)^{M-1} / ((M-1)!)^2 ds.
     This is the L2 Gram of the forcing representers; the fit regularizes
     ||h_hat||_L2^2 = beta^T G beta, the roughness of the reconstruction.
+    The result is cached per (grid, M) and read-only.
     """
     ts = _check_grid(model, timepoints)
-    p = model.M - 1
-    return _overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
+    return _grid_gram(ts.tobytes(), model.M)
+
+
+# a sweep fits on one grid per D; the bound only caps memory
+@lru_cache(maxsize=256)
+def _grid_gram(ts_bytes: bytes, M: int) -> np.ndarray:
+    """The forcing Gram on the grid ts_bytes, read-only because every
+    caller shares it; a hit returns the miss's array."""
+    ts = np.frombuffer(ts_bytes)
+    p = M - 1
+    g = _overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
+    g.flags.writeable = False
+    return g
 
 
 def _ridge_solve(model: EstimatorModel, ts: np.ndarray, rhs: np.ndarray):

@@ -20,7 +20,12 @@ from _phase_oracle import (
     recovery_reference,
     vectorized_commutator_matrix,
 )
-from superkrylov.dynamics import _entry_scale_and_asymmetry
+from superkrylov.dynamics import (
+    _amplitudes,
+    _cached_amplitudes,
+    _entry_scale_and_asymmetry,
+    eigenbasis_weights,
+)
 
 
 def random_hermitian(rng, n):
@@ -222,25 +227,128 @@ class TestNegativeIndices:
             oracle(spec, v, j, k)
 
 
+# every oracle, with the diagonal entries that take a shortcut past the
+# amplitudes
+ORACLES = {
+    "probability": lambda spec, v, t: recovery_probability(spec, v, 0, 1, t),
+    "derivative": lambda spec, v, t: recovery_derivative(spec, v, 0, 1, t, 1),
+    "commutator": lambda spec, v, t: exact_J_entry(spec, v, 0, 1, t),
+    "exact pair": lambda spec, v, t: assemble_pair_exact(spec, v, 3, t),
+    "diagonal probability": lambda spec, v, t: recovery_probability(
+        spec, v, 1, 1, t),
+    "diagonal derivative": lambda spec, v, t: recovery_derivative(
+        spec, v, 1, 1, t, 1),
+    "diagonal commutator": lambda spec, v, t: exact_J_entry(spec, v, 2, 2, t),
+}
+
+
 class TestNonFiniteTime:
-    @pytest.mark.parametrize("oracle", [
-        lambda spec, v, t: recovery_probability(spec, v, 0, 1, t),
-        lambda spec, v, t: recovery_derivative(spec, v, 0, 1, t, 1),
-        lambda spec, v, t: exact_J_entry(spec, v, 0, 1, t),
-        lambda spec, v, t: assemble_pair_exact(spec, v, 3, t),
-    ], ids=["probability", "derivative", "commutator", "exact pair"])
+    @pytest.mark.parametrize("oracle", ORACLES)
     @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.1, np.nan])],
                              ids=["nan", "inf", "array with nan"])
     def test_rejected(self, toy, oracle, t):
         spec, v = toy
         with pytest.raises(ValueError, match="times must be finite"):
-            oracle(spec, v, t)
+            ORACLES[oracle](spec, v, t)
 
     def test_negative_time_is_valid(self, toy):
         # R is even in t
         spec, v = toy
         assert recovery_probability(spec, v, 0, 1, -0.3) == pytest.approx(
             recovery_probability(spec, v, 0, 1, 0.3), rel=1e-15)
+
+
+class TestStateShape:
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 1)],
+                             ids=["too long", "row", "column"])
+    def test_rejected(self, toy, oracle, shape):
+        spec, v = toy
+        bad = np.resize(v, shape)
+        with pytest.raises(DimensionMismatch):
+            ORACLES[oracle](spec, bad, 0.3)
+
+
+def fresh_amplitudes(spec, w, d, t, order):
+    """The amplitudes computed directly, without the cache."""
+    lam = spec.eigenvalues - 0.5 * (spec.eigenvalues[0] + spec.eigenvalues[-1])
+    z = 1j * np.multiply.outer(d, lam)
+    phases = np.exp(np.multiply.outer(np.atleast_1d(t), z))
+    terms = (w * phases)[..., None, :]
+    amps = np.sum(terms * z[..., None, :] ** np.arange(order + 1)[:, None], axis=-1)
+    return np.moveaxis(amps, -1, 0)
+
+
+class TestAmplitudeCache:
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(12)
+        spec = eigendecompose(random_hermitian(rng, 8))
+        return spec, eigenbasis_weights(spec, random_state(rng, 8))
+
+    def test_hit_and_miss_equal_fresh_computation_bit_for_bit(self, model):
+        spec, w = model
+        t, d = np.linspace(0.1, 1.0, 7), -np.arange(1, 4)
+        ref = fresh_amplitudes(spec, w, d, t, 3)
+        _cached_amplitudes.cache_clear()
+        miss = _amplitudes(spec, w, d, t, 3)
+        hit = _amplitudes(spec, w.copy(), d.copy(), t.copy(), 3)
+        info = _cached_amplitudes.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert hit is miss
+        assert miss.shape == ref.shape
+        assert miss.tobytes() == ref.tobytes()
+
+    def test_scalar_keys_keep_their_shape(self, model):
+        spec, w = model
+        _cached_amplitudes.cache_clear()
+        for d, t in [(-2, 0.4), (-2, [0.4]), (np.array([-2]), 0.4),
+                     (-2, np.array([[0.4]]))]:
+            got = _amplitudes(spec, w, d, t, 1)
+            assert got.tobytes() == fresh_amplitudes(spec, w, d, t, 1).tobytes()
+            assert got.shape == fresh_amplitudes(spec, w, d, t, 1).shape
+        # a scalar t and a one-element list are the same 1-D key
+        assert _cached_amplitudes.cache_info().misses == 3
+
+    def test_result_is_read_only(self, model):
+        spec, w = model
+        f = _amplitudes(spec, w, -1, 0.3, 2)
+        with pytest.raises(ValueError):
+            f[0, 0] = 1.0
+
+    def test_each_spectrum_weight_time_gap_and_order_gets_its_own_value(
+            self, model):
+        spec, w = model
+        lam = spec.eigenvalues.copy()
+        lam[3] = np.nextafter(lam[3], np.inf)  # one ulp
+        nudged_spec = type(spec)(eigenvalues=lam, eigenvectors=None)
+        nudged_w = w.copy()
+        nudged_w[5] = np.nextafter(nudged_w[5], 0.0)
+        t = np.linspace(0.1, 1.0, 7)
+        nudged_t = t.copy()
+        nudged_t[2] = np.nextafter(nudged_t[2], np.inf)
+        cases = [(spec, w, -1, t, 2), (nudged_spec, w, -1, t, 2),
+                 (spec, nudged_w, -1, t, 2), (spec, w, -1, nudged_t, 2),
+                 (spec, w, -2, t, 2), (spec, w, -1, t, 3)]
+        _cached_amplitudes.cache_clear()
+        for i, case in enumerate(cases, start=1):
+            f = _amplitudes(*case)
+            assert _cached_amplitudes.cache_info().misses == i
+            assert f.tobytes() == fresh_amplitudes(*case).tobytes()
+
+    def test_checks_run_on_a_cached_key(self, toy):
+        spec, v = toy
+        for oracle in ORACLES.values():
+            oracle(spec, v, 0.3)  # fills the cache
+        hits = _cached_amplitudes.cache_info().hits
+        with pytest.raises(ValueError, match="times must be finite"):
+            recovery_probability(spec, v, 0, 1, np.nan)
+        # a row vector has the same weight bytes as v
+        with pytest.raises(DimensionMismatch):
+            recovery_probability(spec, v[None, :], 0, 1, 0.3)
+        with pytest.raises(ValueError, match="Krylov indices"):
+            recovery_probability(spec, v, -1, 0, 0.3)
+        assert _cached_amplitudes.cache_info().hits == hits
 
 
 class TestSecondDerivative:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from superkrylov import (
     estimated_eta_norm_sq,
     recovery_derivative,
 )
-from superkrylov import experiments
+from superkrylov import experiments, measurement, minimax
+from superkrylov.dynamics import _cached_amplitudes
 from superkrylov.experiments import (
     ExperimentConfig,
     _fit_series,
@@ -112,3 +115,55 @@ def test_context_assembles_only_factors(cfg, shapes, factor_qubits, monkeypatch)
     assert assembled == shapes
     assert ctx.factor_qubits == factor_qubits
     assert ctx.spec.dim == 2 ** sum(factor_qubits)
+
+
+CACHES = (_cached_amplitudes, minimax._grid_gram, minimax._grid_representer,
+          measurement._gauss_legendre)
+
+
+def _clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def _csv_bytes(cfg, out) -> dict:
+    """Run convergence and deriv-scaling into out; CSV name -> bytes."""
+    cfg.out = str(out)
+    paths = [experiments.run(command, cfg)
+             for command in ("convergence", "deriv-scaling")]
+    return {Path(p).name: Path(p).read_bytes() for p in paths}
+
+
+def _noisy4(**overrides):
+    base = dict(model="heisenberg", n=4, model_seed=42, gamma0=0.25,
+                m_values=[2, 4, 6, 8], theta_values=[1e-3, 1e-2], D=9,
+                d_values=[5, 9], trials=2, master_seed=3)
+    return ExperimentConfig(**{**base, **overrides})
+
+
+def test_caches_never_leak_between_configs(tmp_path):
+    # each config's CSVs are the same whether its run starts cold or after
+    # another model filled every cache
+    _clear_caches()
+    first = _csv_bytes(_noisy4(), tmp_path / "first-cold")
+    other = _csv_bytes(_noisy4(model_seed=7), tmp_path / "other-warm")
+    _clear_caches()
+    assert _csv_bytes(_noisy4(), tmp_path / "first-again") == first
+    _clear_caches()
+    assert _csv_bytes(_noisy4(model_seed=7), tmp_path / "other-cold") == other
+    assert other != first
+
+
+@pytest.mark.parametrize("M", [3, 6])
+def test_convergence_reuses_amplitudes_across_theta(M, tmp_path):
+    # per gap the series on the grid, the forcing norm and each even
+    # derivative R^(p)(0), p = 2, 4, .. < M, plus one exact pair per sweep;
+    # none depends on theta, so the second theta computes nothing new
+    cfg = _noisy4(M=M, out=str(tmp_path))
+    per_gap = 2 + len(range(2, M, 2))
+    distinct = per_gap * (max(cfg.m_values) - 1) + 1
+    _clear_caches()
+    experiments.run("convergence", cfg)
+    info = _cached_amplitudes.cache_info()
+    calls = distinct * len(cfg.theta_values) * cfg.trials
+    assert (info.misses, info.hits) == (distinct, calls - distinct)

@@ -19,7 +19,12 @@ from superkrylov import (
     select_qr,
 )
 
-from superkrylov.minimax import _grid_representer, _overlap, _representer
+from superkrylov.minimax import (
+    _grid_gram,
+    _grid_representer,
+    _overlap,
+    _representer,
+)
 
 from _bvp_oracle import certificate_oracle
 from _kernel_reference import overlap_reference
@@ -303,6 +308,62 @@ class TestRepresenterCache:
             assert _grid_representer.cache_info().misses == i
             assert w.tobytes() == fresh_representer(
                 m, grid, T_STAR, component).tobytes()
+
+
+def fresh_gram(model, ts):
+    """The forcing Gram computed directly, without the per-grid cache."""
+    p = model.M - 1
+    return _overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
+
+
+class TestGramCache:
+    def test_hit_and_miss_equal_fresh_computation_bit_for_bit(self):
+        model, ts = toy_model(), toy_grid(15)
+        ref = fresh_gram(model, ts)
+        _grid_gram.cache_clear()
+        miss = forcing_gram(model, ts)
+        # another budget on the same grid and order shares the Gram
+        hit = forcing_gram(toy_model(q=3.0, r=1e4), list(ts))
+        info = _grid_gram.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert hit is miss
+        assert miss.tobytes() == ref.tobytes()
+
+    def test_result_is_read_only(self):
+        g = forcing_gram(toy_model(), toy_grid(15))
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
+    def test_fit_does_not_write_into_the_gram(self):
+        model, series = toy_model(), toy_series(15, theta=1e-3, seed=1)
+        before = forcing_gram(model, series.timepoints).copy()
+        fit(model, series)
+        error_certificate(model, series.timepoints, T_STAR, 1)
+        assert forcing_gram(model, series.timepoints).tobytes() == before.tobytes()
+
+    def test_each_grid_and_order_gets_its_own_value(self):
+        model, ts = toy_model(), toy_grid(15)
+        nudged = ts.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)  # one ulp
+        order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, model.budget)
+        cases = [(model, ts), (model, nudged), (order4, ts), (model, ts[:-1])]
+        _grid_gram.cache_clear()
+        for i, (m, grid) in enumerate(cases, start=1):
+            g = forcing_gram(m, grid)
+            assert _grid_gram.cache_info().misses == i
+            assert g.tobytes() == fresh_gram(m, grid).tobytes()
+
+    def test_grid_checks_run_on_a_cached_key(self):
+        model, ts = toy_model(), toy_grid(6)
+        forcing_gram(model, ts)  # fills the cache
+        # the same bytes as a 2-D grid, and a horizon the grid overruns
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            forcing_gram(model, ts.reshape(2, 3))
+        short = EstimatorModel(X_IN, 0.5 * TAU, model.budget)
+        with pytest.raises(BadHorizon):
+            forcing_gram(short, ts)
+        with pytest.raises(BadHorizon):
+            fit(short, toy_series(6))
 
 
 @pytest.mark.parametrize("grid", [np.empty(0), toy_grid(6).reshape(2, 3)],
