@@ -22,28 +22,27 @@ amplitude vectors <u_p|v> over the eigenvectors (H's own eigenbasis, in
 which U is the identity).
 
 Every oracle evaluates the amplitudes through one private kernel,
-``_amplitudes``, whose result is cached: a sweep asks for the same series
-of one gap at every noise level theta and every trial.  The key is the
-float64 bytes of the eigenvalues and the weights, the int64 bytes and
-shape of the index differences d, the float64 bytes and shape of the
-times (at least 1-D) and the order; a hit returns the miss's array, which
-is read-only.  The cache holds at most 256 entries.  At the dense cap
-(N = 4096) a key holds 64 KB (eigenvalues and weights), so the keys take
-at most 16 MB; a value holds (order + 1) * size(t) * size(d) complex
-numbers, 7.7 KB for a forcing norm (order 3, 120 nodes, one gap).  The
-checks -- finite times, nonnegative indices and the state shape in
+``_amplitudes``, whose result is cached by ``_cache.content_cache``: a
+sweep asks for the same series of one gap at every noise level theta and
+every trial.  The key is the eigenvalues, the weights, the index
+differences d, the times (at least 1-D) and the order; ``_cache``
+describes the keys, the read-only results and the bound.  A value holds
+(order + 1) * size(t) * size(d) complex numbers, 7.7 KB for a forcing
+norm (order 3, 120 nodes, one gap).  The checks -- finite times,
+nonnegative indices, an integer order and the state shape in
 ``eigenbasis_weights`` -- run before the cache is consulted, so a hit
 cannot skip them.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
+from ._cache import content_cache
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -165,35 +164,25 @@ def _amplitudes(spec, w, d, t, order):
     The result is shared through the cache, so it is read-only.
     """
     _check_times(t)
-    d = np.asarray(d, dtype=np.int64)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _cached_amplitudes(
-        np.asarray(spec.eigenvalues, dtype=float).tobytes(),
-        np.asarray(w, dtype=float).tobytes(),
-        d.tobytes(), d.shape, t.tobytes(), t.shape, order)
+    return _amplitude_table(
+        np.asarray(spec.eigenvalues, dtype=float), np.asarray(w, dtype=float),
+        np.asarray(d, dtype=np.int64),
+        np.atleast_1d(np.asarray(t, dtype=float)), order)
 
 
-# a sweep needs a few distinct values per gap; the bound only caps memory
-@lru_cache(maxsize=256)
-def _cached_amplitudes(lam_bytes: bytes, w_bytes: bytes, d_bytes: bytes,
-                       d_shape: tuple, t_bytes: bytes, t_shape: tuple,
-                       order: int) -> np.ndarray:
-    """The amplitudes of ``_amplitudes``, keyed by bytes and shapes only.
+@content_cache
+def _amplitude_table(lam, w, d, t, order):
+    """The amplitudes of ``_amplitudes``, from arrays cast and checked there.
 
     Scalar and array calls run the same loops, so they agree bit for bit.
     R ignores a shift of H, so lam is centred first to keep lam^n small.
     """
-    lam, w = np.frombuffer(lam_bytes), np.frombuffer(w_bytes)
-    d = np.frombuffer(d_bytes, dtype=np.int64).reshape(d_shape)
-    t = np.frombuffer(t_bytes).reshape(t_shape)
     lam = lam - 0.5 * (lam[0] + lam[-1])
     z = 1j * np.multiply.outer(d, lam)
     phases = np.exp(np.multiply.outer(t, z))
     terms = (w * phases)[..., None, :]
     amps = np.sum(terms * z[..., None, :] ** np.arange(order + 1)[:, None], axis=-1)
-    amps = np.moveaxis(amps, -1, 0)
-    amps.flags.writeable = False
-    return amps
+    return np.moveaxis(amps, -1, 0)
 
 
 def _probability(f):
@@ -223,8 +212,8 @@ def recovery_probability(spec, v, j: int, k: int, t):
 def recovery_derivative(spec, v, j: int, k: int, t, order: int):
     """Exact order-th time derivative of R_jk at a scalar t or an array of t."""
     _check_entry(spec, v, j, k, t)
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ValueError("derivative order must be a nonnegative integer")
     f = _amplitudes(spec, eigenbasis_weights(spec, v), j - k, t, order)
     return _like_t(t, _derivative(f, order))
 

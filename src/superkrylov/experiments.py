@@ -148,10 +148,12 @@ class ExperimentConfig:
 def parse_config(path: str) -> ExperimentConfig:
     """Read a ``key = value`` config file (comma-separated lists, # comments).
 
-    Each key's type is its ``ExperimentConfig`` annotation.
+    Each key's type is its ``ExperimentConfig`` annotation, and a key may
+    appear only once.
     """
     cfg = ExperimentConfig()
     types = typing.get_type_hints(ExperimentConfig)
+    seen: dict[str, int] = {}
     try:
         with open(path) as fh:
             text = fh.read()
@@ -167,6 +169,10 @@ def parse_config(path: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in types:
             raise ConfigParse(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigParse(
+                f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         kind = types[key]
         try:
             if typing.get_origin(kind) is list:

@@ -36,29 +36,33 @@ Every kernel inner product is an overlap integral
 with the roles of (a, p) and (b, q) swapped when a > b.  All terms are
 nonnegative, so the closed form has no cancellation and no quadrature
 error, and one broadcasting routine (_overlap) serves every Gram matrix,
-reconstruction and certificate in this module.  Two of its results depend
-only on the grid and not on the data, so they are cached and returned
-read-only, keyed by the grid's float64 bytes and scalars:
+reconstruction and certificate in this module.  The overlaps of the data
+kernels on a grid depend only on the grid and not on the data, so one
+function, ``_kernel_overlaps(ts, M, t, n)``, computes them and
+``_cache.content_cache`` keeps them:
 
-* the forcing Gram G, per (grid, M); a sweep fits every gap, theta and
-  trial on one grid, so it builds G once per grid;
-* the representer overlaps w, per (grid, M, t, component); a sweep that
-  reads every gap, theta and trial at the one timestep t* computes each
-  w once.
+* the representer overlaps w of component l at time t are
+  ``_kernel_overlaps(ts, M, t, M - 1 - l)``; a sweep that reads every
+  gap, theta and trial at the one timestep t* computes each w once;
+* the forcing Gram G is ``_kernel_overlaps(ts, M, ts[:, None], M - 1)``:
+  column j of G is the component-0 representer at t_j.  A sweep fits
+  every gap, theta and trial on one grid, so it builds G once per grid.
 
-Each cache holds at most 256 entries.  A Gram on D timepoints holds D^2
-floats, 51 KB at D = 80, so 256 of them take 13 MB; a representer holds
-D floats.  The grid checks run before either cache is consulted.
+``_cache`` describes the keys, the read-only results and the bound.  A
+Gram on D timepoints holds D^2 floats, 51 KB at D = 80; a representer
+holds D floats.  The grid checks, and the check that a component is an
+integer in range, run before the cache is consulted.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
+from ._cache import content_cache
 from .errors import BadHorizon, OutOfHorizon, SingularSystem
 from .measurement import MeasurementSeries, NoiseBudget
 
@@ -127,7 +131,6 @@ class MinimaxFit:
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
     # every comparison is written so that a NaN fails it
     ts = np.asarray(ts, dtype=float)
-    # the caches key a grid by its bytes, which drop the shape
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("timepoints must be a nonempty 1-D array")
     if not np.all(np.diff(ts) > 0):
@@ -160,19 +163,7 @@ def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
     The result is cached per (grid, M) and read-only.
     """
     ts = _check_grid(model, timepoints)
-    return _grid_gram(ts.tobytes(), model.M)
-
-
-# a sweep fits on one grid per D; the bound only caps memory
-@lru_cache(maxsize=256)
-def _grid_gram(ts_bytes: bytes, M: int) -> np.ndarray:
-    """The forcing Gram on the grid ts_bytes, read-only because every
-    caller shares it; a hit returns the miss's array."""
-    ts = np.frombuffer(ts_bytes)
-    p = M - 1
-    g = _overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
-    g.flags.writeable = False
-    return g
+    return _kernel_overlaps(ts, model.M, ts[:, None], model.M - 1)
 
 
 def _ridge_solve(model: EstimatorModel, ts: np.ndarray, rhs: np.ndarray):
@@ -193,28 +184,20 @@ def _representer(model: EstimatorModel, ts: np.ndarray, t: float,
     """Overlaps w_i = <k_i, kappa> of the data kernels on ts with the
     representer kappa of component `component` at time t."""
     M = model.M
-    if not 0 <= component < M:
-        raise ValueError("component out of range")
+    if not (isinstance(component, numbers.Integral) and 0 <= component < M):
+        raise ValueError("component must be an integer in [0, M)")
     if not 0 <= t <= model.tau:
         raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
-    # key by float64 bytes, as a hand-built MinimaxFit may hold a list
-    ts_bytes = np.asarray(ts, dtype=float).tobytes()
-    return _grid_representer(ts_bytes, M, float(t), M - 1 - component)
+    # float64, as a hand-built MinimaxFit may hold a list
+    return _kernel_overlaps(np.asarray(ts, dtype=float), M, float(t),
+                            M - 1 - component)
 
 
-# a sweep reads a few grids at one timestep; the bound only caps memory
-@lru_cache(maxsize=256)
-def _grid_representer(ts_bytes: bytes, M: int, t: float, n: int) -> np.ndarray:
-    """Overlaps of the order-(M-1) data kernels on the grid ts_bytes with
-    (t-s)^n/n! on [0, t].
-
-    The key holds only bytes and scalars, and the result is read-only
-    because every caller shares it; a hit returns the miss's array.
-    """
-    ts = np.frombuffer(ts_bytes)
-    w = _overlap(ts, M - 1, t, n) / (factorial(M - 1) * factorial(n))
-    w.flags.writeable = False
-    return w
+@content_cache
+def _kernel_overlaps(ts: np.ndarray, M: int, t, n: int) -> np.ndarray:
+    """Overlaps of the order-(M-1) data kernels on the grid ts with
+    (t-s)^n/n! on [0, t], broadcast over t."""
+    return _overlap(ts, M - 1, t, n) / (factorial(M - 1) * factorial(n))
 
 
 def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:

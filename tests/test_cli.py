@@ -24,6 +24,16 @@ master_seed = 11
 """
 
 
+def _config_text(extra: str) -> str:
+    """SMALL_CONFIG with each line of extra replacing the line of the same
+    key, or appended when SMALL_CONFIG has none (a key may appear once)."""
+    overrides = [line for line in extra.splitlines() if line.strip()]
+    keys = {line.partition("=")[0].strip() for line in overrides}
+    kept = [line for line in SMALL_CONFIG.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + overrides) + "\n"
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "cfg.txt"
@@ -60,6 +70,13 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigParse):
             parse_config("/nonexistent/cfg.txt")
+
+    def test_repeated_key(self, tmp_path):
+        # the second value used to override the first without a word
+        path = tmp_path / "cfg.txt"
+        path.write_text("n = 4\n# a comment\nn = 5\n")
+        with pytest.raises(ConfigParse, match=r":3: key 'n' repeats line 1"):
+            parse_config(str(path))
 
 
 class TestExitCodes:
@@ -112,8 +129,15 @@ class TestExitCodes:
     ])
     def test_bad_value_is_config_error(self, tmp_path, line, command):
         path = tmp_path / "cfg.txt"
-        path.write_text(SMALL_CONFIG + f"out = {tmp_path / 'out'}\n{line}\n")
+        path.write_text(_config_text(f"out = {tmp_path / 'out'}\n{line}\n"))
         assert main(command.split() + ["--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL_CONFIG + f"out = {tmp_path / 'out'}\nn = 5\n")
+        assert main(["convergence", "--config", str(path)]) == 2
+        assert "key 'n' repeats line 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["", "file"])
@@ -174,7 +198,7 @@ class TestOutputs:
         for i, thetas in enumerate(["0, 0.001, 0.01", "0.001, 0, 0.01"]):
             path = tmp_path / f"cfg{i}.txt"
             out = tmp_path / f"out{i}"
-            path.write_text(SMALL_CONFIG + f"theta_values = {thetas}\nout = {out}\n")
+            path.write_text(_config_text(f"theta_values = {thetas}\nout = {out}\n"))
             for command in ("gram", "minimax-demo"):
                 assert main([command, "--config", str(path)]) == 0
             outputs.append([(out / name).read_bytes() for name in
@@ -209,7 +233,7 @@ class TestOutputs:
     def test_manifest_records_factor_qubits(self, tmp_path, model, factor_qubits):
         path = tmp_path / "cfg.txt"
         out = tmp_path / "out"
-        path.write_text(SMALL_CONFIG + f"theta_values = 0\nout = {out}\n{model}\n")
+        path.write_text(_config_text(f"theta_values = 0\nout = {out}\n{model}\n"))
         assert main(["convergence", "--config", str(path)]) == 0
         manifest = json.loads((out / "convergence_manifest.json").read_text())
         assert manifest["factor_qubits"] == factor_qubits

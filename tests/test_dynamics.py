@@ -21,8 +21,8 @@ from _phase_oracle import (
     vectorized_commutator_matrix,
 )
 from superkrylov.dynamics import (
+    _amplitude_table,
     _amplitudes,
-    _cached_amplitudes,
     _entry_scale_and_asymmetry,
     eigenbasis_weights,
 )
@@ -279,76 +279,85 @@ def fresh_amplitudes(spec, w, d, t, order):
     return np.moveaxis(amps, -1, 0)
 
 
+def _nudged(x, i, towards):
+    """x with entry i moved by one ulp."""
+    x = np.array(x, dtype=float)
+    x[i] = np.nextafter(x[i], towards)
+    return x
+
+
+def _amplitude_cases():
+    rng = np.random.default_rng(12)
+    spec = eigendecompose(random_hermitian(rng, 8))
+    w = eigenbasis_weights(spec, random_state(rng, 8))
+    t = np.linspace(0.1, 1.0, 7)
+    nudged_spec = type(spec)(eigenvalues=_nudged(spec.eigenvalues, 3, np.inf),
+                             eigenvectors=None)
+    base = (spec, w, -1, t, 2)
+    # (first call, second call, whether they share a key)
+    return {
+        "same-content": (base, (spec, w.copy(), -1, t.copy(), 2), True),
+        "eigenvalue-ulp": (base, (nudged_spec, w, -1, t, 2), False),
+        "weight-ulp": (base, (spec, _nudged(w, 5, 0.0), -1, t, 2), False),
+        "time-ulp": (base, (spec, w, -1, _nudged(t, 2, np.inf), 2), False),
+        "gap": (base, (spec, w, -2, t, 2), False),
+        "order": (base, (spec, w, -1, t, 3), False),
+        "several-gaps": (base, (spec, w, -np.arange(1, 4), t, 2), False),
+        # a scalar t and a one-element list are the same 1-D key
+        "scalar-vs-list-t": ((spec, w, -2, 0.4, 1), (spec, w, -2, [0.4], 1), True),
+        "scalar-vs-1d-d": ((spec, w, -2, 0.4, 1),
+                           (spec, w, np.array([-2]), 0.4, 1), False),
+        "1d-vs-2d-t": ((spec, w, -2, [0.4], 1),
+                       (spec, w, -2, np.array([[0.4]]), 1), False),
+    }
+
+
+AMPLITUDE_CASES = _amplitude_cases()
+
+
+@pytest.mark.parametrize("case", AMPLITUDE_CASES)
+def test_amplitude_cache_key(case):
+    # every input the amplitudes depend on is in the key, and a hit or a
+    # miss has the value and the shape of a fresh computation
+    first_args, second_args, same_key = AMPLITUDE_CASES[case]
+    _amplitude_table.cache_clear()
+    first = _amplitudes(*first_args)
+    second = _amplitudes(*second_args)
+    assert _amplitude_table.cache_info().misses == (1 if same_key else 2)
+    assert (second is first) == same_key
+    for args, got in [(first_args, first), (second_args, second)]:
+        ref = fresh_amplitudes(*args)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+
+
 class TestAmplitudeCache:
-    @pytest.fixture
-    def model(self):
+    def test_result_is_read_only(self):
         rng = np.random.default_rng(12)
         spec = eigendecompose(random_hermitian(rng, 8))
-        return spec, eigenbasis_weights(spec, random_state(rng, 8))
-
-    def test_hit_and_miss_equal_fresh_computation_bit_for_bit(self, model):
-        spec, w = model
-        t, d = np.linspace(0.1, 1.0, 7), -np.arange(1, 4)
-        ref = fresh_amplitudes(spec, w, d, t, 3)
-        _cached_amplitudes.cache_clear()
-        miss = _amplitudes(spec, w, d, t, 3)
-        hit = _amplitudes(spec, w.copy(), d.copy(), t.copy(), 3)
-        info = _cached_amplitudes.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert hit is miss
-        assert miss.shape == ref.shape
-        assert miss.tobytes() == ref.tobytes()
-
-    def test_scalar_keys_keep_their_shape(self, model):
-        spec, w = model
-        _cached_amplitudes.cache_clear()
-        for d, t in [(-2, 0.4), (-2, [0.4]), (np.array([-2]), 0.4),
-                     (-2, np.array([[0.4]]))]:
-            got = _amplitudes(spec, w, d, t, 1)
-            assert got.tobytes() == fresh_amplitudes(spec, w, d, t, 1).tobytes()
-            assert got.shape == fresh_amplitudes(spec, w, d, t, 1).shape
-        # a scalar t and a one-element list are the same 1-D key
-        assert _cached_amplitudes.cache_info().misses == 3
-
-    def test_result_is_read_only(self, model):
-        spec, w = model
+        w = eigenbasis_weights(spec, random_state(rng, 8))
         f = _amplitudes(spec, w, -1, 0.3, 2)
         with pytest.raises(ValueError):
             f[0, 0] = 1.0
 
-    def test_each_spectrum_weight_time_gap_and_order_gets_its_own_value(
-            self, model):
-        spec, w = model
-        lam = spec.eigenvalues.copy()
-        lam[3] = np.nextafter(lam[3], np.inf)  # one ulp
-        nudged_spec = type(spec)(eigenvalues=lam, eigenvectors=None)
-        nudged_w = w.copy()
-        nudged_w[5] = np.nextafter(nudged_w[5], 0.0)
-        t = np.linspace(0.1, 1.0, 7)
-        nudged_t = t.copy()
-        nudged_t[2] = np.nextafter(nudged_t[2], np.inf)
-        cases = [(spec, w, -1, t, 2), (nudged_spec, w, -1, t, 2),
-                 (spec, nudged_w, -1, t, 2), (spec, w, -1, nudged_t, 2),
-                 (spec, w, -2, t, 2), (spec, w, -1, t, 3)]
-        _cached_amplitudes.cache_clear()
-        for i, case in enumerate(cases, start=1):
-            f = _amplitudes(*case)
-            assert _cached_amplitudes.cache_info().misses == i
-            assert f.tobytes() == fresh_amplitudes(*case).tobytes()
 
-    def test_checks_run_on_a_cached_key(self, toy):
-        spec, v = toy
-        for oracle in ORACLES.values():
-            oracle(spec, v, 0.3)  # fills the cache
-        hits = _cached_amplitudes.cache_info().hits
-        with pytest.raises(ValueError, match="times must be finite"):
-            recovery_probability(spec, v, 0, 1, np.nan)
-        # a row vector has the same weight bytes as v
-        with pytest.raises(DimensionMismatch):
-            recovery_probability(spec, v[None, :], 0, 1, 0.3)
-        with pytest.raises(ValueError, match="Krylov indices"):
-            recovery_probability(spec, v, -1, 0, 0.3)
-        assert _cached_amplitudes.cache_info().hits == hits
+def test_checks_run_on_a_cached_amplitude_key(toy):
+    spec, v = toy
+    for oracle in ORACLES.values():
+        oracle(spec, v, 0.3)  # fills the cache
+    hits = _amplitude_table.cache_info().hits
+    with pytest.raises(ValueError, match="times must be finite"):
+        recovery_probability(spec, v, 0, 1, np.nan)
+    # a row vector has the same weight bytes as v
+    with pytest.raises(DimensionMismatch):
+        recovery_probability(spec, v[None, :], 0, 1, 0.3)
+    with pytest.raises(ValueError, match="Krylov indices"):
+        recovery_probability(spec, v, -1, 0, 0.3)
+    # 1.0 and 1 are one cache key, so the order is checked before it
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        recovery_derivative(spec, v, 0, 1, 0.3, 1.0)
+    assert _amplitude_table.cache_info().hits == hits
 
 
 class TestSecondDerivative:

@@ -14,7 +14,7 @@ from superkrylov import (
     recovery_derivative,
 )
 from superkrylov import experiments, measurement, minimax
-from superkrylov.dynamics import _cached_amplitudes
+from superkrylov.dynamics import _amplitude_table
 from superkrylov.experiments import (
     ExperimentConfig,
     _fit_series,
@@ -117,8 +117,7 @@ def test_context_assembles_only_factors(cfg, shapes, factor_qubits, monkeypatch)
     assert ctx.spec.dim == 2 ** sum(factor_qubits)
 
 
-CACHES = (_cached_amplitudes, minimax._grid_gram, minimax._grid_representer,
-          measurement._gauss_legendre)
+CACHES = (_amplitude_table, minimax._kernel_overlaps, measurement._gauss_legendre)
 
 
 def _clear_caches():
@@ -164,6 +163,6 @@ def test_convergence_reuses_amplitudes_across_theta(M, tmp_path):
     distinct = per_gap * (max(cfg.m_values) - 1) + 1
     _clear_caches()
     experiments.run("convergence", cfg)
-    info = _cached_amplitudes.cache_info()
+    info = _amplitude_table.cache_info()
     calls = distinct * len(cfg.theta_values) * cfg.trials
     assert (info.misses, info.hits) == (distinct, calls - distinct)

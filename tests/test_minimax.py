@@ -20,8 +20,7 @@ from superkrylov import (
 )
 
 from superkrylov.minimax import (
-    _grid_gram,
-    _grid_representer,
+    _kernel_overlaps,
     _overlap,
     _representer,
 )
@@ -273,97 +272,117 @@ class TestCertificate:
 
 
 def fresh_representer(model, ts, t, component):
-    """The overlaps w computed directly, without the per-grid cache."""
+    """The overlaps w computed directly, without the cache."""
     n = model.M - 1 - component
     return _overlap(ts, model.M - 1, t, n) / (factorial(model.M - 1) * factorial(n))
 
 
-class TestRepresenterCache:
-    def test_hit_and_miss_equal_fresh_computation_bit_for_bit(self):
-        model, ts = toy_model(), toy_grid(15)
-        ref = fresh_representer(model, ts, T_STAR, 1)
-        _grid_representer.cache_clear()
-        miss = _representer(model, ts, T_STAR, 1)
-        hit = _representer(model, ts.copy(), T_STAR, 1)
-        info = _grid_representer.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert hit is miss
-        assert miss.tobytes() == ref.tobytes()
-
-    def test_result_is_read_only(self):
-        w = _representer(toy_model(), toy_grid(15), T_STAR, 0)
-        with pytest.raises(ValueError):
-            w[0] = 1.0
-
-    def test_each_grid_order_and_component_gets_its_own_value(self):
-        model, ts = toy_model(), toy_grid(15)
-        nudged = ts.copy()
-        nudged[7] = np.nextafter(nudged[7], np.inf)  # one ulp
-        order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, model.budget)
-        cases = [(model, ts, 1), (model, nudged, 1), (order4, ts, 1),
-                 (model, ts, 0)]
-        _grid_representer.cache_clear()
-        for i, (m, grid, component) in enumerate(cases, start=1):
-            w = _representer(m, grid, T_STAR, component)
-            assert _grid_representer.cache_info().misses == i
-            assert w.tobytes() == fresh_representer(
-                m, grid, T_STAR, component).tobytes()
-
-
 def fresh_gram(model, ts):
-    """The forcing Gram computed directly, without the per-grid cache."""
+    """The forcing Gram computed directly, without the cache."""
     p = model.M - 1
     return _overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
 
 
-class TestGramCache:
-    def test_hit_and_miss_equal_fresh_computation_bit_for_bit(self):
-        model, ts = toy_model(), toy_grid(15)
-        ref = fresh_gram(model, ts)
-        _grid_gram.cache_clear()
-        miss = forcing_gram(model, ts)
+def _overlap_cases():
+    model, ts = toy_model(), toy_grid(15)
+    nudged = ts.copy()
+    nudged[7] = np.nextafter(nudged[7], np.inf)  # one ulp
+    order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, model.budget)
+    gram, rep = (model, ts), (model, ts, T_STAR, 1)
+    # (first call, second call, whether they share a key); a Gram call has
+    # two arguments, a representer call four
+    return {
         # another budget on the same grid and order shares the Gram
-        hit = forcing_gram(toy_model(q=3.0, r=1e4), list(ts))
-        info = _grid_gram.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert hit is miss
-        assert miss.tobytes() == ref.tobytes()
+        "gram-other-budget": (
+            gram, (toy_model(q=3.0, r=1e4), list(ts)), True),
+        "gram-grid-ulp": (gram, (model, nudged), False),
+        "gram-order": (gram, (order4, ts), False),
+        "gram-shorter-grid": (gram, (model, ts[:-1]), False),
+        "representer-grid-as-list": (rep, (model, list(ts), T_STAR, 1), True),
+        "representer-grid-ulp": (rep, (model, nudged, T_STAR, 1), False),
+        "representer-order": (rep, (order4, ts, T_STAR, 1), False),
+        "representer-component": (rep, (model, ts, T_STAR, 0), False),
+        "representer-time": (rep, (model, ts, 0.6, 1), False),
+        # column 0 of the Gram is not the representer at t_0
+        "gram-vs-representer": (gram, (model, ts, ts[0], 0), False),
+    }
 
+
+OVERLAP_CASES = _overlap_cases()
+
+
+def _cached_and_fresh(args):
+    if len(args) == 2:
+        model, ts = args
+        return forcing_gram(model, ts), fresh_gram(model, np.asarray(ts))
+    model, ts, t, component = args
+    return (_representer(model, ts, t, component),
+            fresh_representer(model, np.asarray(ts), t, component))
+
+
+@pytest.mark.parametrize("case", OVERLAP_CASES)
+def test_kernel_overlap_cache_key(case):
+    # every input the Gram and the representer overlaps depend on is in
+    # the key, and a hit or a miss equals a fresh computation bit for bit
+    first_args, second_args, same_key = OVERLAP_CASES[case]
+    _kernel_overlaps.cache_clear()
+    first, first_ref = _cached_and_fresh(first_args)
+    second, second_ref = _cached_and_fresh(second_args)
+    assert _kernel_overlaps.cache_info().misses == (1 if same_key else 2)
+    assert (second is first) == same_key
+    for got, ref in [(first, first_ref), (second, second_ref)]:
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+
+
+class TestGramCache:
     def test_result_is_read_only(self):
         g = forcing_gram(toy_model(), toy_grid(15))
         with pytest.raises(ValueError):
             g[0, 0] = 1.0
 
-    def test_fit_does_not_write_into_the_gram(self):
-        model, series = toy_model(), toy_series(15, theta=1e-3, seed=1)
-        before = forcing_gram(model, series.timepoints).copy()
-        fit(model, series)
-        error_certificate(model, series.timepoints, T_STAR, 1)
-        assert forcing_gram(model, series.timepoints).tobytes() == before.tobytes()
 
-    def test_each_grid_and_order_gets_its_own_value(self):
-        model, ts = toy_model(), toy_grid(15)
-        nudged = ts.copy()
-        nudged[7] = np.nextafter(nudged[7], np.inf)  # one ulp
-        order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, model.budget)
-        cases = [(model, ts), (model, nudged), (order4, ts), (model, ts[:-1])]
-        _grid_gram.cache_clear()
-        for i, (m, grid) in enumerate(cases, start=1):
-            g = forcing_gram(m, grid)
-            assert _grid_gram.cache_info().misses == i
-            assert g.tobytes() == fresh_gram(m, grid).tobytes()
+class TestRepresenterCache:
+    def test_result_is_read_only(self):
+        w = _representer(toy_model(), toy_grid(15), T_STAR, 0)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
-    def test_grid_checks_run_on_a_cached_key(self):
-        model, ts = toy_model(), toy_grid(6)
-        forcing_gram(model, ts)  # fills the cache
-        # the same bytes as a 2-D grid, and a horizon the grid overruns
-        with pytest.raises(ValueError, match="nonempty 1-D"):
-            forcing_gram(model, ts.reshape(2, 3))
-        short = EstimatorModel(X_IN, 0.5 * TAU, model.budget)
-        with pytest.raises(BadHorizon):
-            forcing_gram(short, ts)
-        with pytest.raises(BadHorizon):
-            fit(short, toy_series(6))
+
+def test_forcing_gram_equals_direct_formula():
+    # forcing_gram reads G from the representer overlaps: column j is the
+    # component-0 representer at t_j
+    for D in (2, 5, 8, 15, 40, 80):
+        ts = toy_grid(D)
+        for M in (2, 3, 4, 6, 8):
+            model = EstimatorModel(np.ones(M), TAU, toy_model().budget)
+            g = forcing_gram(model, ts)
+            assert g.tobytes() == fresh_gram(model, ts).tobytes()
+            for j in (0, D - 1):
+                assert g[:, j].tobytes() == fresh_representer(
+                    model, ts, ts[j], 0).tobytes()
+
+
+def test_fit_does_not_write_into_the_gram():
+    model, series = toy_model(), toy_series(15, theta=1e-3, seed=1)
+    before = forcing_gram(model, series.timepoints).copy()
+    fit(model, series)
+    error_certificate(model, series.timepoints, T_STAR, 1)
+    assert forcing_gram(model, series.timepoints).tobytes() == before.tobytes()
+
+
+def test_grid_checks_run_on_a_cached_key():
+    model, ts = toy_model(), toy_grid(6)
+    forcing_gram(model, ts)  # fills the cache
+    # the same bytes as a 2-D grid, and a horizon the grid overruns
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        forcing_gram(model, ts.reshape(2, 3))
+    short = EstimatorModel(X_IN, 0.5 * TAU, model.budget)
+    with pytest.raises(BadHorizon):
+        forcing_gram(short, ts)
+    with pytest.raises(BadHorizon):
+        fit(short, toy_series(6))
 
 
 @pytest.mark.parametrize("grid", [np.empty(0), toy_grid(6).reshape(2, 3)],

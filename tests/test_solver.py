@@ -17,6 +17,8 @@ from superkrylov import (
     build_initial_state,
     choose_timestep,
     eigendecompose,
+    error_certificate,
+    evaluate_component,
     estimated_eta_norm_sq,
     fit,
     ground_energy,
@@ -338,6 +340,28 @@ BAD_INPUT_CASES = {
         ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, np.inf)),
     "forcing_norm_sq with tau = 0": (
         ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.0)),
+    "recovery_derivative with order = 1.5": (
+        ValueError, lambda s, v, t: recovery_derivative(s, v, 0, 1, 0.3, 1.5)),
+    # 2.0 and 2 are one cache key
+    "recovery_derivative with order = 2.0": (
+        ValueError, lambda s, v, t: [recovery_derivative(s, v, 0, 1, 0.3, order)
+                                     for order in (2, 2.0)]),
+    "forcing_norm_sq with order = 1.5": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=1.5)),
+    "forcing_norm_sq with order = 3.0": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=3.0)),
+    "evaluate_component with component = 0.5": (
+        ValueError, lambda s, v, t: evaluate_component(
+            _fit_for_gap(s, v, 1, t, D=10), t, 0.5)),
+    # 1.0 and 1 are one cache key
+    "evaluate_component with component = 1.0": (
+        ValueError, lambda s, v, t: [evaluate_component(f, t, component)
+                                     for f in [_fit_for_gap(s, v, 1, t, D=10)]
+                                     for component in (1, 1.0)]),
+    "error_certificate with component = 1.0": (
+        ValueError, lambda s, v, t: [error_certificate(f.model, f.timepoints, t, c)
+                                     for f in [_fit_for_gap(s, v, 1, t, D=10)]
+                                     for c in (1, 1.0)]),
     "choose_timestep with width = nan": (
         ZeroWidth, lambda s, v, t: choose_timestep(NAN)),
     "noise_rate with norm = nan": (
