@@ -28,10 +28,11 @@ print(f"smoothness bound       {f_norm:.4f}")
 print()
 
 truth = -np.sin(2 * T_STAR)
+# r = 1/(2 ||eta||^2), so ten times the noise bound gives r0/10
 for tag, eta_scale in (("under-fit (r0/10)", 10.0),
                        ("balanced  (r0)  ", 1.0),
                        ("over-fit  (10r0)", 0.1)):
-    budget = sk.select_qr(f_norm, eta0 * eta_scale)
+    budget = sk.NoiseBudget(f_norm, eta0 * eta_scale)
     model = sk.EstimatorModel(x_in, TAU, budget)
     fitted = sk.fit(model, series)
     x1 = sk.evaluate_x1(fitted, T_STAR)
@@ -40,7 +41,7 @@ for tag, eta_scale in (("under-fit (r0/10)", 10.0),
     print(f"{tag}: x1(t*) = {x1:+.5f}  (truth {truth:+.5f})  "
           f"data misfit = {misfit:.2e}")
 
-budget = sk.select_qr(f_norm, eta0)
+budget = sk.NoiseBudget(f_norm, eta0)
 model = sk.EstimatorModel(x_in, TAU, budget)
 fitted = sk.fit(model, series)
 sigma = sk.error_certificate(model, grid, T_STAR, 1)

@@ -26,7 +26,7 @@ fits = []  # fits[g - 1] is the fit for gap g
 for gap in range(1, M_MAX):
     series = sk.measure_series(spec, v, 0, gap, grid, THETA, seed=1000 + gap)
     x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, gap, 0.0, 2)])
-    budget = sk.select_qr(
+    budget = sk.NoiseBudget(
         sk.forcing_norm_sq(spec, v, 0, gap, tau, order=3),
         sk.estimated_eta_norm_sq(D, THETA),
     )

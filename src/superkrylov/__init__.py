@@ -55,7 +55,6 @@ from .measurement import (
     forcing_norm_sq,
     measure_series,
     sample_grid,
-    select_qr,
 )
 from .minimax import (
     EstimatorModel,

@@ -40,11 +40,11 @@ from .dynamics import (
 )
 from .errors import ConfigParse
 from .measurement import (
+    NoiseBudget,
     estimated_eta_norm_sq,
     forcing_norm_sq,
     measure_series,
     sample_grid,
-    select_qr,
 )
 from .minimax import (
     EstimatorModel,
@@ -288,7 +288,7 @@ def _fit_series(ctx: PipelineContext, config: ExperimentConfig, gap: int,
     for p in range(2, config.M, 2):
         x_in[p] = recovery_derivative(ctx.spec, ctx.v, 0, gap, 0.0, p)
     f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
-    fits = [fit(EstimatorModel(x_in, ctx.tau, select_qr(f_norm, eta)), series)
+    fits = [fit(EstimatorModel(x_in, ctx.tau, NoiseBudget(f_norm, eta)), series)
             for eta in eta_bounds]
     return series, fits
 
@@ -383,7 +383,7 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
     The r sweep {r0/10, r0, 10 r0} with fixed q shows under-, balanced,
     and over-fitting; the derivative reconstruction at the balanced point
     is accompanied by its worst-case certificate on a dense time grid.
-    The data carry the largest noise level, max(theta_values).
+    The data carry the largest noise level, max(theta_values) > 0.
     """
     gap = 1
     theta = max(config.theta_values)
@@ -456,6 +456,9 @@ def run(command: str, config: ExperimentConfig) -> str:
     # validation and the output directory count toward build_context
     start = time.time()
     config.validate()
+    if command == "minimax-demo" and max(config.theta_values) == 0:
+        raise ConfigParse("minimax-demo needs max(theta_values) > 0: "
+                          "with no noise its three fits coincide")
     try:
         os.makedirs(config.out, exist_ok=True)
     except OSError as exc:

@@ -3,16 +3,17 @@
 A "measurement" here is the exact recovery probability plus additive
 i.i.d. Gaussian noise, y_s = R_jk(t_s) + eta_s with eta_s ~ N(0, theta^2),
 taken on an equally spaced timepoint grid inside an open window around
-the Krylov timestep.  The module also owns the (q, r) budget pair used by
-the minimax estimator: q bounds the smoothness of the signal (through the
-squared L2 norm of its M-th derivative over the horizon) and r bounds the
-squared l2 norm of the noise vector.
+the Krylov timestep.  The module also owns the minimax estimator's noise
+budget, which derives its weights q and r from two bounds: the forcing
+norm (the squared L2 norm of the signal's M-th derivative over the
+horizon) and the squared l2 norm of the noise vector.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -23,8 +24,11 @@ from .errors import BadWindow, NonPositiveBound
 # With zero noise the budget r diverges; cap it so the fit system stays
 # solvable in floating point.
 ZERO_NOISE_R_FACTOR = 1e12
-# Gauss-Legendre nodes of the forcing-norm quadrature over [0, tau].
+# Gauss-Legendre nodes of the forcing-norm quadrature, per panel.
 QUADRATURE_NODES = 120
+# The largest g * tau * W (gap, horizon, spectral width) one panel of the
+# rule integrates to rounding; the integrand's top frequency is 2 g W.
+PANEL_PHASE = 150.0
 
 
 @dataclass(frozen=True)
@@ -49,28 +53,34 @@ class MeasurementSeries:
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Weights (q, r) dual to the signal-smoothness and noise-norm bounds.
+    """Weights q = 1/(2 f_norm_sq_bound) and r = 1/(2 eta_norm_sq_bound).
 
-    Constructed so that q * f_norm_sq_bound <= 1/2 and
-    r * eta_norm_sq_bound <= 1/2, i.e. any (signal, noise) pair respecting
-    the bounds lies inside the uncertainty ellipsoid the minimax estimator
-    optimizes over.
+    Derived from the bounds, never passed, so the minimax certificate's
+    ellipsoid premise q * f_norm_sq_bound <= 1/2, r * eta_norm_sq_bound
+    <= 1/2 holds by construction.  A zero noise bound (exact data) would
+    send r to infinity; r is then ZERO_NOISE_R_FACTOR * q.
     """
 
-    q: float
-    r: float
     f_norm_sq_bound: float
     eta_norm_sq_bound: float
+    q: float = field(init=False)
+    r: float = field(init=False)
 
     def __post_init__(self):
-        finite = np.isfinite([self.f_norm_sq_bound, self.eta_norm_sq_bound])
-        if not (0 < self.q < np.inf and 0 < self.r < np.inf and finite.all()):
-            raise NonPositiveBound("q, r must be positive and q, r, bounds finite")
-        slack = 0.5 * (1 + 1e-12)
-        if self.q * self.f_norm_sq_bound > slack:
-            raise NonPositiveBound("q * f_norm_sq_bound exceeds 1/2")
-        if self.r * self.eta_norm_sq_bound > slack:
-            raise NonPositiveBound("r * eta_norm_sq_bound exceeds 1/2")
+        f, eta = self.f_norm_sq_bound, self.eta_norm_sq_bound
+        if not (0 < f < np.inf and 0 <= eta < np.inf):  # a NaN fails this too
+            raise NonPositiveBound(f"bounds ({f}, {eta}) must be finite, the "
+                                   "first positive and the second nonnegative")
+        # Python floats over- and underflow without a warning
+        q = 1.0 / (2.0 * float(f))
+        r = 1.0 / (2.0 * float(eta)) if eta > 0 else ZERO_NOISE_R_FACTOR * q
+        # a subnormal bound sends q or r to inf; a bound near the top of the
+        # float range makes it subnormal, too coarse to keep q * f <= 1/2
+        normal = np.finfo(float).tiny
+        if not (normal <= q < np.inf and normal <= r < np.inf):
+            raise NonPositiveBound(f"bounds ({f}, {eta}) give q = {q}, r = {r}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
 
 
 def sample_grid(t_star: float, delta_t: float, D: int) -> np.ndarray:
@@ -113,25 +123,6 @@ def measure_series(
     return MeasurementSeries(timepoints=grid, values=values)
 
 
-def select_qr(f_norm_sq: float, eta_norm_sq: float) -> NoiseBudget:
-    """Largest budget weights consistent with the given norm bounds.
-
-    Returns q = 1/(2 f_norm_sq) and r = 1/(2 eta_norm_sq): the equality
-    point of the ellipsoid constraints.  A zero noise bound (exact data)
-    would send r to infinity; it is capped at 1e12 * q to keep the fit
-    linear system well conditioned.
-    """
-    if not 0 < f_norm_sq < np.inf:
-        raise NonPositiveBound(f"f_norm_sq = {f_norm_sq} must be positive and finite")
-    if not 0 <= eta_norm_sq < np.inf:
-        raise NonPositiveBound(
-            f"eta_norm_sq = {eta_norm_sq} must be nonnegative and finite")
-    q = 1.0 / (2.0 * f_norm_sq)
-    r = 1.0 / (2.0 * eta_norm_sq) if eta_norm_sq > 0 else ZERO_NOISE_R_FACTOR * q
-    return NoiseBudget(q=q, r=r, f_norm_sq_bound=f_norm_sq,
-                       eta_norm_sq_bound=eta_norm_sq)
-
-
 def estimated_eta_norm_sq(D: int, theta: float) -> float:
     """High-probability bound on ||eta||^2 for D i.i.d. N(0, theta^2) draws.
 
@@ -167,20 +158,21 @@ def forcing_norm_sq(
     j: int,
     k: int,
     tau: float,
-    order: int = 3,
+    order: int,
 ) -> float:
     """Exact squared L2 norm of the order-th derivative of R_jk over [0, tau].
 
-    The integrand is a trigonometric polynomial in t, so high-order
-    Gauss-Legendre quadrature (QUADRATURE_NODES nodes) is effectively
-    exact at desk scale.  The rule is built once per process and rescaled
-    to [0, tau] on each call.
+    The integrand is a trigonometric polynomial with frequencies up to
+    2 |k - j| W, so the QUADRATURE_NODES-point Gauss-Legendre rule, built
+    once per process, is rescaled to ceil(|k - j| tau W / PANEL_PHASE)
+    equal panels of [0, tau] (at least one), exact to rounding at any gap.
     """
     if not 0 < tau < np.inf:  # a NaN fails this too
         raise ValueError("tau must be positive and finite")
     x, wts = _gauss_legendre()
-    nodes = 0.5 * tau * (x + 1.0)
-    weights = 0.5 * tau * wts
+    panels = max(1, math.ceil(abs(k - j) * tau * spec.spectral_width / PANEL_PHASE))
+    h = tau / panels
+    nodes = (h * np.arange(panels)[:, None] + 0.5 * h * (x + 1.0)).ravel()
+    weights = np.tile(0.5 * h * wts, panels)
     vals = recovery_derivative(spec, v, j, k, nodes, order)
     return float(np.sum(weights * vals**2))
-

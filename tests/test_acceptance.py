@@ -53,7 +53,7 @@ def toy_fit(D, theta=0.0, rng=None, budget=None):
     series = sk.MeasurementSeries(timepoints=ts, values=y + eta)
     if budget is None:
         f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TOY_TAU, order=3)
-        budget = sk.select_qr(f_norm, float(eta @ eta))
+        budget = sk.NoiseBudget(f_norm, float(eta @ eta))
     model = sk.EstimatorModel(TOY_X_IN, TOY_TAU, budget)
     return model, ts, sk.fit(model, series), eta
 
@@ -145,7 +145,7 @@ def test_criterion_04_class_properties():
 
 
 def test_criterion_05_kernel_unit_value_and_psd():
-    budget = sk.select_qr(0.5, 0.5)
+    budget = sk.NoiseBudget(0.5, 0.5)
     model = sk.EstimatorModel(TOY_X_IN, 2.0, budget)
     k_mat = sk.kernel_matrix(model, np.array([1.0]))
     assert abs(k_mat[0, 0] - (1 + 1 / 3 + 1 / 20)) < 1e-12
@@ -205,7 +205,7 @@ def test_criterion_07_certificate_soundness_and_oracle():
     rng = np.random.default_rng(708)
     sound = 0
     for _ in range(100):
-        budget = sk.select_qr(f_norm, sk.estimated_eta_norm_sq(15, 1e-3))
+        budget = sk.NoiseBudget(f_norm, sk.estimated_eta_norm_sq(15, 1e-3))
         model, ts, f, _ = toy_fit(15, theta=1e-3, rng=rng, budget=budget)
         err = abs(sk.evaluate_x1(f, TOY_T) - truth)
         sound += sk.error_certificate(model, ts, TOY_T, 1) >= err
@@ -221,7 +221,7 @@ def test_criterion_07_certificate_soundness_and_oracle():
         r = float(10.0 ** rng.uniform(0.0, 2.0))
         comp = int(rng.integers(0, 2))
         t_eval = float(rng.uniform(0.2, 0.8))
-        budget = sk.select_qr(1 / (2 * q), 1 / (2 * r))
+        budget = sk.NoiseBudget(1 / (2 * q), 1 / (2 * r))
         model = sk.EstimatorModel(TOY_X_IN, TOY_TAU, budget)
         sigma = sk.error_certificate(model, ts, t_eval, comp)
         oracle = certificate_oracle(ts, q, r, TOY_TAU, t_eval, comp,

@@ -126,6 +126,8 @@ class TestExitCodes:
         ("m_values = 2,3,3", "convergence"),
         ("theta_values = 0.001,0.001", "convergence"),
         ("d_values = 5,5", "deriv-scaling"),
+        # with no noise the three fits share one budget: identical traces
+        ("theta_values = 0", "minimax-demo"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, line, command):
         path = tmp_path / "cfg.txt"

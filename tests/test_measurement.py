@@ -1,16 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superkrylov import (
     BadWindow,
     NoiseBudget,
     NonPositiveBound,
+    assemble_dense,
+    build_initial_state,
+    choose_timestep,
     eigendecompose,
     estimated_eta_norm_sq,
     forcing_norm_sq,
+    heisenberg_chain,
     measure_series,
     sample_grid,
-    select_qr,
 )
 from superkrylov import measurement
 from superkrylov.dynamics import recovery_derivative
@@ -75,29 +82,52 @@ class TestMeasureSeries:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+# any float, plus the edges: zero, subnormals (1/(2 b) overflows), a bound
+# whose q is subnormal and would give q * b > 1/2, and one where 2 b overflows
+BOUNDS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, 5e-324, 1e-310, 2.2781710874273644e307, 1e308]))
+
+
 class TestBudget:
     def test_equality_point(self):
-        b = select_qr(1.0, 1.0)
+        b = NoiseBudget(1.0, 1.0)
         assert b.q == 0.5 and b.r == 0.5
 
     def test_halved_noise_doubles_r(self):
-        b1 = select_qr(2.0, 1.0)
-        b2 = select_qr(2.0, 0.5)
+        b1 = NoiseBudget(2.0, 1.0)
+        b2 = NoiseBudget(2.0, 0.5)
         assert b2.r == 2 * b1.r and b2.q == b1.q
 
     def test_zero_noise_caps_r(self):
-        b = select_qr(4.0, 0.0)
+        b = NoiseBudget(4.0, 0.0)
         assert b.r == pytest.approx(1e12 * b.q)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveBound):
-            select_qr(0.0, 1.0)
+            NoiseBudget(0.0, 1.0)
         with pytest.raises(NonPositiveBound):
-            select_qr(1.0, -1.0)
+            NoiseBudget(1.0, -1.0)
 
-    def test_ellipsoid_premise_enforced(self):
-        with pytest.raises(NonPositiveBound):
-            NoiseBudget(q=1.0, r=0.5, f_norm_sq_bound=1.0, eta_norm_sq_bound=1.0)
+    def test_weights_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            NoiseBudget(1.0, 1.0, 0.5, 0.5)
+        with pytest.raises(TypeError):
+            NoiseBudget(1.0, 1.0, q=0.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(NoiseBudget(1.0, 1.0), q=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NoiseBudget(1.0, 1.0).r = 1.0
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(BOUNDS, BOUNDS)
+    def test_premise_holds_by_construction(self, f, eta):
+        # every budget that can be built lies inside the ellipsoid premise
+        try:
+            b = NoiseBudget(f, eta)
+        except NonPositiveBound:
+            return
+        assert 0 < b.q < np.inf and 0 < b.r < np.inf
+        assert b.q * f <= 0.5 and b.r * eta <= 0.5
 
     def test_estimated_eta_bound_covers_realized_noise(self):
         # chi-square two-sigma construction: bound holds in >= 95% of draws
@@ -123,7 +153,7 @@ class TestForcingNorm:
     def test_negative_index_rejected(self, toy):
         spec, v = toy
         with pytest.raises(ValueError, match="Krylov indices must be nonnegative"):
-            forcing_norm_sq(spec, v, -1, 0, 0.5)
+            forcing_norm_sq(spec, v, -1, 0, 0.5, order=3)
 
     def test_rule_built_once_and_unchanged(self, toy, monkeypatch):
         spec, v = toy
@@ -136,11 +166,39 @@ class TestForcingNorm:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         measurement._gauss_legendre.cache_clear()
-        first = forcing_norm_sq(spec, v, 0, 1, 0.7)
-        second = forcing_norm_sq(spec, v, 0, 1, 1.3)
+        first = forcing_norm_sq(spec, v, 0, 1, 0.7, order=3)
+        second = forcing_norm_sq(spec, v, 0, 1, 1.3, order=3)
         assert calls == [measurement.QUADRATURE_NODES]
         # the same value as a quadrature built afresh for this call
         for tau, got in [(0.7, first), (1.3, second)]:
             x, w = fresh(measurement.QUADRATURE_NODES)
             vals = recovery_derivative(spec, v, 0, 1, 0.5 * tau * (x + 1.0), 3)
             assert got == float(np.sum(0.5 * tau * w * vals**2))
+
+
+@pytest.fixture(scope="module")
+def chain6():
+    spec = eigendecompose(assemble_dense(heisenberg_chain(6, seed=42)))
+    return spec, build_initial_state(spec, 0.25)
+
+
+def _reference_norm_sq(spec, v, gap, tau, order, panels=16, nodes=600):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    h = tau / panels
+    ts = (h * np.arange(panels)[:, None] + 0.5 * h * (x + 1.0)).ravel()
+    vals = recovery_derivative(spec, v, 0, gap, ts, order)
+    return float(np.sum(np.tile(0.5 * h * w, panels) * vals**2))
+
+
+@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("gap, delta_t_fraction", [
+    (80, 0.15), (95, 0.15), (119, 0.15), (50, 0.9)])
+def test_forcing_norm_exact_at_high_gaps(chain6, gap, delta_t_fraction, order):
+    # a single 120-node panel misses these by up to 26%: the integrand's
+    # frequencies reach 2 * gap * W
+    spec, v = chain6
+    t_star = choose_timestep(2 * spec.spectral_width)
+    tau = 1.5 * (1 + delta_t_fraction) * t_star
+    got = forcing_norm_sq(spec, v, 0, gap, tau, order=order)
+    want = _reference_norm_sq(spec, v, gap, tau, order)
+    assert abs(got - want) <= 1e-12 * want

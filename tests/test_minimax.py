@@ -1,3 +1,4 @@
+import dataclasses
 from math import factorial
 
 import numpy as np
@@ -16,7 +17,6 @@ from superkrylov import (
     fit,
     forcing_gram,
     kernel_matrix,
-    select_qr,
 )
 
 from superkrylov.minimax import (
@@ -47,7 +47,7 @@ def toy_series(D, theta=0.0, seed=None):
 
 
 def toy_model(q=1.0, r=1e12):
-    budget = select_qr(1 / (2 * q), 1 / (2 * r))
+    budget = NoiseBudget(1 / (2 * q), 1 / (2 * r))
     return EstimatorModel(X_IN, TAU, budget)
 
 
@@ -219,7 +219,7 @@ class TestFitBalance:
         f_norm = 1.0
         residuals = []
         for r in (1.0, 10.0, 100.0, 1000.0):
-            model = EstimatorModel(X_IN, TAU, select_qr(f_norm, 1 / (2 * r)))
+            model = EstimatorModel(X_IN, TAU, NoiseBudget(f_norm, 1 / (2 * r)))
             f = fit(model, series)
             x0 = np.array([evaluate_x0(f, t) for t in f.timepoints])
             residuals.append(float(np.sum((series.values - x0) ** 2)))
@@ -229,7 +229,7 @@ class TestFitBalance:
         series = toy_series(15, theta=1e-2, seed=8)
         rough = []
         for q in (0.1, 1.0, 10.0, 100.0):
-            model = EstimatorModel(X_IN, TAU, select_qr(1 / (2 * q), 1.0))
+            model = EstimatorModel(X_IN, TAU, NoiseBudget(1 / (2 * q), 1.0))
             f = fit(model, series)
             rough.append(float(f.beta @ forcing_gram(model, f.timepoints) @ f.beta))
         assert all(a >= b - 1e-15 for a, b in zip(rough, rough[1:]))
@@ -240,7 +240,7 @@ class TestCertificate:
         ts = toy_grid(15)
         sigmas = []
         for r in (1.0, 10.0, 100.0):
-            model = EstimatorModel(X_IN, TAU, select_qr(1.0, 1 / (2 * r)))
+            model = EstimatorModel(X_IN, TAU, NoiseBudget(1.0, 1 / (2 * r)))
             sigma = error_certificate(model, ts, T_STAR, 1)
             assert sigma >= 0
             sigmas.append(sigma)
@@ -249,7 +249,7 @@ class TestCertificate:
     def test_matches_dense_bvp_oracle(self):
         ts = toy_grid(10)
         q, r = 0.3, 15.0
-        model = EstimatorModel(X_IN, TAU, select_qr(1 / (2 * q), 1 / (2 * r)))
+        model = EstimatorModel(X_IN, TAU, NoiseBudget(1 / (2 * q), 1 / (2 * r)))
         for t_eval, comp in ((T_STAR, 1), (0.3, 0)):
             sigma = error_certificate(model, ts, t_eval, comp)
             oracle = certificate_oracle(ts, q, r, TAU, t_eval, comp, n_cells=2000)
@@ -264,7 +264,7 @@ class TestCertificate:
             eta = rng.normal(0, 1e-2, ts.size)
             series = MeasurementSeries(timepoints=ts,
                                        values=np.cos(ts) ** 2 + eta)
-            budget = select_qr(f_norm, float(eta @ eta))
+            budget = NoiseBudget(f_norm, float(eta @ eta))
             model = EstimatorModel(X_IN, TAU, budget)
             f = fit(model, series)
             err = abs(evaluate_x1(f, T_STAR) - (-np.sin(2 * T_STAR)))
@@ -412,16 +412,20 @@ NON_FINITE_CASES = {
         X_IN, np.inf, toy_model().budget)),
     "model with nan x_in": (ValueError, lambda: EstimatorModel(
         [1.0, NAN, 0.0], TAU, toy_model().budget)),
-    "budget with q = nan": (NonPositiveBound, lambda: NoiseBudget(
-        q=NAN, r=1.0, f_norm_sq_bound=0.1, eta_norm_sq_bound=0.1)),
-    "budget with r = inf": (NonPositiveBound, lambda: NoiseBudget(
-        q=1.0, r=np.inf, f_norm_sq_bound=0.1, eta_norm_sq_bound=0.0)),
-    "budget with a nan bound": (NonPositiveBound, lambda: NoiseBudget(
-        q=1.0, r=1.0, f_norm_sq_bound=NAN, eta_norm_sq_bound=0.1)),
+    # q and r are derived from the bounds, so these cover a nan q or an inf r
+    "budget with a nan bound": (NonPositiveBound, lambda: NoiseBudget(NAN, 0.1)),
+    # nor can a nan q be put into a built budget
+    "budget with q = nan": (ValueError, lambda: dataclasses.replace(
+        toy_model().budget, q=NAN)),
+    # the weight choice select_qr made now lives in NoiseBudget; exact data
+    # takes the r = ZERO_NOISE_R_FACTOR * q branch, which a nan f must not reach
     "select_qr with f_norm_sq = nan": (NonPositiveBound,
-                                       lambda: select_qr(NAN, 0.1)),
-    "select_qr with eta_norm_sq = nan": (NonPositiveBound,
-                                         lambda: select_qr(1.0, NAN)),
+                                       lambda: NoiseBudget(NAN, 0.0)),
+    "budget with a nan noise bound": (NonPositiveBound,
+                                      lambda: NoiseBudget(1.0, NAN)),
+    # 1/(2 * 5e-324) overflows to r = inf
+    "budget with a subnormal noise bound": (NonPositiveBound,
+                                            lambda: NoiseBudget(0.1, 5e-324)),
 }
 
 

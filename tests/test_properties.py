@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from superkrylov import (
     EstimatorModel,
     MeasurementSeries,
+    NoiseBudget,
     PauliHamiltonian,
     PauliString,
     assemble_dense,
@@ -25,7 +26,6 @@ from superkrylov import (
     heisenberg_chain,
     pauli_word_matrix,
     qubit_factors,
-    select_qr,
     threshold_solve,
 )
 from superkrylov.experiments import _factored_spectrum
@@ -160,7 +160,7 @@ def test_certificate_bounds_error_inside_budget(M, D, x_in, c, eta, log_bounds,
         return drift + sum(c[j] * factorial(j) * t ** (j + M - order)
                            / factorial(j + M - order) for j in k)
 
-    model = EstimatorModel(x_in, tau, select_qr(f_bound, eta_bound))
+    model = EstimatorModel(x_in, tau, NoiseBudget(f_bound, eta_bound))
     f = fit(model, MeasurementSeries(timepoints=ts, values=taylor(ts, 0) + eta))
     t = tau * t_frac / 64
     err = abs(evaluate_x1(f, t) - taylor(t, 1))

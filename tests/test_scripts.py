@@ -1,7 +1,8 @@
 """The demos, the README Quick start, the CLI help and the benchmark's
 tracer self-test run against the package as it stands, each in a fresh
-interpreter."""
+interpreter; the console script's target runs in this one."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -41,6 +42,18 @@ def test_cli_help_lists_every_command():
     for command in ("convergence", "deriv-scaling", "minimax-demo", "gram"):
         # listed with a help text, the first line of its runner's docstring
         assert re.search(rf"^ +{command} +\S", proc.stdout, re.M), command
+
+
+def test_console_script_target_runs():
+    # the installed `superkrylov` command calls this target
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1]
+    module, func = re.search(r'^superkrylov\s*=\s*"([\w.]+):(\w+)"', scripts,
+                             re.M).groups()
+    main = getattr(importlib.import_module(module), func)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
 
 
 def test_tracer_selftest_passes():

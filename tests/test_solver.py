@@ -9,6 +9,7 @@ from superkrylov import (
     HamiltonianClass,
     KrylovPair,
     MissingTopEnergy,
+    NoiseBudget,
     SingularSystem,
     ZeroWidth,
     assemble_dense,
@@ -26,7 +27,6 @@ from superkrylov import (
     measure_series,
     noise_rate,
     sample_grid,
-    select_qr,
     threshold_solve,
 )
 from superkrylov.dynamics import recovery_derivative
@@ -116,7 +116,7 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
     x_in = np.array([1.0, 0.0, recovery_derivative(spec, v, 0, gap, 0.0, 2)])
     f_norm = forcing_norm_sq(spec, v, 0, gap, tau, order=3)
     eta = 2 * D * theta**2
-    model = EstimatorModel(x_in, tau, select_qr(f_norm, eta))
+    model = EstimatorModel(x_in, tau, NoiseBudget(f_norm, eta))
     return fit(model, series)
 
 
@@ -335,11 +335,11 @@ BAD_INPUT_CASES = {
     "estimated_eta_norm_sq with D = 2.5": (
         ValueError, lambda s, v, t: estimated_eta_norm_sq(2.5, 1e-3)),
     "forcing_norm_sq with tau = nan": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, NAN)),
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, NAN, order=3)),
     "forcing_norm_sq with tau = inf": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, np.inf)),
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, np.inf, order=3)),
     "forcing_norm_sq with tau = 0": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.0)),
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.0, order=3)),
     "recovery_derivative with order = 1.5": (
         ValueError, lambda s, v, t: recovery_derivative(s, v, 0, 1, 0.3, 1.5)),
     # 2.0 and 2 are one cache key
