@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import math
+import sys
 import time
 import typing
 from dataclasses import dataclass, field, asdict
@@ -479,6 +480,11 @@ def run(command: str, config: ExperimentConfig) -> str:
     written = time.time()
     manifest = {"schema_version": SCHEMA_VERSION, "command": command,
                 "config": asdict(config), "outputs": paths,
+                # sys.version_info, not the platform module, which is slow
+                # to import
+                "environment": {
+                    "python": "%d.%d.%d" % sys.version_info[:3],
+                    "numpy": np.__version__},
                 "factor_qubits": list(ctx.factor_qubits),
                 "n_records": len(tables[0][2]),
                 "stage_s": {"build_context": round(built - start, 3),

@@ -1,6 +1,8 @@
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from superkrylov.cli import main
@@ -215,6 +217,16 @@ class TestOutputs:
             manifest = json.load(fh)
         assert manifest["config"]["n"] == 4
         assert manifest["config"]["master_seed"] == 11
+        assert manifest["schema_version"] == 1
+
+    def test_manifest_records_environment(self, config_file, tmp_path):
+        out = str(tmp_path / "o7")
+        assert main(["convergence", "--config", config_file, "--out", out]) == 0
+        with open(os.path.join(out, "convergence_manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["environment"] == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__}
         assert manifest["schema_version"] == 1
 
     def test_manifest_times_each_stage(self, config_file, tmp_path):

@@ -13,7 +13,7 @@ from superkrylov import (
     estimated_eta_norm_sq,
     recovery_derivative,
 )
-from superkrylov import experiments, measurement, minimax
+from superkrylov import experiments, minimax
 from superkrylov.dynamics import _amplitude_table
 from superkrylov.experiments import (
     ExperimentConfig,
@@ -117,7 +117,7 @@ def test_context_assembles_only_factors(cfg, shapes, factor_qubits, monkeypatch)
     assert ctx.spec.dim == 2 ** sum(factor_qubits)
 
 
-CACHES = (_amplitude_table, minimax._kernel_overlaps, measurement._gauss_legendre)
+CACHES = (_amplitude_table, minimax._kernel_overlaps)
 
 
 def _clear_caches():

@@ -155,25 +155,29 @@ class TestForcingNorm:
         with pytest.raises(ValueError, match="Krylov indices must be nonnegative"):
             forcing_norm_sq(spec, v, -1, 0, 0.5, order=3)
 
-    def test_rule_built_once_and_unchanged(self, toy, monkeypatch):
+    def test_tabulated_rule(self, toy):
+        x, w = measurement._GL_NODES, measurement._GL_WEIGHTS
+        assert x.shape == w.shape == (measurement.QUADRATURE_NODES,)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        # exact to degree 2 * QUADRATURE_NODES - 1: sum w P_n(x) = 2 delta_n0,
+        # with P_n from the three-term recurrence; degree 2 * QUADRATURE_NODES
+        # is off by about 0.1, so the check tells a wrong rule from this one
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for n in range(2 * measurement.QUADRATURE_NODES):
+            assert abs(w @ cur - (2.0 if n == 0 else 0.0)) <= 5e-14, n
+            prev, cur = cur, ((2 * n + 1) * x * cur - n * prev) / (n + 1)
+        assert abs(w @ cur) > 1e-2
+        # the table is leggauss's rule; another LAPACK may round it apart
+        ref_x, ref_w = np.polynomial.legendre.leggauss(measurement.QUADRATURE_NODES)
+        assert np.all(np.abs(x - ref_x) <= 2 * np.spacing(np.abs(ref_x)))
+        assert np.all(np.abs(w - ref_w) <= 2 * np.spacing(ref_w))
+        # one panel of [0, tau] integrates with the module's rule as is
         spec, v = toy
-        fresh = np.polynomial.legendre.leggauss
-        calls = []
-
-        def counting(deg):
-            calls.append(deg)
-            return fresh(deg)
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        measurement._gauss_legendre.cache_clear()
-        first = forcing_norm_sq(spec, v, 0, 1, 0.7, order=3)
-        second = forcing_norm_sq(spec, v, 0, 1, 1.3, order=3)
-        assert calls == [measurement.QUADRATURE_NODES]
-        # the same value as a quadrature built afresh for this call
-        for tau, got in [(0.7, first), (1.3, second)]:
-            x, w = fresh(measurement.QUADRATURE_NODES)
+        for tau in (0.7, 1.3):
             vals = recovery_derivative(spec, v, 0, 1, 0.5 * tau * (x + 1.0), 3)
-            assert got == float(np.sum(0.5 * tau * w * vals**2))
+            want = float(np.sum(0.5 * tau * w * vals**2))
+            assert forcing_norm_sq(spec, v, 0, 1, tau, order=3) == want
 
 
 @pytest.fixture(scope="module")

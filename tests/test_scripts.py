@@ -59,3 +59,17 @@ def test_console_script_target_runs():
 def test_tracer_selftest_passes():
     # pins the names, arities and call counts the benchmark tracer binds
     _assert_ok(_run([str(ROOT / "perfbench" / "selftest.py")]))
+
+
+def test_forcing_norm_sweep_never_imports_numpy_polynomial(tmp_path):
+    # the forcing-norm rule is tabulated: a deriv-scaling sweep with noise
+    # must not pay for importing numpy.polynomial or building leggauss
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("model = heisenberg\nn = 4\nmodel_seed = 42\n"
+                   "theta_values = 0.001\nd_values = 5,9\ntrials = 1\n"
+                   f"out = {tmp_path / 'out'}\n")
+    code = ("import sys\n"
+            "from superkrylov import cli\n"
+            f"assert cli.main(['deriv-scaling', '--config', {str(cfg)!r}]) == 0\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
+    _assert_ok(_run(["-c", code]))
