@@ -5,14 +5,14 @@ With the eigenbasis weights w_p = |<u_p|v>|^2 of the initial state, the
 recovery probability between Krylov indices j and k is the squared
 modulus of one O(N) eigenphase sum,
 
-    R_jk(t) = |<v| e^{-iH(k-j)t} |v>|^2 = |f(t)|^2,
-    f(t)    = sum_p w_p exp(i (j-k) t lam_p),
+    R_jk(t) = |<v| e^{-iH(k-j)t} |v>|^2 = F((k-j) t),
+    F(s)    = |f(s)|^2,   f(s) = sum_p w_p exp(-i s lam_p),
 
-which is real, lies in [0, 1], and depends on (j, k) only through k - j.
-Every time derivative follows from the amplitudes f_n = d^n f/dt^n by the
-Leibniz rule, d^n R/dt^n = sum_m C(n, m) f_m conj(f_{n-m}); these closed
-forms are the exact oracles used to calibrate the noisy-measurement
-estimators.
+which is real, lies in [0, 1], and depends on (j, k, t) only through
+s = (k-j) t: F is R_01, and d^n R_jk/dt^n = (k-j)^n F^(n)((k-j) t).  Each
+F^(n) follows from the amplitudes f_m = d^m f/ds^m by the Leibniz rule,
+F^(n) = sum_m C(n, m) f_m conj(f_{n-m}); these closed forms are the exact
+oracles used to calibrate the noisy-measurement estimators.
 
 So the oracles need the eigenvalues and the weights, never the
 eigenvectors themselves.  ``eigendecompose(h)`` keeps the eigenvectors U
@@ -21,17 +21,17 @@ and states are vectors in the computational basis; with
 amplitude vectors <u_p|v> over the eigenvectors (H's own eigenbasis, in
 which U is the identity).
 
-Every oracle evaluates the amplitudes through one private kernel,
-``_amplitudes``, whose result is cached by ``_cache.content_cache``: a
-sweep asks for the same series of one gap at every noise level theta and
-every trial.  The key is the eigenvalues, the weights, the index
-differences d, the times (at least 1-D) and the order; ``_cache``
-describes the keys, the read-only results and the bound.  A value holds
-(order + 1) * size(t) * size(d) complex numbers, 7.7 KB for a forcing
-norm (order 3, 120 nodes, one gap).  The checks -- finite times,
-nonnegative indices, an integer order and the state shape in
-``eigenbasis_weights`` -- run before the cache is consulted, so a hit
-cannot skip them.
+Every oracle evaluates one private kernel, ``_amplitudes(spec, w, s,
+order)``: f_0..f_order at the scaled times s, of shape (order + 1,) +
+shape(s) with s at least 1-D.  It is cached by ``_cache.content_cache``,
+as a sweep asks for one gap's series at every theta and trial, and every
+gap's derivatives at t = 0 are one entry.  The key is the eigenvalues,
+the weights, s and the order; ``_cache`` describes the keys, the
+read-only results and the bound.  A value holds (order + 1) * size(s)
+complex numbers, 7.7 KB for a forcing norm (order 3, 120 nodes).  The
+checks -- finite times, nonnegative indices, an integer order and the
+state shape in ``eigenbasis_weights`` -- run before the cache is
+consulted, so a hit cannot skip them.
 """
 
 from __future__ import annotations
@@ -156,32 +156,30 @@ def eigenbasis_weights(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray
     return np.abs(c) ** 2
 
 
-def _amplitudes(spec, w, d, t, order):
-    """Amplitudes f_0..f_order for the weights w at index differences d = j - k.
+def _amplitudes(spec, w, s, order):
+    """Amplitudes f_0..f_order of F at the scaled times s, for the weights w.
 
-    d is an int or an array of them, and the result has the shape
-    (order + 1,) + shape(atleast_1d(t)) + shape(d).  Every t must be finite.
-    The result is shared through the cache, so it is read-only.
+    The result has the shape (order + 1,) + shape(atleast_1d(s)).  Every s
+    must be finite.  The result is shared through the cache: read-only.
     """
-    _check_times(t)
+    _check_times(s)
     return _amplitude_table(
         np.asarray(spec.eigenvalues, dtype=float), np.asarray(w, dtype=float),
-        np.asarray(d, dtype=np.int64),
-        np.atleast_1d(np.asarray(t, dtype=float)), order)
+        np.atleast_1d(np.asarray(s, dtype=float)), order)
 
 
 @content_cache
-def _amplitude_table(lam, w, d, t, order):
+def _amplitude_table(lam, w, s, order):
     """The amplitudes of ``_amplitudes``, from arrays cast and checked there.
 
     Scalar and array calls run the same loops, so they agree bit for bit.
     R ignores a shift of H, so lam is centred first to keep lam^n small.
     """
     lam = lam - 0.5 * (lam[0] + lam[-1])
-    z = 1j * np.multiply.outer(d, lam)
-    phases = np.exp(np.multiply.outer(t, z))
+    z = 1j * -lam
+    phases = np.exp(np.multiply.outer(s, z))
     terms = (w * phases)[..., None, :]
-    amps = np.sum(terms * z[..., None, :] ** np.arange(order + 1)[:, None], axis=-1)
+    amps = np.sum(terms * z ** np.arange(order + 1)[:, None], axis=-1)
     return np.moveaxis(amps, -1, 0)
 
 
@@ -191,7 +189,7 @@ def _probability(f):
 
 
 def _derivative(f, order: int):
-    """d^order R/dt^order = sum_n C(order, n) f_n conj(f_{order-n})."""
+    """F^(order) = sum_n C(order, n) f_n conj(f_{order-n})."""
     return sum(comb(order, n) * f[n] * np.conj(f[order - n])
                for n in range(order + 1)).real
 
@@ -202,20 +200,22 @@ def _like_t(t, values):
 
 
 def recovery_probability(spec, v, j: int, k: int, t):
-    """R_jk(t) = |<v| e^{-iH(k-j)t} |v>|^2 at a scalar t or an array of t."""
+    """R_jk(t) = F((k-j) t) at a scalar t or an array of t."""
     if _check_entry(spec, v, j, k, t):  # a diagonal entry is exactly 1
         return _like_t(t, np.ones_like(np.atleast_1d(t), dtype=float))
-    f = _amplitudes(spec, eigenbasis_weights(spec, v), j - k, t, 0)
+    f = _amplitudes(spec, eigenbasis_weights(spec, v),
+                    (k - j) * np.asarray(t, dtype=float), 0)
     return _like_t(t, _probability(f))
 
 
 def recovery_derivative(spec, v, j: int, k: int, t, order: int):
-    """Exact order-th time derivative of R_jk at a scalar t or an array of t."""
+    """R_jk^(order)(t) = (k-j)^order F^(order)((k-j) t), t scalar or array."""
     _check_entry(spec, v, j, k, t)
     if not (isinstance(order, numbers.Integral) and order >= 0):
         raise ValueError("derivative order must be a nonnegative integer")
-    f = _amplitudes(spec, eigenbasis_weights(spec, v), j - k, t, order)
-    return _like_t(t, _derivative(f, order))
+    f = _amplitudes(spec, eigenbasis_weights(spec, v),
+                    (k - j) * np.asarray(t, dtype=float), order)
+    return _like_t(t, (k - j) ** order * _derivative(f, order))
 
 
 def exact_J_entry(spec, v, j: int, k: int, t: float) -> complex:

@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import math
+import numbers
 import sys
 import time
 import typing
@@ -78,6 +79,11 @@ SCHEMA_VERSION = 1
 NOISE_FREE_EPS_PER_M = 1e-12
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment parameters (defaults are desk scale: n=6)."""
@@ -104,6 +110,13 @@ class ExperimentConfig:
     def validate(self):
         if self.model not in ("heisenberg", "bipartite"):
             raise ConfigParse(f"unknown model {self.model!r}")
+        # a float seed would be truncated, a float size fail deep in a run
+        for key in ("n", "model_seed", "D", "M", "trials", "master_seed"):
+            if not _is_integer(getattr(self, key)):
+                raise ConfigParse(f"{key} must be an integer")
+        for key in ("m_values", "d_values"):
+            if not all(_is_integer(x) for x in getattr(self, key)):
+                raise ConfigParse(f"{key} entries must be integers")
         for key in ("m_values", "theta_values", "d_values"):
             values = getattr(self, key)
             if not values:

@@ -125,7 +125,6 @@ class MinimaxFit:
     beta: np.ndarray
     model: EstimatorModel
     timepoints: np.ndarray
-    residual_norm: float
 
 
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
@@ -167,7 +166,7 @@ def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
 
 
 def _ridge_solve(model: EstimatorModel, ts: np.ndarray, rhs: np.ndarray):
-    """Solve (q/r I + G) x = rhs on the grid ts; returns x and the matrix."""
+    """Solve (q/r I + G) x = rhs on the grid ts."""
     system = (model.budget.q / model.budget.r * np.eye(ts.size)
               + forcing_gram(model, ts))
     try:
@@ -176,7 +175,7 @@ def _ridge_solve(model: EstimatorModel, ts: np.ndarray, rhs: np.ndarray):
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("ridge system gave a non-finite solution")
-    return x, system
+    return x
 
 
 def _representer(model: EstimatorModel, ts: np.ndarray, t: float,
@@ -209,10 +208,8 @@ def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:
     """
     ts = _check_grid(model, series.timepoints)
     y_tilde = series.values - model.homogeneous(ts)
-    beta, system = _ridge_solve(model, ts, y_tilde)
-    residual = float(np.linalg.norm(system @ beta - y_tilde))
-    return MinimaxFit(beta=beta, model=model, timepoints=ts,
-                      residual_norm=residual)
+    beta = _ridge_solve(model, ts, y_tilde)
+    return MinimaxFit(beta=beta, model=model, timepoints=ts)
 
 
 def evaluate_component(fit_result: MinimaxFit, t: float, component: int) -> float:
@@ -255,7 +252,7 @@ def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
     w = _representer(model, ts, t_eval, component)
     n = model.M - 1 - component
     kk = float(_overlap(t_eval, n, t_eval, n)) / factorial(n) ** 2
-    u, _ = _ridge_solve(model, ts, w)
+    u = _ridge_solve(model, ts, w)
     sigma_sq = (kk - float(w @ u)) / model.budget.q
     if not sigma_sq >= 0:
         raise SingularSystem(

@@ -94,20 +94,20 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
     """Exact (J_hat, R_hat) from the spectral oracles at timestep t_star.
 
     Entries depend only on the gap g = k - j, so the m - 1 distinct values
-    come from one weight vector and one amplitude call over all gaps:
-    R_0g = |f_0|^2 as in recovery_probability and J_0g = R_0g'/(-ig) as
-    in exact_J_entry.
+    come from one weight vector and one amplitude call at the times g t_star:
+    R_0g = F(g t_star) as in recovery_probability and J_0g = R_0g'/(-ig)
+    = i F'(g t_star) as in exact_J_entry.
     """
     if m < 2:
         raise ValueError("Krylov dimension m must be at least 2")
-    gaps = np.arange(1, m)
-    f = _amplitudes(spec, eigenbasis_weights(spec, v), -gaps, t_star, 1)[:, 0]
+    times = np.arange(1, m) * t_star
+    f = _amplitudes(spec, eigenbasis_weights(spec, v), times, 1)
     r_row = np.ones(m, dtype=complex)
     r_row[1:] = _probability(f)
     # written through .imag so the real parts stay +0 (1j * x gives -0
     # wherever x < 0)
     j_row = np.zeros(m, dtype=complex)
-    j_row.imag[1:] = _derivative(f, 1) / gaps
+    j_row.imag[1:] = _derivative(f, 1)
     return _toeplitz_pair(r_row, j_row)
 
 

@@ -269,13 +269,13 @@ class TestStateShape:
             ORACLES[oracle](spec, bad, 0.3)
 
 
-def fresh_amplitudes(spec, w, d, t, order):
+def fresh_amplitudes(spec, w, s, order):
     """The amplitudes computed directly, without the cache."""
     lam = spec.eigenvalues - 0.5 * (spec.eigenvalues[0] + spec.eigenvalues[-1])
-    z = 1j * np.multiply.outer(d, lam)
-    phases = np.exp(np.multiply.outer(np.atleast_1d(t), z))
+    z = 1j * -lam
+    phases = np.exp(np.multiply.outer(np.atleast_1d(s), z))
     terms = (w * phases)[..., None, :]
-    amps = np.sum(terms * z[..., None, :] ** np.arange(order + 1)[:, None], axis=-1)
+    amps = np.sum(terms * z ** np.arange(order + 1)[:, None], axis=-1)
     return np.moveaxis(amps, -1, 0)
 
 
@@ -293,22 +293,20 @@ def _amplitude_cases():
     t = np.linspace(0.1, 1.0, 7)
     nudged_spec = type(spec)(eigenvalues=_nudged(spec.eigenvalues, 3, np.inf),
                              eigenvectors=None)
-    base = (spec, w, -1, t, 2)
+    base = (spec, w, t, 2)
     # (first call, second call, whether they share a key)
     return {
-        "same-content": (base, (spec, w.copy(), -1, t.copy(), 2), True),
-        "eigenvalue-ulp": (base, (nudged_spec, w, -1, t, 2), False),
-        "weight-ulp": (base, (spec, _nudged(w, 5, 0.0), -1, t, 2), False),
-        "time-ulp": (base, (spec, w, -1, _nudged(t, 2, np.inf), 2), False),
-        "gap": (base, (spec, w, -2, t, 2), False),
-        "order": (base, (spec, w, -1, t, 3), False),
-        "several-gaps": (base, (spec, w, -np.arange(1, 4), t, 2), False),
-        # a scalar t and a one-element list are the same 1-D key
-        "scalar-vs-list-t": ((spec, w, -2, 0.4, 1), (spec, w, -2, [0.4], 1), True),
-        "scalar-vs-1d-d": ((spec, w, -2, 0.4, 1),
-                           (spec, w, np.array([-2]), 0.4, 1), False),
-        "1d-vs-2d-t": ((spec, w, -2, [0.4], 1),
-                       (spec, w, -2, np.array([[0.4]]), 1), False),
+        "same-content": (base, (spec, w.copy(), t.copy(), 2), True),
+        "eigenvalue-ulp": (base, (nudged_spec, w, t, 2), False),
+        "weight-ulp": (base, (spec, _nudged(w, 5, 0.0), t, 2), False),
+        "time-ulp": (base, (spec, w, _nudged(t, 2, np.inf), 2), False),
+        # gap 2 on the same grid: the scaled times 2 t
+        "gap": (base, (spec, w, 2 * t, 2), False),
+        "order": (base, (spec, w, t, 3), False),
+        # a scalar s and a one-element list are the same 1-D key
+        "scalar-vs-list-t": ((spec, w, 0.8, 1), (spec, w, [0.8], 1), True),
+        "1d-vs-2d-t": ((spec, w, [0.8], 1), (spec, w, np.array([[0.8]]), 1),
+                       False),
     }
 
 
@@ -337,7 +335,7 @@ class TestAmplitudeCache:
         rng = np.random.default_rng(12)
         spec = eigendecompose(random_hermitian(rng, 8))
         w = eigenbasis_weights(spec, random_state(rng, 8))
-        f = _amplitudes(spec, w, -1, 0.3, 2)
+        f = _amplitudes(spec, w, 0.3, 2)
         with pytest.raises(ValueError):
             f[0, 0] = 1.0
 
@@ -399,6 +397,14 @@ class TestSecondDerivative:
         assert abs(val - 4 * np.sin(0.6)) < 1e-12
 
 
+@pytest.fixture
+def shifted():
+    """H shifted by +40 I, its decomposition and a random state."""
+    rng = np.random.default_rng(11)
+    h = random_hermitian(rng, 12) + 40.0 * np.eye(12)
+    return h, eigendecompose(h), random_state(rng, 12)
+
+
 class TestOracleReference:
     """The amplitude oracle against the brute-force double sum.
 
@@ -408,12 +414,6 @@ class TestOracleReference:
 
     GAPS = [(0, 1), (0, 3), (4, 1), (2, 9)]
     TIMES = np.linspace(0.0, 2.0, 9)
-
-    @pytest.fixture
-    def shifted(self):
-        rng = np.random.default_rng(11)
-        h = random_hermitian(rng, 12) + 40.0 * np.eye(12)
-        return h, eigendecompose(h), random_state(rng, 12)
 
     @pytest.mark.parametrize("order", range(5))
     def test_derivatives_match_double_sum(self, shifted, order):
@@ -448,6 +448,72 @@ class TestOracleReference:
             assert np.all(got.real == 0)
             np.testing.assert_allclose(got, ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _bits(x):
+    return np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes()
+
+
+class TestScaledTimeIdentity:
+    """Every oracle is R_01 at the scaled time s = (k - j) t:
+
+        R_jk(t) = R_01(s),   R_jk^(n)(t) = (k - j)^n R_01^(n)(s),
+
+    bit for bit, and both sides agree with the brute-force double sums.
+    """
+
+    # random pairs, with j > k and j == k among them
+    PAIRS = [tuple(int(i) for i in p)
+             for p in np.random.default_rng(21).integers(0, 10, size=(6, 2))]
+    PAIRS += [(7, 2), (4, 4)]
+    TIMES = [0.37, np.random.default_rng(22).uniform(-0.5, 2.0, size=6)]
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("t", TIMES, ids=["scalar", "array"])
+    def test_derivative(self, shifted, t, order):
+        h, spec, v = shifted
+        for j, k in self.PAIRS:
+            got = recovery_derivative(spec, v, j, k, t, order)
+            want = (k - j) ** order * recovery_derivative(
+                spec, v, 0, 1, (k - j) * np.asarray(t), order)
+            assert _bits(got) == _bits(want), (j, k)
+            ref = np.array([recovery_reference(h, v, j, k, ti, order)
+                            for ti in np.atleast_1d(t)])
+            np.testing.assert_allclose(np.atleast_1d(got), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("t", TIMES, ids=["scalar", "array"])
+    def test_probability(self, shifted, t):
+        h, spec, v = shifted
+        for j, k in self.PAIRS:
+            got = recovery_probability(spec, v, j, k, t)
+            want = recovery_probability(spec, v, 0, 1, (k - j) * np.asarray(t))
+            if j == k:
+                # a diagonal entry is exactly 1; R_01(0) = ||v||^4 is 1 to
+                # rounding
+                assert np.all(got == 1.0)
+                np.testing.assert_allclose(want, 1.0, rtol=0, atol=1e-15)
+            else:
+                assert _bits(got) == _bits(want), (j, k)
+            ref = np.array([recovery_reference(h, v, j, k, ti)
+                            for ti in np.atleast_1d(t)])
+            np.testing.assert_allclose(np.atleast_1d(got), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("t", TIMES[1].tolist())
+    def test_commutator(self, shifted, t):
+        h, spec, v = shifted
+        got = [exact_J_entry(spec, v, j, k, t) for j, k in self.PAIRS]
+        for (j, k), entry in zip(self.PAIRS, got):
+            if j == k:
+                assert entry == 0j
+                continue
+            slope = recovery_derivative(spec, v, 0, 1, (k - j) * t, 1)
+            want = complex(0.0, -((k - j) * slope) / (j - k))
+            assert _bits(entry) == _bits(want), (j, k)
+        ref = [commutator_reference(h, v, j, k, t) for j, k in self.PAIRS]
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestInitialState:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from superkrylov import (
+    ConfigParse,
     SingularSystem,
     assemble_dense,
     assemble_pair_exact,
@@ -155,14 +156,41 @@ def test_caches_never_leak_between_configs(tmp_path):
 
 @pytest.mark.parametrize("M", [3, 6])
 def test_convergence_reuses_amplitudes_across_theta(M, tmp_path):
-    # per gap the series on the grid, the forcing norm and each even
-    # derivative R^(p)(0), p = 2, 4, .. < M, plus one exact pair per sweep;
-    # none depends on theta, so the second theta computes nothing new
+    # per gap the series on the grid and the forcing norm, plus each even
+    # derivative R_01^(p)(0), p = 2, 4, .. < M, which every gap shares
+    # (R_0g^(p)(0) = g^p R_01^(p)(0)), and one exact pair per cell; none
+    # depends on theta, so the second theta computes nothing new
     cfg = _noisy4(M=M, out=str(tmp_path))
-    per_gap = 2 + len(range(2, M, 2))
-    distinct = per_gap * (max(cfg.m_values) - 1) + 1
+    gaps = max(cfg.m_values) - 1
+    even = len(range(2, M, 2))
+    distinct = 2 * gaps + even + 1
     _clear_caches()
     experiments.run("convergence", cfg)
     info = _amplitude_table.cache_info()
-    calls = distinct * len(cfg.theta_values) * cfg.trials
+    calls = ((2 + even) * gaps + 1) * len(cfg.theta_values) * cfg.trials
     assert (info.misses, info.hits) == (distinct, calls - distinct)
+
+
+@pytest.mark.parametrize("command", ["convergence", "deriv-scaling"])
+@pytest.mark.parametrize("key, value", [
+    ("master_seed", 1.5),  # would be truncated to seed 1
+    ("D", 2.5),
+    ("d_values", [5, 7.5]),
+    ("trials", 1.5),
+    ("M", 3.0),
+    ("n", 4.0),
+    ("model_seed", 42.5),
+    ("m_values", [2, 3.5]),
+    ("trials", True),
+])
+def test_integer_fields_must_be_integers(key, value, command, tmp_path):
+    cfg = _noisy4(**{key: value}, out=str(tmp_path / "out"))
+    with pytest.raises(ConfigParse, match=key):
+        experiments.run(command, cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_numpy_integers_are_integers():
+    cfg = _noisy4(n=np.int64(4), D=np.int32(9), trials=np.int64(2),
+                  m_values=[np.int64(2), np.int64(4)])
+    assert cfg.validate() is cfg
