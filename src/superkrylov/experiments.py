@@ -39,6 +39,7 @@ from .dynamics import (
     eigendecompose,
     recovery_derivative,
     recovery_probability,
+    spectral_measure,
 )
 from .errors import ConfigParse
 from .measurement import (
@@ -84,6 +85,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """A real number, numpy's included; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment parameters (defaults are desk scale: n=6)."""
@@ -117,6 +123,13 @@ class ExperimentConfig:
         for key in ("m_values", "d_values"):
             if not all(_is_integer(x) for x in getattr(self, key)):
                 raise ConfigParse(f"{key} entries must be integers")
+        # a string or None would fail the comparisons below with a bare
+        # TypeError
+        for key in ("gamma0", "delta_t_fraction", "eps_fixed"):
+            if not _is_real(getattr(self, key)):
+                raise ConfigParse(f"{key} must be a real number")
+        if not all(_is_real(x) for x in self.theta_values):
+            raise ConfigParse("theta_values entries must be real numbers")
         for key in ("m_values", "theta_values", "d_values"):
             values = getattr(self, key)
             if not values:
@@ -203,9 +216,13 @@ def parse_config(path: str) -> ExperimentConfig:
 class PipelineContext:
     """Diagonalized model plus reference quantities shared by all cells.
 
-    ``spec`` holds no eigenvectors: ``v`` is the initial state's amplitude
-    vector in H's eigenbasis.  ``factor_qubits`` is the qubit count of
-    each qubit-disjoint factor H was diagonalized by, in order.
+    ``spec`` and ``v`` are the levels of the initial state's spectral
+    measure (``dynamics.spectral_measure``): ``spec`` holds one eigenvalue
+    per distinct level of H and no eigenvectors, and ``v`` the square
+    roots of the state's weight on each level, so ``spec.dim`` counts
+    levels, not states.  ``lam0`` is the lowest eigenvalue of H itself.
+    ``factor_qubits`` is the qubit count of each qubit-disjoint factor H
+    was diagonalized by, in order.
     """
 
     spec: SpectralDecomposition
@@ -248,19 +265,21 @@ def build_context(config: ExperimentConfig) -> PipelineContext:
     so H is diagonalized without eigenvectors and the state is built in
     its eigenbasis.  Each qubit-disjoint factor of H is assembled and
     diagonalized on its own, and H's spectrum is the sorted Kronecker sum
-    of theirs; a connected model is one factor, H itself.
+    of theirs; a connected model is one factor, H itself.  The context
+    then keeps only the levels of the state's spectral measure.
     """
     ham = _hamiltonian(config)
     factors = qubit_factors(ham)
     spec = SpectralDecomposition(eigenvalues=_factored_spectrum(factors),
                                  eigenvectors=None)
-    v = build_initial_state(spec, config.gamma0)
+    lam0 = float(spec.eigenvalues[0])
+    spec, v = spectral_measure(spec, build_initial_state(spec, config.gamma0))
     width_j = 2.0 * spec.spectral_width
     t_star = choose_timestep(width_j)
     delta_t = config.delta_t_fraction * t_star
     tau = 1.5 * (t_star + delta_t)
     return PipelineContext(
-        spec=spec, v=v, lam0=float(spec.eigenvalues[0]),
+        spec=spec, v=v, lam0=lam0,
         class_tag=ham.class_tag, top_energy=ham.top_energy,
         t_star=t_star, delta_t=delta_t, tau=tau,
         factor_qubits=tuple(part.n_qubits for part in factors),
@@ -460,6 +479,16 @@ COMMANDS = {
 }
 
 
+def _blas() -> dict | None:
+    """Name and version of the BLAS numpy was built with; None on numpy
+    < 1.25, whose show_config has no mode and cannot return them."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": info.get("name"), "version": info.get("version")}
+
+
 def run(command: str, config: ExperimentConfig) -> str:
     """Run one ``COMMANDS`` entry and write its CSV tables and manifest.
 
@@ -497,8 +526,10 @@ def run(command: str, config: ExperimentConfig) -> str:
                 # to import
                 "environment": {
                     "python": "%d.%d.%d" % sys.version_info[:3],
-                    "numpy": np.__version__},
+                    "numpy": np.__version__,
+                    "blas": _blas()},
                 "factor_qubits": list(ctx.factor_qubits),
+                "spectral_atoms": ctx.spec.dim,
                 "n_records": len(tables[0][2]),
                 "stage_s": {"build_context": round(built - start, 3),
                             "cells": round(computed - built, 3),

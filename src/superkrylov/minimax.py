@@ -104,6 +104,9 @@ class EstimatorModel:
         if not 0 < self.tau < np.inf:
             raise BadHorizon("horizon tau must be positive and finite")
         object.__setattr__(self, "x_in", x_in)
+        # Python floats: at a scalar t the drift then multiplies floats,
+        # not numpy scalars, in the same IEEE operations
+        object.__setattr__(self, "_x_in_floats", tuple(x_in.tolist()))
 
     @property
     def M(self) -> int:
@@ -111,11 +114,16 @@ class EstimatorModel:
         return self.x_in.size
 
     def homogeneous(self, t, component: int = 0):
-        """Drift-only trajectory at time(s) t: the Taylor flow of x_in."""
-        return sum(
-            t ** (p - component) * self.x_in[p] / factorial(p - component)
-            for p in range(component, self.M)
-        )
+        """Drift-only trajectory at time(s) t: the Taylor flow of x_in.
+
+        The terms are added in order by a plain loop: sum() compensates
+        the rounding of Python floats from Python 3.12 on.
+        """
+        x_in = self._x_in_floats
+        drift = 0
+        for p in range(component, len(x_in)):
+            drift += t ** (p - component) * x_in[p] / factorial(p - component)
+        return drift
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,10 @@ class MinimaxFit:
     beta: np.ndarray
     model: EstimatorModel
     timepoints: np.ndarray
+
+    def __post_init__(self):
+        # evaluate_component calls beta.dot, which a hand-built list lacks
+        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
 
 
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
@@ -183,7 +195,9 @@ def _representer(model: EstimatorModel, ts: np.ndarray, t: float,
     """Overlaps w_i = <k_i, kappa> of the data kernels on ts with the
     representer kappa of component `component` at time t."""
     M = model.M
-    if not (isinstance(component, numbers.Integral) and 0 <= component < M):
+    # the type test is the fast path; numbers.Integral admits numpy integers
+    if not ((type(component) is int or isinstance(component, numbers.Integral))
+            and 0 <= component < M):
         raise ValueError("component must be an integer in [0, M)")
     if not 0 <= t <= model.tau:
         raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
@@ -221,7 +235,7 @@ def evaluate_component(fit_result: MinimaxFit, t: float, component: int) -> floa
     """
     model = fit_result.model
     w = _representer(model, fit_result.timepoints, t, component)
-    return float(model.homogeneous(t, component) + fit_result.beta @ w)
+    return float(model.homogeneous(t, component) + fit_result.beta.dot(w))
 
 
 def evaluate_x0(fit_result: MinimaxFit, t: float) -> float:

@@ -224,10 +224,30 @@ class TestOutputs:
         assert main(["convergence", "--config", config_file, "--out", out]) == 0
         with open(os.path.join(out, "convergence_manifest.json")) as fh:
             manifest = json.load(fh)
-        assert manifest["environment"] == {
+        environment = manifest.pop("environment")
+        blas = environment.pop("blas")
+        assert environment == {
             "python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__}
+        try:  # numpy >= 1.25
+            built = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except TypeError:
+            assert blas is None
+        else:
+            assert blas == {"name": built["name"], "version": built["version"]}
         assert manifest["schema_version"] == 1
+
+    @pytest.mark.parametrize("model, atoms", [
+        ("model = bipartite\nn = 3", 64),  # 64 distinct eigenvalues
+        ("model = heisenberg", 6),  # the SU(2) levels of the 16 eigenvalues
+    ])
+    def test_manifest_records_spectral_atoms(self, tmp_path, model, atoms):
+        path = tmp_path / "cfg.txt"
+        out = tmp_path / "out"
+        path.write_text(_config_text(f"theta_values = 0\nout = {out}\n{model}\n"))
+        assert main(["convergence", "--config", str(path)]) == 0
+        manifest = json.loads((out / "convergence_manifest.json").read_text())
+        assert manifest["spectral_atoms"] == atoms
 
     def test_manifest_times_each_stage(self, config_file, tmp_path):
         out = str(tmp_path / "o6")

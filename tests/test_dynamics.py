@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,12 @@ from _phase_oracle import (
     vectorized_commutator_matrix,
 )
 from superkrylov.dynamics import (
+    SpectralDecomposition,
     _amplitude_table,
     _amplitudes,
     _entry_scale_and_asymmetry,
     eigenbasis_weights,
+    spectral_measure,
 )
 
 
@@ -274,9 +278,8 @@ def fresh_amplitudes(spec, w, s, order):
     lam = spec.eigenvalues - 0.5 * (spec.eigenvalues[0] + spec.eigenvalues[-1])
     z = 1j * -lam
     phases = np.exp(np.multiply.outer(np.atleast_1d(s), z))
-    terms = (w * phases)[..., None, :]
-    amps = np.sum(terms * z ** np.arange(order + 1)[:, None], axis=-1)
-    return np.moveaxis(amps, -1, 0)
+    coef = w * z ** np.arange(order + 1)[:, None]
+    return np.stack([np.sum(phases * row, axis=-1) for row in coef])
 
 
 def _nudged(x, i, towards):
@@ -356,6 +359,76 @@ def test_checks_run_on_a_cached_amplitude_key(toy):
     with pytest.raises(ValueError, match="nonnegative integer"):
         recovery_derivative(spec, v, 0, 1, 0.3, 1.0)
     assert _amplitude_table.cache_info().hits == hits
+
+
+def test_kernel_peak_memory_is_about_two_phase_arrays():
+    # the contraction holds the phase array and one product of its size,
+    # never a (times, order + 1, N) temporary
+    rng = np.random.default_rng(4)
+    n, nodes = 4096, 120
+    lam = np.sort(rng.normal(size=n))
+    w = np.full(n, 1.0 / n)
+    s = np.linspace(0.0, 1.0, nodes)
+    tracemalloc.start()
+    try:
+        _amplitude_table.__wrapped__(lam, w, s, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * nodes * n * np.dtype(complex).itemsize
+
+
+class TestSpectralMeasure:
+    N = 64
+
+    def _spectrum(self):
+        """N eigenvalues in [-3, 3] with two near-degenerate pairs: one
+        spaced just below the merge bound N eps max|lam|, one just above."""
+        tol = self.N * np.finfo(float).eps * 3.0
+        lam = np.linspace(-3.0, 3.0, self.N - 2)
+        lam = np.sort(np.r_[lam, lam[10] + 0.9 * tol, lam[40] + 1.1 * tol])
+        return lam, tol
+
+    def test_merges_only_pairs_within_the_bound(self):
+        lam, tol = self._spectrum()
+        # most of the weight on the merged pair, unevenly, so its first-order
+        # error does not cancel
+        w = np.full(self.N, 0.3 / (self.N - 2))
+        w[10], w[11] = 0.6, 0.1
+        spec = SpectralDecomposition(eigenvalues=lam, eigenvectors=None)
+        levels, amp = spectral_measure(spec, np.sqrt(w))
+        assert levels.dim == self.N - 1 and levels.eigenvectors is None
+        assert levels.eigenvalues[10] == (lam[10] + lam[11]) / 2
+        np.testing.assert_array_equal(levels.eigenvalues[:10], lam[:10])
+        np.testing.assert_array_equal(levels.eigenvalues[11:], lam[12:])
+        assert abs(amp[10] ** 2 - 0.7) <= 1e-15
+        np.testing.assert_array_equal(amp[11:] ** 2, w[12:])
+        # each eigenvalue moved by delta, so f_0 moves by at most |s| delta
+        delta = (lam[11] - lam[10]) / 2
+        assert delta <= tol / 2
+        s = np.linspace(-50.0, 50.0, 40)  # not 0, where rounding is all
+        full = _amplitudes(spec, w, s, 0)[0]
+        merged = _amplitudes(levels, amp ** 2, s, 0)[0]
+        assert np.all(np.abs(full - merged) <= np.abs(s) * delta)
+        assert np.max(np.abs(full - merged)) > 0.1 * 50.0 * delta
+
+    def test_distinct_spectrum_comes_back_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        spec = eigendecompose(random_hermitian(rng, 16), vectors=False)
+        v = random_state(rng, 16)
+        levels, amp = spectral_measure(spec, v)
+        assert levels.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+        assert (eigenbasis_weights(levels, amp).tobytes()
+                == eigenbasis_weights(spec, v).tobytes())
+
+    def test_state_in_the_computational_basis(self):
+        # a doubly degenerate H with eigenvectors: the levels carry the
+        # populations of v's projections on each eigenspace
+        spec = eigendecompose(np.diag([1.0, -1.0, 1.0]))
+        v = np.array([0.6, 0.0, 0.8])
+        levels, amp = spectral_measure(spec, v)
+        np.testing.assert_array_equal(levels.eigenvalues, [-1.0, 1.0])
+        np.testing.assert_allclose(amp ** 2, [0.0, 1.0], atol=1e-15)
 
 
 class TestSecondDerivative:

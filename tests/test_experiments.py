@@ -14,8 +14,8 @@ from superkrylov import (
     estimated_eta_norm_sq,
     recovery_derivative,
 )
-from superkrylov import experiments, minimax
-from superkrylov.dynamics import _amplitude_table
+from superkrylov import dynamics, experiments, minimax, solver
+from superkrylov.dynamics import SpectralDecomposition, _amplitude_table
 from superkrylov.experiments import (
     ExperimentConfig,
     _fit_series,
@@ -25,6 +25,7 @@ from superkrylov.experiments import (
     build_context,
 )
 from superkrylov.measurement import sample_grid
+from superkrylov.pauli import qubit_factors
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-4])
@@ -96,14 +97,48 @@ def test_context_matches_eigenvector_reference(cfg):
     _close(pair.J_hat, ref.J_hat)
 
 
-@pytest.mark.parametrize("cfg, shapes, factor_qubits", [
-    # the bipartite model couples qubit i to n + i only: five 4 x 4 factors
+def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
+    # every scaled time a noisy sweep evaluates -- the series grids, the
+    # forcing-norm nodes and g t* -- recorded at the one amplitude kernel
+    cfg = ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25,
+                           theta_values=[1e-3], d_values=[5, 15, 40])
+    ctx = build_context(cfg)
+    full = SpectralDecomposition(
+        eigenvalues=experiments._factored_spectrum(
+            qubit_factors(_hamiltonian(cfg))), eigenvectors=None)
+    full_v = build_initial_state(full, cfg.gamma0)
+    assert (ctx.spec.dim, full.dim) == (20, 64)
+    times = []
+
+    def record(spec, w, s, order):
+        times.append(np.atleast_1d(np.asarray(s, dtype=float)))
+        return amplitudes(spec, w, s, order)
+
+    amplitudes = dynamics._amplitudes
+    monkeypatch.setattr(dynamics, "_amplitudes", record)
+    monkeypatch.setattr(solver, "_amplitudes", record)
+    experiments._convergence(ctx, cfg)
+    experiments._derivative_scaling(ctx, cfg)
+    monkeypatch.undo()
+    s = np.unique(np.concatenate(times))
+    assert s.size > 3000
+    for order in range(3):
+        ref = recovery_derivative(full, full_v, 0, 1, s, order)
+        got = recovery_derivative(ctx.spec, ctx.v, 0, 1, s, order)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), order
+
+
+@pytest.mark.parametrize("cfg, shapes, factor_qubits, levels", [
+    # the bipartite model couples qubit i to n + i only: five 4 x 4 factors,
+    # and its 1024 eigenvalues are distinct
     (ExperimentConfig(model="bipartite", n=5, model_seed=42, gamma0=0.25),
-     [(4, 4)] * 5, (2, 2, 2, 2, 2)),
+     [(4, 4)] * 5, (2, 2, 2, 2, 2), 1024),
+    # SU(2) multiplets: 5 singlets, 9 triplets, 5 quintets and 1 septet
     (ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25),
-     [(64, 64)], (6,)),
+     [(64, 64)], (6,), 20),
 ], ids=["bipartite5", "heisenberg6"])
-def test_context_assembles_only_factors(cfg, shapes, factor_qubits, monkeypatch):
+def test_context_assembles_only_factors(cfg, shapes, factor_qubits, levels,
+                                        monkeypatch):
     assembled = []
 
     def record(ham):
@@ -115,7 +150,8 @@ def test_context_assembles_only_factors(cfg, shapes, factor_qubits, monkeypatch)
     ctx = build_context(cfg)
     assert assembled == shapes
     assert ctx.factor_qubits == factor_qubits
-    assert ctx.spec.dim == 2 ** sum(factor_qubits)
+    assert ctx.spec.dim == levels
+    assert abs(np.sum(ctx.v ** 2) - 1.0) <= 1e-15
 
 
 CACHES = (_amplitude_table, minimax._kernel_overlaps)
@@ -188,6 +224,28 @@ def test_integer_fields_must_be_integers(key, value, command, tmp_path):
     with pytest.raises(ConfigParse, match=key):
         experiments.run(command, cfg)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "deriv-scaling"])
+@pytest.mark.parametrize("key, value", [
+    ("gamma0", "0.25"),
+    ("gamma0", True),
+    ("delta_t_fraction", None),
+    ("eps_fixed", "0"),
+    ("theta_values", ["0.001"]),
+    ("theta_values", [0.001, None]),
+])
+def test_float_fields_must_be_real_numbers(key, value, command, tmp_path):
+    cfg = _noisy4(**{key: value}, out=str(tmp_path / "out"))
+    with pytest.raises(ConfigParse, match=key):
+        experiments.run(command, cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_numpy_floats_are_real_numbers():
+    cfg = _noisy4(gamma0=np.float64(0.25), delta_t_fraction=np.float32(0.15),
+                  theta_values=[np.float64(1e-3), 0])
+    assert cfg.validate() is cfg
 
 
 def test_numpy_integers_are_integers():

@@ -30,6 +30,7 @@ from superkrylov import (
     threshold_solve,
 )
 from superkrylov.dynamics import recovery_derivative
+from superkrylov.experiments import ExperimentConfig, _fit_gaps, build_context
 from superkrylov.measurement import forcing_norm_sq
 from superkrylov.solver import _toeplitz_pair
 
@@ -300,6 +301,37 @@ class TestTimestepAndNoiseRate:
         b = assemble_pair_exact(spec, v, 4, t_star)
         with pytest.raises(DimensionMismatch):
             noise_rate(a, b, 1.0)
+
+
+def _svd_noise_rate(est, exact, j_norm):
+    """omega with both spectral norms from the SVD."""
+    return (np.linalg.norm(est.R_hat - exact.R_hat, 2)
+            + np.linalg.norm(est.J_hat - exact.J_hat, 2) / j_norm)
+
+
+def _random_toeplitz_pair(rng, m):
+    rows = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+    rows[:, 0] = rows[:, 0].real  # a Hermitian diagonal is real
+    return _toeplitz_pair(*rows)
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_noise_rate_matches_svd_norms_on_random_pairs(m):
+    rng = np.random.default_rng(m)
+    est, exact = _random_toeplitz_pair(rng, m), _random_toeplitz_pair(rng, m)
+    ref = _svd_noise_rate(est, exact, 3.0)
+    assert abs(noise_rate(est, exact, 3.0) - ref) <= 1e-13 * ref
+
+
+def test_noise_rate_matches_svd_norms_on_a_minimax_pair():
+    cfg = ExperimentConfig(n=4, m_values=list(range(2, 13)), theta_values=[1e-3])
+    ctx = build_context(cfg)
+    est = assemble_pair_minimax(_fit_gaps(ctx, cfg, 1e-3, 0), ctx.t_star)
+    exact = assemble_pair_exact(ctx.spec, ctx.v, est.m, ctx.t_star)
+    j_norm = 2.0 * ctx.spec.spectral_width
+    ref = _svd_noise_rate(est, exact, j_norm)
+    assert ref > 0
+    assert abs(noise_rate(est, exact, j_norm) - ref) <= 1e-13 * ref
 
 
 NAN = float("nan")
