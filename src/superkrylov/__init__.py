@@ -64,6 +64,7 @@ from .minimax import (
     evaluate_x0,
     evaluate_x1,
     fit,
+    fit_batch,
     forcing_gram,
     kernel_matrix,
 )

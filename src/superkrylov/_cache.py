@@ -2,8 +2,11 @@
 
 In the projected pair the entry (j, k) depends only on the gap k - j, so
 every noise level and trial of a sweep asks for the same spectral
-amplitudes of a gap (``dynamics``) and the same kernel overlaps on a
-sample grid (``minimax``).  ``content_cache`` memoizes both by content:
+amplitudes (``dynamics``) and the same kernel overlaps on a sample grid
+(``minimax``).  A ``convergence`` sweep asks for m_max + len(range(2, M,
+2)) + 1 amplitude tables: the series of every gap on the grid (one
+table), each even derivative at t = 0, each gap's forcing-norm nodes and
+the exact pair.  ``content_cache`` memoizes both by content:
 
 * an array argument is keyed by its dtype, shape and bytes, so an int64
   and a float64 array with the same bytes, or shapes (6,), (2, 3) and

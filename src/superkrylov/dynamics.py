@@ -31,9 +31,9 @@ shape(s) with s at least 1-D.  It contracts the phases exp(-i s lam_p)
 with one coefficient row w (-i lam)^n per order in one pass, so it holds
 the size(s) x N phase array and one product of that size (16 MB at
 N = 4096 and 120 nodes), and scalar and array calls agree bit for bit.
-It is cached by ``_cache.content_cache``, as a sweep asks for one gap's
-series at every theta and trial, and every gap's derivatives at t = 0
-are one entry.  The key is the eigenvalues,
+It is cached by ``_cache.content_cache``, as a sweep asks for the series
+of every gap, one (gap, grid) table, at every theta and trial, and every
+gap's derivatives at t = 0 are one entry.  The key is the eigenvalues,
 the weights, s and the order; ``_cache`` describes the keys, the
 read-only results and the bound.  A value holds (order + 1) * size(s)
 complex numbers, 7.7 KB for a forcing norm (order 3, 120 nodes).  The

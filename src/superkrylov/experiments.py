@@ -15,6 +15,14 @@ for one family of sweeps, the ``COMMANDS`` entry of that name:
 * ``gram``: dump of the exact (and, with noise, estimated) projected
   matrices.
 
+Every runner measures and fits through one routine,
+``_measure_and_fit``, which takes a list of gaps on one grid and computes
+each quantity once for all of them: one oracle call for the exact series
+of every gap, one per even derivative of the initial conditions, and one
+stacked ridge solve (``minimax.fit_batch``).  ``convergence`` and
+``gram`` pass the gaps 1..m_max - 1, ``deriv-scaling`` gap 1, and
+``minimax-demo`` gap 1 with its three budgets.
+
 All floating output is formatted with 17 significant digits so reruns
 with identical config and seed are byte-identical.
 """
@@ -43,10 +51,10 @@ from .dynamics import (
 )
 from .errors import ConfigParse
 from .measurement import (
+    MeasurementSeries,
     NoiseBudget,
     estimated_eta_norm_sq,
     forcing_norm_sq,
-    measure_series,
     sample_grid,
 )
 from .minimax import (
@@ -54,7 +62,7 @@ from .minimax import (
     error_certificate,
     evaluate_x0,
     evaluate_x1,
-    fit,
+    fit_batch,
 )
 from .pauli import (
     MAX_QUBITS_DENSE,
@@ -66,7 +74,6 @@ from .pauli import (
     qubit_factors,
 )
 from .solver import (
-    KrylovPair,
     assemble_pair_exact,
     assemble_pair_minimax,
     choose_timestep,
@@ -304,26 +311,42 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _fit_series(ctx: PipelineContext, config: ExperimentConfig, gap: int,
-                grid: np.ndarray, theta: float, seed_parts: tuple,
-                eta_bounds: list) -> tuple:
-    """Measure one seeded noisy series of R_{0,gap} on the grid and fit it
-    once per noise bound ||eta||^2; returns the series and the fits.
+def _measure_and_fit(ctx: PipelineContext, config: ExperimentConfig,
+                     grid: np.ndarray, theta: float, gaps, seeds,
+                     eta_bounds) -> tuple:
+    """Measure one seeded noisy series of R_0g per gap g on the grid, and
+    fit each once per noise bound ||eta||^2, all in one batch.
 
-    The initial condition x_in and the forcing norm are computed once and
-    shared; only the budget's r differs between the fits' models.
+    ``seeds[i]`` holds the ``_cell_seed`` parts of gap ``gaps[i]``'s
+    noise, and either the gaps or the bounds are one.  Returns the
+    series, one row per gap, and the fits, where ``fits[i][b]`` fits gap
+    ``gaps[i]`` under ``eta_bounds[b]``.  Every gap's exact series is one
+    oracle call, R_0g(t) = R_01(g t); its initial condition is x_in[p] =
+    g^p R_01^(p)(0), one oracle call per even p; only the forcing norm is
+    computed per gap, and only the budget's r differs between the fits of
+    a gap, which share its row of the series.
     """
-    seed = np.random.default_rng(_cell_seed(config.master_seed, *seed_parts))
-    series = measure_series(ctx.spec, ctx.v, 0, gap, grid, theta, seed=seed)
-    x_in = np.zeros(config.M)
-    x_in[0] = 1.0
+    gaps = list(gaps)
+    values = recovery_probability(ctx.spec, ctx.v, 0, 1,
+                                  np.multiply.outer(gaps, grid))
+    if theta > 0:
+        values = values + np.array([
+            np.random.default_rng(_cell_seed(config.master_seed, *parts))
+            .normal(0.0, theta, size=grid.size) for parts in seeds])
+    series = MeasurementSeries(timepoints=grid, values=values)
+    x_in = np.zeros((len(gaps), config.M))
+    x_in[:, 0] = 1.0
     # R is even in t, so its odd derivatives vanish at 0
     for p in range(2, config.M, 2):
-        x_in[p] = recovery_derivative(ctx.spec, ctx.v, 0, gap, 0.0, p)
-    f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, ctx.tau, order=config.M)
-    fits = [fit(EstimatorModel(x_in, ctx.tau, NoiseBudget(f_norm, eta)), series)
-            for eta in eta_bounds]
-    return series, fits
+        scale = np.array([g ** p for g in gaps], dtype=float)
+        x_in[:, p] = scale * recovery_derivative(ctx.spec, ctx.v, 0, 1, 0.0, p)
+    f_norms = [forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=config.M)
+               for g in gaps]
+    models = [EstimatorModel(x, ctx.tau, NoiseBudget(f_norm, eta))
+              for x, f_norm in zip(x_in, f_norms) for eta in eta_bounds]
+    fits = fit_batch(models, series)
+    k = len(eta_bounds)
+    return series, [fits[i:i + k] for i in range(0, len(fits), k)]
 
 
 def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
@@ -331,13 +354,11 @@ def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
     """One minimax fit per index gap g = 1..max(m_values) - 1, each on a
     freshly sampled noisy series; fits[g - 1] is the fit for gap g."""
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
-    eta_bound = estimated_eta_norm_sq(config.D, theta)
-    fits = []
-    for gap in range(1, max(config.m_values)):
-        _, [f] = _fit_series(ctx, config, gap, grid, theta,
-                             (1, _theta_key(theta), trial, gap), [eta_bound])
-        fits.append(f)
-    return fits
+    gaps = range(1, max(config.m_values))
+    seeds = [(1, _theta_key(theta), trial, g) for g in gaps]
+    _, fits = _measure_and_fit(ctx, config, grid, theta, gaps, seeds,
+                               [estimated_eta_norm_sq(config.D, theta)])
+    return [f for [f] in fits]
 
 
 def _convergence_cell(ctx: PipelineContext, config: ExperimentConfig,
@@ -349,8 +370,7 @@ def _convergence_cell(ctx: PipelineContext, config: ExperimentConfig,
     rows = []
     for m in sorted(config.m_values):
         # leading principal submatrices of the m_max pair are the m-pair
-        exact_m = KrylovPair(R_hat=exact_full.R_hat[:m, :m],
-                             J_hat=exact_full.J_hat[:m, :m])
+        exact_m = exact_full.leading(m)
         if theta == 0.0:
             pair = exact_m
             omega = 0.0
@@ -380,9 +400,9 @@ def _scaling_cell(ctx: PipelineContext, config: ExperimentConfig,
                   D: int, theta: float, trial: int) -> tuple:
     gap = 1
     grid = sample_grid(ctx.t_star, ctx.delta_t, D)
-    _, [f] = _fit_series(ctx, config, gap, grid, theta,
-                         (2, _theta_key(theta), trial, D),
-                         [estimated_eta_norm_sq(D, theta)])
+    _, [[f]] = _measure_and_fit(ctx, config, grid, theta, [gap],
+                                [(2, _theta_key(theta), trial, D)],
+                                [estimated_eta_norm_sq(D, theta)])
     truth = recovery_derivative(ctx.spec, ctx.v, 0, gap, ctx.t_star, 1)
     abs_error = abs(evaluate_x1(f, ctx.t_star) - truth)
     sigma = error_certificate(f.model, grid, ctx.t_star, 1)
@@ -423,8 +443,8 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
     eta0 = estimated_eta_norm_sq(config.D, theta)
     # the r variants come from scaled noise bounds so each budget stays valid
-    series, [fit_low, fit0, fit_high] = _fit_series(
-        ctx, config, gap, grid, theta, (3, _theta_key(theta), 0, gap),
+    series, [[fit_low, fit0, fit_high]] = _measure_and_fit(
+        ctx, config, grid, theta, [gap], [(3, _theta_key(theta), 0, gap)],
         [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
     exact_r = recovery_probability(ctx.spec, ctx.v, 0, gap, dense)
@@ -441,7 +461,7 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
         ))
     header = ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
               "xhat0_rhigh", "xhat1", "sigma"]
-    points = [(float(t), float(y)) for t, y in zip(grid, series.values)]
+    points = [(float(t), float(y)) for t, y in zip(grid, series.values[0])]
     return [("minimax_demo.csv", header, rows),
             ("minimax_demo_points.csv", ["t", "y"], points)]
 
@@ -459,12 +479,17 @@ def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
             _fit_gaps(ctx, config, theta, 0), ctx.t_star)
     rows = []
     for source, pair in pairs.items():
+        R, J = pair.R_hat, pair.J_hat
+        # the table keeps the signed zeros of the complex entries it has
+        # always written: a minimax J entry was the quotient x_hat_1/(-ig),
+        # whose real part is -0
+        j_re = -0.0 if source == "minimax" else 0.0
         for j in range(m):
             for k in range(m):
                 rows.append((
                     source, j, k,
-                    float(pair.R_hat[j, k].real), float(pair.R_hat[j, k].imag),
-                    float(pair.J_hat[j, k].real), float(pair.J_hat[j, k].imag),
+                    float(R[j, k].real), float(R[j, k].imag),
+                    j_re if j != k else 0.0, float(J[j, k].imag),
                 ))
     header = ["source", "row", "col", "R_re", "R_im", "J_re", "J_im"]
     return [("gram.csv", header, rows)]
@@ -493,11 +518,13 @@ def run(command: str, config: ExperimentConfig) -> str:
     """Run one ``COMMANDS`` entry and write its CSV tables and manifest.
 
     Returns the first table's path; the manifest counts its records and
-    splits ``wall_time_s`` into ``stage_s``.  An output directory that
-    cannot be created raises ``ConfigParse`` before any cell is computed.
+    splits ``wall_time_s`` into ``stage_s``, both read from the monotonic
+    ``time.perf_counter``, which a step of the wall clock cannot turn
+    negative.  An output directory that cannot be created raises
+    ``ConfigParse`` before any cell is computed.
     """
     # validation and the output directory count toward build_context
-    start = time.time()
+    start = time.perf_counter()
     config.validate()
     if command == "minimax-demo" and max(config.theta_values) == 0:
         raise ConfigParse("minimax-demo needs max(theta_values) > 0: "
@@ -508,9 +535,9 @@ def run(command: str, config: ExperimentConfig) -> str:
         raise ConfigParse(
             f"cannot write output directory {config.out!r}: {exc}") from exc
     ctx = build_context(config)
-    built = time.time()
+    built = time.perf_counter()
     tables = COMMANDS[command](ctx, config)
-    computed = time.time()
+    computed = time.perf_counter()
     paths = []
     for name, header, rows in tables:
         path = os.path.join(config.out, name)
@@ -519,7 +546,7 @@ def run(command: str, config: ExperimentConfig) -> str:
             for row in rows:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
         paths.append(path)
-    written = time.time()
+    written = time.perf_counter()
     manifest = {"schema_version": SCHEMA_VERSION, "command": command,
                 "config": asdict(config), "outputs": paths,
                 # sys.version_info, not the platform module, which is slow

@@ -34,7 +34,11 @@ PANEL_PHASE = 150.0
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Noisy samples y_s = R_jk(t_s) + eta_s on a strictly increasing grid."""
+    """Noisy samples y_s = R_jk(t_s) + eta_s on a strictly increasing grid.
+
+    ``values`` holds one series, of the grid's shape (D,), or several on
+    the one grid, one per row, of shape (k, D).
+    """
 
     timepoints: np.ndarray
     values: np.ndarray
@@ -42,8 +46,10 @@ class MeasurementSeries:
     def __post_init__(self):
         ts = np.asarray(self.timepoints, dtype=float)
         ys = np.asarray(self.values, dtype=float)
-        if ts.ndim != 1 or ts.shape != ys.shape or ts.size < 2:
-            raise ValueError("need matching 1-D grids with D >= 2")
+        if (ts.ndim != 1 or ys.ndim not in (1, 2) or ys.shape[-1] != ts.size
+                or ys.size == 0 or ts.size < 2):
+            raise ValueError("need a 1-D grid with D >= 2 and values of "
+                             "shape (D,) or (k, D)")
         if not np.all(np.diff(ts) > 0):  # a NaN fails this too
             raise ValueError("timepoints must be strictly increasing")
         if not np.all(np.isfinite(ys)):

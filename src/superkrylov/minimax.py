@@ -52,6 +52,13 @@ function, ``_kernel_overlaps(ts, M, t, n)``, computes them and
 Gram on D timepoints holds D^2 floats, 51 KB at D = 80; a representer
 holds D floats.  The grid checks, and the check that a component is an
 integer in range, run before the cache is consulted.
+
+``fit_batch`` fits many models on one grid at once: one G, and one
+stacked solve of the k ridge systems.  ``fit`` is a batch of one.  A
+``MinimaxFit`` keeps the values of the last time it was evaluated at,
+one per component, so the m-pairs of a sweep, which all read each gap's
+fit at t*, compute each value once; its beta is a read-only copy, so the
+values cannot go stale, and the checks run before the lookup.
 """
 
 from __future__ import annotations
@@ -128,15 +135,24 @@ class EstimatorModel:
 
 @dataclass(frozen=True)
 class MinimaxFit:
-    """Fitted kernel weights beta plus everything needed to re-evaluate."""
+    """Fitted kernel weights beta plus everything needed to re-evaluate.
+
+    beta and timepoints are read-only copies, as the fit keeps the values
+    of the last time it was evaluated at (see ``evaluate_component``).
+    """
 
     beta: np.ndarray
     model: EstimatorModel
     timepoints: np.ndarray
 
     def __post_init__(self):
-        # evaluate_component calls beta.dot, which a hand-built list lacks
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        for name in ("beta", "timepoints"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        # ((type(t), t), values by component) of the last time evaluated;
+        # replaced whole, so a reader always sees a key with its own values
+        object.__setattr__(self, "_memo", (None, None))
 
 
 def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
@@ -177,12 +193,18 @@ def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
     return _kernel_overlaps(ts, model.M, ts[:, None], model.M - 1)
 
 
-def _ridge_solve(model: EstimatorModel, ts: np.ndarray, rhs: np.ndarray):
-    """Solve (q/r I + G) x = rhs on the grid ts."""
-    system = (model.budget.q / model.budget.r * np.eye(ts.size)
-              + forcing_gram(model, ts))
+def _ridge_solve(models, ts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (q_i/r_i I + G) x_i = rhs_i on the grid ts for every model i.
+
+    rhs has one row per model.  The systems share G, one forcing_gram
+    call, and are solved in one stacked call; the explicit trailing axis
+    of rhs makes every numpy read it as a stack of vectors.
+    """
+    ratios = np.array([model.budget.q / model.budget.r for model in models])
+    systems = (ratios[:, None, None] * np.eye(ts.size)
+               + forcing_gram(models[0], ts))
     try:
-        x = np.linalg.solve(system, rhs)
+        x = np.linalg.solve(systems, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -190,20 +212,24 @@ def _ridge_solve(model: EstimatorModel, ts: np.ndarray, rhs: np.ndarray):
     return x
 
 
+def _check_evaluation(model: EstimatorModel, t: float, component: int):
+    """A component is an integer in [0, M) and t lies in [0, tau]."""
+    # the type test is the fast path; numbers.Integral admits numpy integers
+    if not ((type(component) is int or isinstance(component, numbers.Integral))
+            and 0 <= component < model.M):
+        raise ValueError("component must be an integer in [0, M)")
+    if not 0 <= t <= model.tau:
+        raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
+
+
 def _representer(model: EstimatorModel, ts: np.ndarray, t: float,
                  component: int) -> np.ndarray:
     """Overlaps w_i = <k_i, kappa> of the data kernels on ts with the
     representer kappa of component `component` at time t."""
-    M = model.M
-    # the type test is the fast path; numbers.Integral admits numpy integers
-    if not ((type(component) is int or isinstance(component, numbers.Integral))
-            and 0 <= component < M):
-        raise ValueError("component must be an integer in [0, M)")
-    if not 0 <= t <= model.tau:
-        raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
-    # float64, as a hand-built MinimaxFit may hold a list
-    return _kernel_overlaps(np.asarray(ts, dtype=float), M, float(t),
-                            M - 1 - component)
+    _check_evaluation(model, t, component)
+    # float64, as a caller may pass a list
+    return _kernel_overlaps(np.asarray(ts, dtype=float), model.M, float(t),
+                            model.M - 1 - component)
 
 
 @content_cache
@@ -213,17 +239,39 @@ def _kernel_overlaps(ts: np.ndarray, M: int, t, n: int) -> np.ndarray:
     return _overlap(ts, M - 1, t, n) / (factorial(M - 1) * factorial(n))
 
 
-def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:
-    """Solve the ridge system for the kernel weights beta.
+def fit_batch(models, series: MeasurementSeries) -> list[MinimaxFit]:
+    """Solve the ridge systems of many models on one grid for their beta.
 
-    The data are first reduced to Taylor remainders y_tilde (subtracting
-    the drift of the known initial condition); beta then solves
-    (q/r I + G) beta = y_tilde with G the forcing Gram matrix.
+    Row i of ``series.values`` is the data of ``models[i]``; a single
+    row, or 1-D values, serves every model.  The models share the order
+    M, and the grid must lie inside each horizon.  Each row is first
+    reduced to Taylor remainders y_tilde (subtracting the drift of its
+    model's initial condition); beta_i then solves
+    (q_i/r_i I + G) beta_i = y_tilde_i with G the forcing Gram matrix,
+    one G and one stacked solve for the whole batch.
     """
-    ts = _check_grid(model, series.timepoints)
-    y_tilde = series.values - model.homogeneous(ts)
-    beta = _ridge_solve(model, ts, y_tilde)
-    return MinimaxFit(beta=beta, model=model, timepoints=ts)
+    models = list(models)
+    if not models:
+        raise ValueError("a batch needs at least one model")
+    if any(model.M != models[0].M for model in models):
+        raise ValueError("the models of a batch must share the order M")
+    # the grid check against the shortest horizon covers every model
+    ts = _check_grid(min(models, key=lambda model: model.tau),
+                     series.timepoints)
+    # one row per model, or one row for all: other row counts do not
+    # broadcast and raise ValueError
+    drift = np.array([model.homogeneous(ts) for model in models])
+    y_tilde = series.values - drift
+    betas = _ridge_solve(models, ts, y_tilde)
+    return [MinimaxFit(beta=beta, model=model, timepoints=ts)
+            for model, beta in zip(models, betas)]
+
+
+def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:
+    """Solve the ridge system of one model for its kernel weights beta:
+    ``fit_batch`` with a batch of one."""
+    [result] = fit_batch([model], series)
+    return result
 
 
 def evaluate_component(fit_result: MinimaxFit, t: float, component: int) -> float:
@@ -231,11 +279,25 @@ def evaluate_component(fit_result: MinimaxFit, t: float, component: int) -> floa
 
     Drift of the initial condition plus the doubly integrated kernel
     contributions; by construction x_hat_l' = x_hat_{l+1} exactly and the
-    value is continuous (C^{M-1-l}) across the data knots.
+    value is continuous (C^{M-1-l}) across the data knots.  The fit keeps
+    the values of the last t it was evaluated at, by component, and
+    returns a kept value after the checks, so a repeat costs a lookup.
     """
     model = fit_result.model
-    w = _representer(model, fit_result.timepoints, t, component)
-    return float(model.homogeneous(t, component) + fit_result.beta.dot(w))
+    _check_evaluation(model, t, component)
+    # keyed by type as well: a float32 t computes in float32
+    key = (type(t), t)
+    memo_key, values = fit_result._memo
+    if memo_key != key:
+        values = [None] * model.M
+        object.__setattr__(fit_result, "_memo", (key, values))
+    value = values[component]
+    if value is None:
+        w = _kernel_overlaps(fit_result.timepoints, model.M, float(t),
+                             model.M - 1 - component)
+        value = float(model.homogeneous(t, component) + fit_result.beta.dot(w))
+        values[component] = value
+    return value
 
 
 def evaluate_x0(fit_result: MinimaxFit, t: float) -> float:
@@ -266,7 +328,7 @@ def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
     w = _representer(model, ts, t_eval, component)
     n = model.M - 1 - component
     kk = float(_overlap(t_eval, n, t_eval, n)) / factorial(n) ** 2
-    u = _ridge_solve(model, ts, w)
+    [u] = _ridge_solve([model], ts, w[None])
     sigma_sq = (kk - float(w @ u)) / model.budget.q
     if not sigma_sq >= 0:
         raise SingularSystem(

@@ -11,8 +11,9 @@ where R_hat collects recovery probabilities (the Gram matrix of the
 Krylov family) and J_hat the projected commutator.  Both matrices depend
 only on the index gap k - j and are Hermitian, so each is fixed by its
 first row, one value per gap, and the m-pair is the leading block of
-every larger one.  In the noise-free case R_hat is real while J_hat is
-purely imaginary, which makes the Ritz spectrum exactly antisymmetric.
+every larger one.  R_hat is real and J_hat purely imaginary, for exact
+and estimated pairs alike, so a ``KrylovPair`` holds two real rows and
+is solved in real arithmetic; the Ritz spectrum is antisymmetric.
 The Gram matrix is nearly singular by design (that is what convergence
 looks like), so the solve first discards Gram eigendirections below a
 threshold eps and whitens the rest.
@@ -42,22 +43,68 @@ from .minimax import evaluate_x0, evaluate_x1
 from .pauli import HamiltonianClass
 
 
+def _toeplitz(row: np.ndarray, antisymmetric: bool = False) -> np.ndarray:
+    """The Toeplitz matrix with entry (j, k) = row[k - j] for k >= j and,
+    below the diagonal, row[j - k], negated if antisymmetric."""
+    m = row.size
+    lower = -row if antisymmetric else row
+    # entry (j, k) is full[m - 1 + k - j]
+    full = np.concatenate((lower[:0:-1], row))
+    i = np.arange(m)
+    return full[m - 1 + i - i[:, None]]
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex matrix re + i im, with the signed zeros of both parts."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 @dataclass(frozen=True)
 class KrylovPair:
-    """Hermitian m x m pair (J_hat, R_hat) with unit diagonal Gram."""
+    """The pair (J_hat, R_hat), held as two real first rows r and a.
 
-    R_hat: np.ndarray
-    J_hat: np.ndarray
+    R_hat is real symmetric Toeplitz with R_jk = r[|k - j|], r[0] = 1,
+    and J_hat = i A with A real antisymmetric Toeplitz, A_jk = a[k - j]
+    for k >= j, a[0] = 0.  The rows are read-only copies.
+    """
+
+    r: np.ndarray
+    a: np.ndarray
 
     def __post_init__(self):
-        R, J = self.R_hat, self.J_hat
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or J.shape != R.shape:
-            raise DimensionMismatch("pair matrices must be square, of one shape")
+        r, a = np.array(self.r, dtype=float), np.array(self.a, dtype=float)
+        if r.ndim != 1 or r.size == 0 or a.shape != r.shape:
+            raise DimensionMismatch(
+                "pair rows must be 1-D, nonempty and of one length")
+        if a[0] != 0:
+            raise ValueError("a[0] must be 0: J_hat has a zero diagonal")
+        r.flags.writeable = a.flags.writeable = False
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", a)
 
     @property
     def m(self) -> int:
         """Krylov dimension: the order of R_hat and J_hat."""
-        return self.R_hat.shape[0]
+        return self.r.size
+
+    def leading(self, m: int) -> "KrylovPair":
+        """The m-pair: the leading m x m blocks, with rows r[:m], a[:m]."""
+        return KrylovPair(r=self.r[:m], a=self.a[:m])
+
+    @property
+    def R_hat(self) -> np.ndarray:
+        """R_hat as a complex Hermitian matrix; its imaginary parts are +0
+        on and above the diagonal and -0 below it, as conjugation puts them."""
+        return _complex(_toeplitz(self.r),
+                        _toeplitz(np.zeros(self.m), antisymmetric=True))
+
+    @property
+    def J_hat(self) -> np.ndarray:
+        """J_hat = i A as a complex Hermitian matrix; its real parts are +0."""
+        return _complex(np.zeros((self.m, self.m)),
+                        _toeplitz(self.a, antisymmetric=True))
 
 
 @dataclass(frozen=True)
@@ -73,22 +120,6 @@ class RitzResult:
         return float(self.ritz_values[0])
 
 
-def _toeplitz_pair(r_row, j_row) -> KrylovPair:
-    """Hermitian Toeplitz pair from its first rows, indexed by gap k - j.
-
-    Entry (j, k) with k >= j takes row[k - j] and the lower triangle is its
-    conjugate, so row[0] is the diagonal (R_jj = 1, J_jj = 0 for a pair).
-    """
-    r_row = np.asarray(r_row, dtype=complex)
-    j_row = np.asarray(j_row, dtype=complex)
-    m = r_row.size
-    d = np.subtract.outer(np.arange(m), np.arange(m))  # j - k
-    lower, g = d > 0, np.abs(d)
-    R = np.where(lower, r_row[g].conj(), r_row[g])
-    J = np.where(lower, j_row[g].conj(), j_row[g])
-    return KrylovPair(R_hat=R, J_hat=J)
-
-
 def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
                         t_star: float) -> KrylovPair:
     """Exact (J_hat, R_hat) from the spectral oracles at timestep t_star.
@@ -96,19 +127,14 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
     Entries depend only on the gap g = k - j, so the m - 1 distinct values
     come from one weight vector and one amplitude call at the times g t_star:
     R_0g = F(g t_star) as in recovery_probability and J_0g = R_0g'/(-ig)
-    = i F'(g t_star) as in exact_J_entry.
+    = i F'(g t_star) as in exact_J_entry, so a_g = F'(g t_star).
     """
     if m < 2:
         raise ValueError("Krylov dimension m must be at least 2")
     times = np.arange(1, m) * t_star
     f = _amplitudes(spec, eigenbasis_weights(spec, v), times, 1)
-    r_row = np.ones(m, dtype=complex)
-    r_row[1:] = _probability(f)
-    # written through .imag so the real parts stay +0 (1j * x gives -0
-    # wherever x < 0)
-    j_row = np.zeros(m, dtype=complex)
-    j_row.imag[1:] = _derivative(f, 1)
-    return _toeplitz_pair(r_row, j_row)
+    return KrylovPair(r=np.r_[1.0, _probability(f)],
+                      a=np.r_[0.0, _derivative(f, 1)])
 
 
 def assemble_pair_minimax(fits, t_star: float) -> KrylovPair:
@@ -118,15 +144,16 @@ def assemble_pair_minimax(fits, t_star: float) -> KrylovPair:
     g = k - j, so the pair has dimension len(fits) + 1; the m-pair comes
     from ``fits[:m - 1]``.  Each Gram entry is the reconstructed value
     clipped to its physical range [0, 1]; each commutator entry is the
-    reconstructed derivative divided by i(j - k).
+    reconstructed derivative divided by i(j - k) = -ig, which is i a_g
+    with a_g = x_hat_1 / g.
     """
     if not fits:
         raise ValueError("need a fit for at least gap 1 (Krylov dimension 2)")
-    r_row, j_row = [1.0], [0.0]
+    r, a = [1.0], [0.0]
     for g, f in enumerate(fits, 1):
-        r_row.append(min(max(evaluate_x0(f, t_star), 0.0), 1.0))
-        j_row.append(evaluate_x1(f, t_star) / (1j * -g))
-    return _toeplitz_pair(r_row, j_row)
+        r.append(min(max(evaluate_x0(f, t_star), 0.0), 1.0))
+        a.append(evaluate_x1(f, t_star) / g)
+    return KrylovPair(r=r, a=a)
 
 
 def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
@@ -134,13 +161,15 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
 
     Gram eigendirections with eigenvalue <= eps are projected out; the
     survivors are whitened (scaled by sigma^{-1/2}) so the reduced problem
-    is an ordinary Hermitian eigenproblem.
+    is an ordinary Hermitian eigenproblem.  All of it is real but the last
+    step: R is real symmetric, and with W the whitened kept eigenvectors
+    the reduced J_hat is i B, B = W^T A W real antisymmetric.
     """
     if not eps >= 0:  # a NaN fails this too
         raise ValueError("threshold eps must be nonnegative")
-    if not (np.all(np.isfinite(pair.R_hat)) and np.all(np.isfinite(pair.J_hat))):
+    if not (np.all(np.isfinite(pair.r)) and np.all(np.isfinite(pair.a))):
         raise SingularSystem("projected pair has non-finite entries")
-    sig, V = np.linalg.eigh((pair.R_hat + pair.R_hat.conj().T) / 2.0)
+    sig, V = np.linalg.eigh(_toeplitz(pair.r))
     keep = sig > eps
     if not keep.any():
         raise AllModesThresholded(
@@ -148,8 +177,8 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
             f"(max eigenvalue {sig[-1]:.3e})"
         )
     W = V[:, keep] / np.sqrt(sig[keep])
-    J_red = W.conj().T @ pair.J_hat @ W
-    ritz = np.linalg.eigvalsh((J_red + J_red.conj().T) / 2.0)
+    B = W.T @ _toeplitz(pair.a, antisymmetric=True) @ W
+    ritz = np.linalg.eigvalsh(1j * B)
     return RitzResult(ritz_values=ritz, kept_dim=int(keep.sum()))
 
 
@@ -188,16 +217,18 @@ def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
 
     omega = ||R_hat - R||_2 + ||J_hat - J||_2 / ||J||_2, where the
     commutator norm ||J||_2 = 2 (lam_max - lam_min) is supplied by the
-    caller (the simulator knows it exactly).  Both pairs are Hermitian --
-    ``_toeplitz_pair`` fills the lower triangle with exact conjugates --
-    so each difference is too, and its spectral norm is its largest
-    |eigenvalue|, which eigvalsh finds without the SVD that norm(ord=2)
-    runs.
+    caller (the simulator knows it exactly).  Both norms are found in real
+    arithmetic by eigvalsh, without the SVD that norm(ord=2) runs: the
+    difference of R is real symmetric Toeplitz, with row r_hat - r, so its
+    norm is its largest |eigenvalue|; the difference of J is i dA with dA
+    real antisymmetric, so its norm is that of dA, the square root of the
+    largest eigenvalue of dA^T dA.
     """
     if pair_estimated.m != pair_exact.m:
         raise DimensionMismatch("pairs have different Krylov dimensions")
     if not 0 < j_spectral_norm < np.inf:
         raise ValueError("j_spectral_norm must be positive and finite")
-    dR = np.linalg.eigvalsh(pair_estimated.R_hat - pair_exact.R_hat)
-    dJ = np.linalg.eigvalsh(pair_estimated.J_hat - pair_exact.J_hat)
-    return float(np.max(np.abs(dR)) + np.max(np.abs(dJ)) / j_spectral_norm)
+    dR = np.linalg.eigvalsh(_toeplitz(pair_estimated.r - pair_exact.r))
+    dA = _toeplitz(pair_estimated.a - pair_exact.a, antisymmetric=True)
+    dJ_sq = np.linalg.eigvalsh(dA.T @ dA)[-1]
+    return float(np.max(np.abs(dR)) + np.sqrt(dJ_sq) / j_spectral_norm)

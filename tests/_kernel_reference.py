@@ -6,8 +6,8 @@
 
 as ``minimax._overlap`` computed it before it stopped materializing the
 broadcast of its four arguments, and ``toeplitz_pair_reference`` fills the
-Hermitian Toeplitz pair from its first rows entry by entry, as
-``solver._toeplitz_pair`` did before it indexed one row by |j - k|.
+Hermitian Toeplitz pair from its first rows entry by entry, the reference
+for the complex matrices a ``solver.KrylovPair`` derives from its rows.
 """
 
 import numpy as np

@@ -1,3 +1,5 @@
+import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,8 @@ from superkrylov import dynamics, experiments, minimax, solver
 from superkrylov.dynamics import SpectralDecomposition, _amplitude_table
 from superkrylov.experiments import (
     ExperimentConfig,
-    _fit_series,
     _hamiltonian,
+    _measure_and_fit,
     _scaling_cell,
     _theta_key,
     build_context,
@@ -50,9 +52,9 @@ def test_ill_conditioned_certificate_raises():
                            master_seed=0)
     ctx = build_context(cfg)
     grid = sample_grid(ctx.t_star, ctx.delta_t, cfg.D)
-    _, [f] = _fit_series(ctx, cfg, gap, grid, theta,
-                         (1, _theta_key(theta), 0, gap),
-                         [estimated_eta_norm_sq(cfg.D, theta)])
+    _, [[f]] = _measure_and_fit(ctx, cfg, grid, theta, [gap],
+                                [(1, _theta_key(theta), 0, gap)],
+                                [estimated_eta_norm_sq(cfg.D, theta)])
     with pytest.raises(SingularSystem, match="component 1"):
         error_certificate(f.model, grid, ctx.t_star, 1)
 
@@ -120,7 +122,8 @@ def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
     experiments._convergence(ctx, cfg)
     experiments._derivative_scaling(ctx, cfg)
     monkeypatch.undo()
-    s = np.unique(np.concatenate(times))
+    # the series of every gap is one call on a 2-D (gap, grid) table
+    s = np.unique(np.concatenate([t.ravel() for t in times]))
     assert s.size > 3000
     for order in range(3):
         ref = recovery_derivative(full, full_v, 0, 1, s, order)
@@ -192,19 +195,32 @@ def test_caches_never_leak_between_configs(tmp_path):
 
 @pytest.mark.parametrize("M", [3, 6])
 def test_convergence_reuses_amplitudes_across_theta(M, tmp_path):
-    # per gap the series on the grid and the forcing norm, plus each even
-    # derivative R_01^(p)(0), p = 2, 4, .. < M, which every gap shares
-    # (R_0g^(p)(0) = g^p R_01^(p)(0)), and one exact pair per cell; none
-    # depends on theta, so the second theta computes nothing new
+    # per cell one key for the series of every gap on the grid (R_0g(t) =
+    # R_01(g t)), one per even derivative R_01^(p)(0), p = 2, 4, .. < M,
+    # which every gap shares (R_0g^(p)(0) = g^p R_01^(p)(0)), one forcing
+    # norm per gap and one exact pair; none depends on theta, so the second
+    # theta computes nothing new
     cfg = _noisy4(M=M, out=str(tmp_path))
     gaps = max(cfg.m_values) - 1
     even = len(range(2, M, 2))
-    distinct = 2 * gaps + even + 1
+    distinct = 1 + even + gaps + 1
     _clear_caches()
     experiments.run("convergence", cfg)
     info = _amplitude_table.cache_info()
-    calls = ((2 + even) * gaps + 1) * len(cfg.theta_values) * cfg.trials
+    calls = distinct * len(cfg.theta_values) * cfg.trials
     assert (info.misses, info.hits) == (distinct, calls - distinct)
+
+
+def test_stage_times_survive_a_backward_wall_clock_step(monkeypatch, tmp_path):
+    # NTP may step the wall clock back mid-run: here every reading is 10 s
+    # earlier than the one before, which a wall-clock timer reads as
+    # negative stages
+    readings = itertools.count(1e9, -10.0)
+    monkeypatch.setattr(experiments.time, "time", lambda: next(readings))
+    experiments.run("convergence", _noisy4(out=str(tmp_path)))
+    manifest = json.loads((tmp_path / "convergence_manifest.json").read_text())
+    assert manifest["wall_time_s"] >= 0
+    assert all(v >= 0 for v in manifest["stage_s"].values())
 
 
 @pytest.mark.parametrize("command", ["convergence", "deriv-scaling"])

@@ -12,6 +12,7 @@ from superkrylov import (
     NonPositiveBound,
     OutOfHorizon,
     error_certificate,
+    evaluate_component,
     evaluate_x0,
     evaluate_x1,
     fit,
@@ -20,9 +21,11 @@ from superkrylov import (
 )
 
 from superkrylov.minimax import (
+    MinimaxFit,
     _kernel_overlaps,
     _overlap,
     _representer,
+    fit_batch,
 )
 
 from _bvp_oracle import certificate_oracle
@@ -437,3 +440,129 @@ def test_non_finite_input_rejected(case):
     error, call = NON_FINITE_CASES[case]
     with pytest.raises(error):
         call()
+
+
+def _single_fit_beta(model, series):
+    """beta from one unstacked solve of one model's ridge system, as fit
+    solved it before the batch."""
+    ts = series.timepoints
+    y_tilde = series.values - model.homogeneous(ts)
+    budget = model.budget
+    system = budget.q / budget.r * np.eye(ts.size) + forcing_gram(model, ts)
+    return np.linalg.solve(system, y_tilde)
+
+
+def _taylor_model(M, f_norm, eta):
+    x_in = np.array([(-4.0) ** (p // 2) / 2 * (p % 2 == 0) for p in range(M)])
+    x_in[0] = 1.0  # cos^2 t = (1 + cos 2t) / 2
+    return EstimatorModel(x_in, TAU, NoiseBudget(f_norm, eta))
+
+
+class TestFitBatch:
+    @pytest.mark.parametrize("M", [3, 6])
+    def test_batch_equals_separate_fits_bit_for_bit(self, M):
+        # k models and k noisy rows on one grid, each with its own budget
+        ts = toy_grid(15)
+        rng = np.random.default_rng(M)
+        rows = np.cos(ts) ** 2 + rng.normal(0, 1e-3, (5, ts.size))
+        models = [_taylor_model(M, f, 2 * 15 * 1e-6)
+                  for f in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        fits = fit_batch(models, MeasurementSeries(timepoints=ts, values=rows))
+        for f, model, row in zip(fits, models, rows):
+            series = MeasurementSeries(timepoints=ts, values=row)
+            assert f.model is model
+            assert f.beta.tobytes() == _single_fit_beta(model, series).tobytes()
+
+    def test_single_row_batch_equals_a_separate_fit(self):
+        series = toy_series(15, theta=1e-3, seed=1)
+        model = toy_model(q=2.0, r=1e5)
+        [f] = fit_batch([model], series)
+        assert f.beta.tobytes() == _single_fit_beta(model, series).tobytes()
+        assert fit(model, series).beta.tobytes() == f.beta.tobytes()
+
+    def test_budgets_share_one_series(self):
+        # the minimax demo's three budgets fit one 1-D series
+        series = toy_series(15, theta=1e-3, seed=2)
+        eta0 = 2 * 15 * 1e-6
+        models = [EstimatorModel(X_IN, TAU, NoiseBudget(1.0, eta))
+                  for eta in (10 * eta0, eta0, 0.1 * eta0)]
+        fits = fit_batch(models, series)
+        for f, model in zip(fits, models):
+            assert f.beta.tobytes() == _single_fit_beta(model, series).tobytes()
+
+    def test_one_gram_per_batch(self, monkeypatch):
+        from superkrylov import minimax
+
+        calls = []
+        gram = minimax.forcing_gram
+        monkeypatch.setattr(minimax, "forcing_gram",
+                            lambda *args: calls.append(args) or gram(*args))
+        series = toy_series(15)
+        fit_batch([toy_model(q=q) for q in (1.0, 2.0, 3.0)], series)
+        assert len(calls) == 1
+
+    def test_models_must_share_the_order(self):
+        series = toy_series(10)
+        order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, toy_model().budget)
+        with pytest.raises(ValueError, match="order M"):
+            fit_batch([toy_model(), order4], series)
+        with pytest.raises(ValueError):
+            fit_batch([], series)
+
+    def test_grid_checked_against_every_horizon(self):
+        short = EstimatorModel(X_IN, 0.5 * TAU, toy_model().budget)
+        with pytest.raises(BadHorizon):
+            fit_batch([toy_model(), short], toy_series(6))
+
+    def test_rows_must_match_the_models(self):
+        ts = toy_grid(6)
+        rows = np.ones((3, ts.size))
+        with pytest.raises(ValueError):
+            fit_batch([toy_model(), toy_model()],
+                      MeasurementSeries(timepoints=ts, values=rows))
+
+
+class TestEvaluationMemo:
+    @pytest.fixture
+    def fitted(self):
+        return fit(toy_model(), toy_series(15, theta=1e-3, seed=4))
+
+    @pytest.mark.parametrize("component", [0, 1, 2])
+    def test_memo_hit_equals_a_fresh_computation(self, fitted, component):
+        first = evaluate_component(fitted, T_STAR, component)
+        again = evaluate_component(fitted, T_STAR, component)
+        # a new fit with the same weights has nothing kept
+        fresh = evaluate_component(
+            MinimaxFit(fitted.beta, fitted.model, fitted.timepoints),
+            T_STAR, component)
+        w = fresh_representer(fitted.model, fitted.timepoints, T_STAR, component)
+        direct = float(fitted.model.homogeneous(T_STAR, component)
+                       + fitted.beta.dot(w))
+        assert np.float64(again).tobytes() == np.float64(first).tobytes()
+        assert np.float64(fresh).tobytes() == np.float64(first).tobytes()
+        assert np.float64(direct).tobytes() == np.float64(first).tobytes()
+
+    def test_other_times_are_recomputed(self, fitted):
+        at = {t: evaluate_x1(fitted, t) for t in (0.2, T_STAR, 0.8)}
+        for t, value in at.items():
+            assert evaluate_x1(fitted, t) == value
+        assert len(set(at.values())) == 3
+
+    def test_checks_run_before_the_lookup(self, fitted):
+        evaluate_component(fitted, T_STAR, 1)
+        with pytest.raises(ValueError):
+            evaluate_component(fitted, T_STAR, 1.0)
+        evaluate_x0(fitted, TAU)
+        with pytest.raises(OutOfHorizon):
+            evaluate_x0(fitted, NAN)
+        with pytest.raises(OutOfHorizon):
+            evaluate_x0(fitted, np.nextafter(TAU, np.inf))
+
+    def test_beta_and_timepoints_are_read_only_copies(self):
+        beta, ts = np.ones(4), toy_grid(4)
+        f = MinimaxFit(beta, toy_model(), ts)
+        beta[0] = ts[0] = 0.0
+        assert f.beta[0] == 1.0 and f.timepoints[0] != 0.0
+        for array in (f.beta, f.timepoints):
+            with pytest.raises(ValueError):
+                array[0] = 2.0

@@ -1,6 +1,8 @@
 """The demos, the README Quick start, the CLI help and the benchmark's
 tracer self-test run against the package as it stands, each in a fresh
-interpreter; the console script's target runs in this one."""
+interpreter; the console script's target runs in this one.  Sweeps in
+child processes also check that the BLAS thread count leaves the CSV
+bytes alone."""
 
 import importlib
 import os
@@ -14,8 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(args):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def _run(args, **env_overrides):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env_overrides}
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -73,3 +75,27 @@ def test_forcing_norm_sweep_never_imports_numpy_polynomial(tmp_path):
             f"assert cli.main(['deriv-scaling', '--config', {str(cfg)!r}]) == 0\n"
             "assert 'numpy.polynomial' not in sys.modules\n")
     _assert_ok(_run(["-c", code]))
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("command, csv_name", [
+    ("convergence", "convergence.csv"),
+    ("deriv-scaling", "deriv_scaling.csv"),
+])
+def test_csv_bytes_do_not_depend_on_blas_threads(command, csv_name, tmp_path):
+    # the stacked ridge solve and the eigensolves must not round differently
+    # when the BLAS runs on more threads
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("model = heisenberg\nn = 4\nmodel_seed = 42\n"
+                   "m_values = 2,3,4,5,6,7,8\ntheta_values = 0.0001,0.001\n"
+                   "D = 15\nd_values = 5,10,20,40\ntrials = 2\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        _assert_ok(_run(["-m", "superkrylov.cli", command, "--config", str(cfg),
+                         "--out", str(out)],
+                        **{name: threads for name in BLAS_THREADS}))
+        outputs.append((out / csv_name).read_bytes())
+    assert outputs[0] == outputs[1]

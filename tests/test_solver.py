@@ -32,7 +32,6 @@ from superkrylov import (
 from superkrylov.dynamics import recovery_derivative
 from superkrylov.experiments import ExperimentConfig, _fit_gaps, build_context
 from superkrylov.measurement import forcing_norm_sq
-from superkrylov.solver import _toeplitz_pair
 
 from _kernel_reference import toeplitz_pair_reference
 
@@ -124,21 +123,43 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
 class TestToeplitzPair:
     @pytest.mark.parametrize("m", [2, 3, 17])
     def test_matches_entrywise_fill(self, m):
-        # same bits as the entry-by-entry fill, signed zeros included
+        # the complex matrices derived from the rows have the bits of the
+        # entry-by-entry Hermitian fill of R_0g = r_g and J_0g = i a_g,
+        # signed zeros included
         rng = np.random.default_rng(m)
-        real = [float(x) for x in rng.uniform(size=m - 1)]
-        imag = [complex(0.0, x) for x in rng.normal(size=m - 1)]
-        full = [complex(*rng.normal(size=2)) for _ in range(m - 1)]
-        neg_zero = [complex(-0.0, x) for x in rng.normal(size=m - 1)]
-        for r_gaps, j_gaps in [(real, imag), (full, full), (imag, real),
-                               (neg_zero, neg_zero)]:
-            r_row, j_row = [1.0, *r_gaps], [0.0, *j_gaps]
-            pair = _toeplitz_pair(r_row, j_row)
-            R, J = toeplitz_pair_reference(r_row, j_row)
-            assert pair.m == m
-            assert pair.R_hat.dtype == R.dtype and pair.J_hat.dtype == J.dtype
-            assert pair.R_hat.tobytes() == R.tobytes()
-            assert pair.J_hat.tobytes() == J.tobytes()
+        r = np.r_[1.0, rng.uniform(size=m - 1)]
+        a = np.r_[0.0, rng.normal(size=m - 1)]
+        pair = KrylovPair(r=r, a=a)
+        j_row = np.zeros(m, dtype=complex)
+        j_row.imag = a
+        R, J = toeplitz_pair_reference(r.astype(complex), j_row)
+        assert pair.m == m
+        assert pair.R_hat.dtype == R.dtype and pair.J_hat.dtype == J.dtype
+        assert pair.R_hat.tobytes() == R.tobytes()
+        assert pair.J_hat.tobytes() == J.tobytes()
+
+    def test_rows_are_read_only_copies(self):
+        r, a = np.array([1.0, 0.5]), np.array([0.0, 0.25])
+        pair = KrylovPair(r=r, a=a)
+        r[1] = a[1] = 0.0
+        assert (pair.r[1], pair.a[1]) == (0.5, 0.25)
+        with pytest.raises(ValueError):
+            pair.r[1] = 0.0
+
+    def test_leading_is_the_leading_block(self, chain):
+        _, spec, v, t_star = chain
+        full = assemble_pair_exact(spec, v, 6, t_star)
+        for m in range(2, 7):
+            pair = full.leading(m)
+            small = assemble_pair_exact(spec, v, m, t_star)
+            assert pair.r.tobytes() == small.r.tobytes()
+            assert pair.a.tobytes() == small.a.tobytes()
+            for X, Y in ((pair.R_hat, full.R_hat), (pair.J_hat, full.J_hat)):
+                assert X.tobytes() == np.ascontiguousarray(Y[:m, :m]).tobytes()
+
+    def test_nonzero_diagonal_of_J_rejected(self):
+        with pytest.raises(ValueError):
+            KrylovPair(r=[1.0, 0.5], a=[0.1, 0.2])
 
 
 class TestMinimaxAssembly:
@@ -195,18 +216,19 @@ class TestMinimaxAssembly:
 
 class TestThresholdSolve:
     def test_identity_gram(self):
-        pair = KrylovPair(R_hat=np.eye(3, dtype=complex),
-                          J_hat=np.diag([3.0, -1.0, 2.0]).astype(complex))
+        # J = i A with A = [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]]; the
+        # eigenvalues of i A are 0 and +-sqrt(1^2 + 2^2 + 1^2)
+        pair = KrylovPair(r=[1.0, 0.0, 0.0], a=[0.0, 1.0, 2.0])
         res = threshold_solve(pair, 0.0)
-        np.testing.assert_allclose(res.ritz_values, [-1, 2, 3], atol=1e-14)
+        np.testing.assert_allclose(res.ritz_values,
+                                   [-np.sqrt(6), 0, np.sqrt(6)], atol=1e-14)
         assert res.kept_dim == 3
 
     @pytest.mark.parametrize("matrix, bad", [("R_hat", np.nan), ("J_hat", np.inf)])
     def test_non_finite_pair_rejected(self, matrix, bad):
-        entries = {"R_hat": np.eye(3, dtype=complex),
-                   "J_hat": np.zeros((3, 3), dtype=complex)}
-        entries[matrix][0, 1] = entries[matrix][1, 0] = bad
-        pair = KrylovPair(**entries)
+        rows = {"R_hat": [1.0, 0.0, 0.0], "J_hat": [0.0, 0.0, 0.0]}
+        rows[matrix][1] = bad
+        pair = KrylovPair(r=rows["R_hat"], a=rows["J_hat"])
         with pytest.raises(SingularSystem):
             threshold_solve(pair, 0.0)
 
@@ -287,11 +309,11 @@ class TestTimestepAndNoiseRate:
     def test_single_entry_perturbation(self, chain):
         _, spec, v, t_star = chain
         pair = assemble_pair_exact(spec, v, 4, t_star)
-        R = pair.R_hat.copy()
+        r = pair.r.copy()
         eps = 1e-3
-        R[0, 1] += eps
-        R[1, 0] += eps
-        other = KrylovPair(R_hat=R, J_hat=pair.J_hat)
+        # the largest gap appears only at (0, 3) and (3, 0)
+        r[3] += eps
+        other = KrylovPair(r=r, a=pair.a)
         # symmetric rank-2 perturbation has spectral norm exactly eps
         assert abs(noise_rate(other, pair, 1.0) - eps) < 1e-12
 
@@ -310,9 +332,11 @@ def _svd_noise_rate(est, exact, j_norm):
 
 
 def _random_toeplitz_pair(rng, m):
-    rows = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
-    rows[:, 0] = rows[:, 0].real  # a Hermitian diagonal is real
-    return _toeplitz_pair(*rows)
+    # a real symmetric R and J = i A with A real antisymmetric, the only
+    # pairs a KrylovPair holds
+    r, a = rng.normal(size=(2, m))
+    a[0] = 0.0
+    return KrylovPair(r=r, a=a)
 
 
 @pytest.mark.parametrize("m", range(2, 41))
@@ -404,16 +428,14 @@ BAD_INPUT_CASES = {
         ValueError, lambda s, v, t: threshold_solve(_pair(s, v, t), NAN)),
     "threshold_solve with eps < 0": (
         ValueError, lambda s, v, t: threshold_solve(_pair(s, v, t), -1.0)),
-    "KrylovPair with non-square matrices": (
+    "KrylovPair with 2-D rows": (
         DimensionMismatch, lambda s, v, t: KrylovPair(
-            R_hat=np.ones((2, 3), dtype=complex),
-            J_hat=np.zeros((2, 3), dtype=complex))),
-    "KrylovPair with 1-D matrices": (
-        DimensionMismatch, lambda s, v, t: KrylovPair(
-            R_hat=np.ones(3, dtype=complex), J_hat=np.zeros(3, dtype=complex))),
+            r=np.ones((2, 3)), a=np.zeros((2, 3)))),
+    "KrylovPair with empty rows": (
+        DimensionMismatch, lambda s, v, t: KrylovPair(r=[], a=[])),
     "KrylovPair with mismatched matrices": (
         DimensionMismatch, lambda s, v, t: KrylovPair(
-            R_hat=np.eye(3, dtype=complex), J_hat=np.zeros((2, 2), dtype=complex))),
+            r=np.ones(3), a=np.zeros(2))),
 }
 
 
