@@ -1,13 +1,9 @@
-"""Command-line entry point for the experiment runners.
-
-Subcommands are the keys of ``experiments.COMMANDS``:
-
-    superkrylov convergence  --config cfg.txt [--seed N] [--out DIR]
-    superkrylov deriv-scaling --config cfg.txt ...
-    superkrylov minimax-demo  --config cfg.txt ...
-    superkrylov gram          --config cfg.txt ...
-
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+"""Command-line entry point for the experiment runners:
+``superkrylov COMMAND --config cfg.txt [--seed N] [--out DIR]``, where
+COMMAND, a key of ``experiments.COMMANDS``, may also follow the options.
+Each config key's kind and range are declared once, on its field of
+``experiments.ExperimentConfig``.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,27 +14,25 @@ import sys
 from .errors import ConfigParse, SuperKrylovError
 from .experiments import COMMANDS, parse_config, run
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-
-
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", required=True, help="path to key = value config")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config master_seed")
-    sub.add_argument("--out", default=None, help="override the output directory")
+EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; the epilog lists each command with the
+    first line of its runner's docstring."""
     parser = argparse.ArgumentParser(
         prog="superkrylov",
         description="Ground-state energy estimation experiments",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, runner in COMMANDS.items():
-        _add_common(subs.add_parser(
-            name, help=(runner.__doc__ or "").partition("\n")[0]))
+        epilog="commands:\n" + "\n".join(
+            "  %-15s%s" % (name, (runner.__doc__ or "").partition("\n")[0])
+            for name, runner in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", metavar="COMMAND", choices=COMMANDS,
+                        help="the sweep to run, one of the commands below")
+    parser.add_argument("--config", required=True, help="path to key = value config")
+    parser.add_argument("--seed", dest="master_seed", type=int, metavar="N",
+                        help="override the config master_seed")
+    parser.add_argument("--out", metavar="DIR", help="override the output directory")
     return parser
 
 
@@ -46,10 +40,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-        if args.seed is not None:
-            config.master_seed = args.seed
-        if args.out is not None:
-            config.out = args.out
+        for key in ("master_seed", "out"):
+            if getattr(args, key) is not None:
+                setattr(config, key, getattr(args, key))
         path = run(args.command, config)
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)

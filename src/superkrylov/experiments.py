@@ -29,6 +29,7 @@ with identical config and seed are byte-identical.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import os
@@ -36,8 +37,7 @@ import math
 import numbers
 import sys
 import time
-import typing
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -87,80 +87,90 @@ SCHEMA_VERSION = 1
 NOISE_FREE_EPS_PER_M = 1e-12
 
 
-def _is_integer(x) -> bool:
-    """An int or a numpy integer; a bool is not one."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+# a config key's kind: its value test, its name in errors, its text parser
+_Kind = collections.namedtuple("_Kind", "accepts noun parse")
 
 
-def _is_real(x) -> bool:
-    """A real number, numpy's included; a bool is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _list_of(item: _Kind, noun: str) -> _Kind:
+    # a repeated entry would read as an independent trial or cell
+    return _Kind(
+        lambda xs: (isinstance(xs, (list, tuple)) and len(xs) > 0
+                    and all(map(item.accepts, xs)) and len(set(xs)) == len(xs)),
+        f"a nonempty list of distinct {noun}",
+        lambda text: [item.parse(x) for x in text.split(",") if x.strip()])
+
+
+# numpy's integers and reals count, a bool is neither, and a real is finite
+INTEGER = _Kind(lambda x: isinstance(x, numbers.Integral)
+                and not isinstance(x, bool), "an integer", int)
+REAL = _Kind(lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool)
+             and math.isfinite(x), "a finite real number", float)
+STRING = _Kind(lambda x: isinstance(x, str), "a string", str)
+INTEGERS = _list_of(INTEGER, "integers")
+REALS = _list_of(REAL, "finite real numbers")
+
+
+def _setting(default, kind: _Kind, ok=None, rule: str = ""):
+    """The field of one config key: its default, kind, range test and rule."""
+    meta = {"setting": (kind, ok, rule)}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _at_least(lo: int) -> tuple:
+    return (lambda x: x >= lo), f"be >= {lo}"
+
+
+def _one_of(*names: str) -> tuple:
+    return (lambda x: x in names), "be one of " + ", ".join(names)
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment parameters (defaults are desk scale: n=6)."""
+    """Resolved experiment parameters (defaults are desk scale: n=6).
 
-    model: str = "heisenberg"
-    n: int = 6
-    model_seed: int = 42
-    gamma0: float = 0.25
-    m_values: list[int] = field(default_factory=lambda: list(range(2, 31)))
-    theta_values: list[float] = field(default_factory=lambda: [0.0])
-    D: int = 15
-    d_values: list[int] = field(default_factory=lambda: [5, 10, 20, 40])
-    M: int = 3
-    delta_t_fraction: float = 0.15
-    # auto | m-theta | fixed.  m-theta gives the same threshold as auto on
-    # every config validate accepts (all theta > 0); it stays because the
-    # benchmark's noisy-convergence workload config sets it.
-    eps_rule: str = "auto"
-    eps_fixed: float = 0.0
-    trials: int = 1
-    master_seed: int = 0
-    out: str = "."
+    Each field declares one config key's default, kind and range (of its
+    value, or of each entry of a list) through ``_setting``; ``validate``
+    checks every key against its declaration, then the rules that span keys.
+    """
+
+    model: str = _setting("heisenberg", STRING, *_one_of("heisenberg", "bipartite"))
+    n: int = _setting(6, INTEGER, *_at_least(1))
+    model_seed: int = _setting(42, INTEGER, *_at_least(0))
+    gamma0: float = _setting(0.25, REAL, lambda x: 0.0 < x <= 0.5,
+                             "lie in (0, 0.5]")
+    m_values: list[int] = _setting(list(range(2, 31)), INTEGERS, *_at_least(2))
+    theta_values: list[float] = _setting([0.0], REALS, *_at_least(0))
+    D: int = _setting(15, INTEGER, *_at_least(2))
+    d_values: list[int] = _setting([5, 10, 20, 40], INTEGERS, *_at_least(2))
+    M: int = _setting(3, INTEGER, *_at_least(2))
+    delta_t_fraction: float = _setting(0.15, REAL, lambda x: 0.0 < x < 1.0,
+                                       "lie in (0, 1)")
+    # m-theta gives the same threshold as auto on every config validate
+    # accepts (all theta > 0); it stays because the benchmark's
+    # noisy-convergence workload config sets it.
+    eps_rule: str = _setting("auto", STRING, *_one_of("auto", "m-theta", "fixed"))
+    eps_fixed: float = _setting(0.0, REAL, *_at_least(0))
+    trials: int = _setting(1, INTEGER, *_at_least(1))
+    master_seed: int = _setting(0, INTEGER, *_at_least(0))
+    out: str = _setting(".", STRING)
 
     def validate(self):
-        if self.model not in ("heisenberg", "bipartite"):
-            raise ConfigParse(f"unknown model {self.model!r}")
-        # a float seed would be truncated, a float size fail deep in a run
-        for key in ("n", "model_seed", "D", "M", "trials", "master_seed"):
-            if not _is_integer(getattr(self, key)):
-                raise ConfigParse(f"{key} must be an integer")
-        for key in ("m_values", "d_values"):
-            if not all(_is_integer(x) for x in getattr(self, key)):
-                raise ConfigParse(f"{key} entries must be integers")
-        # a string or None would fail the comparisons below with a bare
-        # TypeError
-        for key in ("gamma0", "delta_t_fraction", "eps_fixed"):
-            if not _is_real(getattr(self, key)):
-                raise ConfigParse(f"{key} must be a real number")
-        if not all(_is_real(x) for x in self.theta_values):
-            raise ConfigParse("theta_values entries must be real numbers")
-        for key in ("m_values", "theta_values", "d_values"):
-            values = getattr(self, key)
-            if not values:
-                raise ConfigParse(f"{key} must be nonempty")
-            # a repeated entry would write copies that read as independent
-            # trials or cells, and deriv-scaling would average them
-            if len(set(values)) != len(values):
-                raise ConfigParse(f"{key} has a repeated entry")
-        if not 0.0 < self.gamma0 <= 0.5:
-            raise ConfigParse("gamma0 must lie in (0, 0.5]")
-        if self.eps_rule not in ("auto", "m-theta", "fixed"):
-            raise ConfigParse(f"unknown eps_rule {self.eps_rule!r}")
-        if self.trials < 1 or self.D < 2 or self.M < 2:
-            raise ConfigParse("trials >= 1, D >= 2, M >= 2 required")
-        if self.n < (2 if self.model == "heisenberg" else 1):
-            raise ConfigParse("n must be >= 2 (heisenberg) or >= 1 (bipartite)")
+        # the kind first: a string or None would fail a range test with a
+        # bare TypeError, and a float seed would be truncated
+        for key, (kind, ok, rule) in _SETTINGS.items():
+            value = getattr(self, key)
+            if not kind.accepts(value):
+                raise ConfigParse(f"{key} must be {kind.noun}, not {value!r}")
+            entries = value if isinstance(value, (list, tuple)) else [value]
+            if ok is not None and not all(map(ok, entries)):
+                raise ConfigParse(f"{key} must {rule}, not {value!r}")
+        # a chain needs two sites; the dense cap bounds both models
         qubits = self.n if self.model == "heisenberg" else 2 * self.n
-        if qubits > MAX_QUBITS_DENSE:
-            raise ConfigParse(
-                f"{qubits} qubits exceed the dense cap {MAX_QUBITS_DENSE}")
-        if self.model_seed < 0 or self.master_seed < 0:
-            raise ConfigParse("model_seed and master_seed must be nonnegative")
-        if not (math.isfinite(self.eps_fixed) and self.eps_fixed >= 0):
-            raise ConfigParse("eps_fixed must be finite and nonnegative")
+        if not 2 <= qubits <= MAX_QUBITS_DENSE:
+            raise ConfigParse(f"n = {self.n} gives {qubits} qubits; the "
+                              f"{self.model} model needs 2 to {MAX_QUBITS_DENSE}")
         # a threshold below the noise-free floor keeps the numerically
         # null Gram modes
         floor = NOISE_FREE_EPS_PER_M * max(self.m_values)
@@ -168,30 +178,29 @@ class ExperimentConfig:
             raise ConfigParse(
                 f"eps_rule = fixed needs eps_fixed >= {floor:g}, the "
                 "noise-free floor at the largest m")
-        if min(self.m_values) < 2 or min(self.d_values) < 2:
-            raise ConfigParse("m_values and d_values entries must be >= 2")
-        if not all(math.isfinite(t) and t >= 0 for t in self.theta_values):
-            raise ConfigParse("theta_values must be finite and nonnegative")
         if self.eps_rule == "m-theta" and 0.0 in self.theta_values:
             raise ConfigParse("eps_rule = m-theta needs every theta > 0")
-        if not 0.0 < self.delta_t_fraction < 1.0:
-            raise ConfigParse("delta_t_fraction must lie in (0, 1)")
         return self
+
+
+# config key -> (kind, range test, rule), read once per process
+_SETTINGS = {f.name: f.metadata["setting"] for f in fields(ExperimentConfig)}
 
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read a ``key = value`` config file (comma-separated lists, # comments).
 
-    Each key's type is its ``ExperimentConfig`` annotation, and a key may
-    appear only once.
+    Each key's kind and range are declared on its ``ExperimentConfig``
+    field: the kind parses the value, and ``validate`` checks both.  A key
+    may appear only once.  A file that cannot be read or is not UTF-8
+    raises ``ConfigParse``.
     """
     cfg = ExperimentConfig()
-    types = typing.get_type_hints(ExperimentConfig)
     seen: dict[str, int] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -201,19 +210,14 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigParse(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in types:
+        if key not in _SETTINGS:
             raise ConfigParse(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigParse(
                 f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
-        kind = types[key]
         try:
-            if typing.get_origin(kind) is list:
-                [item] = typing.get_args(kind)
-                setattr(cfg, key, [item(x) for x in val.split(",") if x.strip()])
-            else:
-                setattr(cfg, key, kind(val))
+            setattr(cfg, key, _SETTINGS[key][0].parse(val))
         except ValueError as exc:
             raise ConfigParse(f"{path}:{lineno}: bad value for {key}") from exc
     return cfg.validate()
@@ -495,7 +499,7 @@ def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
     return [("gram.csv", header, rows)]
 
 
-# subcommand -> runner (ctx, config) -> [(csv_name, header, rows), ...]
+# command -> runner (ctx, config) -> [(csv_name, header, rows), ...]
 COMMANDS = {
     "convergence": _convergence,
     "deriv-scaling": _derivative_scaling,
@@ -523,6 +527,8 @@ def run(command: str, config: ExperimentConfig) -> str:
     negative.  An output directory that cannot be created raises
     ``ConfigParse`` before any cell is computed.
     """
+    if command not in COMMANDS:
+        raise ConfigParse(f"unknown command {command!r}: not in {list(COMMANDS)}")
     # validation and the output directory count toward build_context
     start = time.perf_counter()
     config.validate()

@@ -73,6 +73,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigParse):
             parse_config("/nonexistent/cfg.txt")
 
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        # used to escape as a UnicodeDecodeError traceback, exit 1
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"n = 4\nmodel = heisenberg \xff\n")
+        with pytest.raises(ConfigParse, match="cannot read config"):
+            parse_config(str(path))
+        assert main(["gram", "--config", str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_repeated_key(self, tmp_path):
         # the second value used to override the first without a word
         path = tmp_path / "cfg.txt"
@@ -136,6 +145,22 @@ class TestExitCodes:
         path.write_text(_config_text(f"out = {tmp_path / 'out'}\n{line}\n"))
         assert main(command.split() + ["--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["convergenc", "--config", "cfg.txt"],  # unknown command
+        ["convergence"],  # no --config
+        ["convergence", "--config", "cfg.txt", "--seed", "x"],
+    ])
+    def test_bad_command_line_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: superkrylov" in capsys.readouterr().err
+
+    def test_options_may_precede_the_command(self, config_file, tmp_path):
+        out = tmp_path / "before"
+        assert main(["--config", config_file, "--out", str(out), "gram"]) == 0
+        assert (out / "gram.csv").exists()
 
     def test_repeated_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"

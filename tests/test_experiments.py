@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -268,3 +269,62 @@ def test_numpy_integers_are_integers():
     cfg = _noisy4(n=np.int64(4), D=np.int32(9), trials=np.int64(2),
                   m_values=[np.int64(2), np.int64(4)])
     assert cfg.validate() is cfg
+
+
+def test_tuple_lists_are_accepted(tmp_path):
+    # a tuple list runs the same sweep as the list it holds
+    as_lists = _csv_bytes(_noisy4(), tmp_path / "lists")
+    as_tuples = _csv_bytes(_noisy4(m_values=(2, 4, 6, 8),
+                                   theta_values=(1e-3, 1e-2), d_values=(5, 9)),
+                           tmp_path / "tuples")
+    assert as_tuples == as_lists
+
+
+# Every config key, written out by hand rather than read from the
+# declarations, so a key whose declaration loses its kind or its range
+# test is caught: key -> (values of the wrong kind, values out of range).
+KEY_CASES = {
+    "model": ([3, None], ["tetrahedral"]),
+    "n": ([4.0, "4"], [0, -1]),
+    "model_seed": (["42", 42.5], [-1]),
+    "gamma0": (["0.25", True, None], [0.0, 0.9]),
+    "m_values": ([5, [2, 3.5], [], [2, 3, 3], "2,4"], [[1, 2, 4]]),
+    "theta_values": ([0.001, ["0.001"], [0.001, None], [np.nan], [np.inf],
+                      [1e-3, 1e-3]], [[-1e-3]]),
+    "D": ([9.0, None], [1]),
+    "d_values": ([10, [5, 7.5], (5, 5), []], [[1, 5]]),
+    "M": ([None, 3.0], [1]),
+    "delta_t_fraction": ([True, None, np.nan], [0.0, 1.0]),
+    "eps_rule": ([None, 1], ["noise-free"]),
+    "eps_fixed": (["0", np.inf], [-1.0]),
+    "trials": ([True, 1.5], [0]),
+    "master_seed": ([1.5, np.float64(3.0)], [-3]),
+    "out": ([None, 3, b"out"], []),
+}
+
+
+def test_key_cases_cover_every_config_key():
+    assert list(KEY_CASES) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key, (wrong, out_of_range) in KEY_CASES.items()
+    for value in wrong + out_of_range])
+def test_every_bad_value_names_its_key(key, value, tmp_path):
+    # out = None, out = 3 and a bare number for a list key used to reach
+    # the sweep and fail there with a bare TypeError
+    out = tmp_path / "out"
+    cfg = _noisy4(**{"out": str(out), key: value})
+    with pytest.raises(ConfigParse, match=rf"^{key}\b"):
+        experiments.run("convergence", cfg)
+    assert not out.exists()
+
+
+def test_unknown_command_is_rejected_before_any_work(tmp_path):
+    # a bad config too: the command is checked before validation, and no
+    # output directory is created
+    cfg = _noisy4(n=0, out=str(tmp_path / "out"))
+    with pytest.raises(ConfigParse, match="'convergenc'") as info:
+        experiments.run("convergenc", cfg)
+    assert all(command in str(info.value) for command in experiments.COMMANDS)
+    assert not (tmp_path / "out").exists()

@@ -1,9 +1,11 @@
 """The demos, the README Quick start, the CLI help and the benchmark's
 tracer self-test run against the package as it stands, each in a fresh
-interpreter; the console script's target runs in this one.  Sweeps in
+interpreter; the console script's target runs in this one, and the
+README's config table is checked against the config's fields.  Sweeps in
 child processes also check that the BLAS thread count leaves the CSV
 bytes alone."""
 
+import dataclasses
 import importlib
 import os
 import re
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from superkrylov.experiments import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +48,12 @@ def test_cli_help_lists_every_command():
     for command in ("convergence", "deriv-scaling", "minimax-demo", "gram"):
         # listed with a help text, the first line of its runner's docstring
         assert re.search(rf"^ +{command} +\S", proc.stdout, re.M), command
+
+
+def test_readme_config_table_lists_every_key_in_order():
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    keys = re.findall(r"^\| `(\w+)` \|", section.split("\n## ", 1)[0], re.M)
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_console_script_target_runs():
