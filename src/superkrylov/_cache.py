@@ -2,11 +2,11 @@
 
 In the projected pair the entry (j, k) depends only on the gap k - j, so
 every noise level and trial of a sweep asks for the same spectral
-amplitudes (``dynamics``) and the same kernel overlaps on a sample grid
-(``minimax``).  A ``convergence`` sweep asks for m_max + len(range(2, M,
-2)) + 1 amplitude tables: the series of every gap on the grid (one
-table), each even derivative at t = 0, each gap's forcing-norm nodes and
-the exact pair.  ``content_cache`` memoizes both by content:
+amplitudes (``dynamics``), forcing-norm panel tables (``measurement``)
+and kernel overlaps (``minimax``).  A ``convergence`` sweep asks for 2 +
+len(range(2, M, 2)) amplitude tables (every gap's series on the grid,
+each even derivative at 0, the exact pair) and ceil(log2(m_max - 1)) + 1
+panel tables.  ``content_cache`` memoizes them all by content:
 
 * an array argument is keyed by its dtype, shape and bytes, so an int64
   and a float64 array with the same bytes, or shapes (6,), (2, 3) and

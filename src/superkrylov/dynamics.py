@@ -29,17 +29,18 @@ Every oracle evaluates one private kernel, ``_amplitudes(spec, w, s,
 order)``: f_0..f_order at the scaled times s, of shape (order + 1,) +
 shape(s) with s at least 1-D.  It contracts the phases exp(-i s lam_p)
 with one coefficient row w (-i lam)^n per order in one pass, so it holds
-the size(s) x N phase array and one product of that size (16 MB at
-N = 4096 and 120 nodes), and scalar and array calls agree bit for bit.
+the size(s) x N phase array and one product of that size (16 MB per
+120 times at N = 4096), and scalar and array calls agree bit for bit.
 It is cached by ``_cache.content_cache``, as a sweep asks for the series
 of every gap, one (gap, grid) table, at every theta and trial, and every
 gap's derivatives at t = 0 are one entry.  The key is the eigenvalues,
 the weights, s and the order; ``_cache`` describes the keys, the
 read-only results and the bound.  A value holds (order + 1) * size(s)
-complex numbers, 7.7 KB for a forcing norm (order 3, 120 nodes).  The
-checks -- finite times, nonnegative indices, an integer order and the
-state shape in ``eigenbasis_weights`` -- run before the cache is
-consulted, so a hit cannot skip them.
+complex numbers: 7.0 KB for the series of 29 gaps on 15 times.  The
+forcing-norm panel tables are entries of their own, so they call the
+kernel uncached.  The checks -- finite times, integer indices and orders
+and the state shape in ``eigenbasis_weights`` -- run before the cache
+is consulted, so a hit cannot skip them.
 """
 
 from __future__ import annotations
@@ -145,12 +146,19 @@ def _check_times(t):
         raise ValueError("times must be finite")
 
 
+def _check_natural(what: str, *values):
+    """Reject values that are not nonnegative ints or numpy integers; a
+    bool is neither, though Python counts it as an Integral."""
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+               and x >= 0 for x in values):
+        raise ValueError(f"{what} must be nonnegative integers")
+
+
 def _check_entry(spec, v, j: int, k: int, t) -> bool:
-    """Reject negative indices; True for a diagonal entry (j == k), which
-    carries no dynamics, once its time and state have passed the checks
-    every other entry gets on its way to the oracle."""
-    if j < 0 or k < 0:
-        raise ValueError("Krylov indices must be nonnegative")
+    """Check the indices; True for a diagonal entry (j == k), which carries
+    no dynamics, once its time and state have passed the checks every
+    other entry gets on its way to the oracle."""
+    _check_natural("Krylov indices", j, k)
     if j == k:
         _check_times(t)
         _check_state(spec, v)
@@ -250,8 +258,7 @@ def recovery_probability(spec, v, j: int, k: int, t):
 def recovery_derivative(spec, v, j: int, k: int, t, order: int):
     """R_jk^(order)(t) = (k-j)^order F^(order)((k-j) t), t scalar or array."""
     _check_entry(spec, v, j, k, t)
-    if not (isinstance(order, numbers.Integral) and order >= 0):
-        raise ValueError("derivative order must be a nonnegative integer")
+    _check_natural("derivative orders", order)
     f = _amplitudes(spec, eigenbasis_weights(spec, v),
                     (k - j) * np.asarray(t, dtype=float), order)
     return _like_t(t, (k - j) ** order * _derivative(f, order))

@@ -326,9 +326,9 @@ def _measure_and_fit(ctx: PipelineContext, config: ExperimentConfig,
     series, one row per gap, and the fits, where ``fits[i][b]`` fits gap
     ``gaps[i]`` under ``eta_bounds[b]``.  Every gap's exact series is one
     oracle call, R_0g(t) = R_01(g t); its initial condition is x_in[p] =
-    g^p R_01^(p)(0), one oracle call per even p; only the forcing norm is
-    computed per gap, and only the budget's r differs between the fits of
-    a gap, which share its row of the series.
+    g^p R_01^(p)(0), one oracle call per even p; each gap's forcing norm
+    reads a panel table that the gaps share, and only the budget's r
+    differs between the fits of a gap, which share its row of the series.
     """
     gaps = list(gaps)
     values = recovery_probability(ctx.spec, ctx.v, 0, 1,

@@ -6,7 +6,8 @@ taken on an equally spaced timepoint grid inside an open window around
 the Krylov timestep.  The module also owns the minimax estimator's noise
 budget, which derives its weights q and r from two bounds: the forcing
 norm (the squared L2 norm of the signal's M-th derivative over the
-horizon) and the squared l2 norm of the noise vector.
+horizon, read for every gap from one table of F) and the squared l2
+norm of the noise vector.
 """
 
 from __future__ import annotations
@@ -17,7 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SpectralDecomposition, recovery_derivative, recovery_probability
+from ._cache import content_cache
+from .dynamics import (
+    SpectralDecomposition,
+    _amplitude_table,
+    _check_entry,
+    _check_natural,
+    _derivative,
+    eigenbasis_weights,
+    recovery_derivative,
+    recovery_probability,
+)
 from .errors import BadWindow, NonPositiveBound
 
 # With zero noise the budget r diverges; cap it so the fit system stays
@@ -26,10 +37,10 @@ ZERO_NOISE_R_FACTOR = 1e12
 # Gauss-Legendre nodes of the forcing-norm quadrature, per panel.  The rule
 # is tabulated below from leggauss, so no sweep builds it; changing this
 # number means regenerating the table (see _HALF_NODES).
-QUADRATURE_NODES = 120
-# The largest g * tau * W (gap, horizon, spectral width) one panel of the
-# rule integrates to rounding; the integrand's top frequency is 2 g W.
-PANEL_PHASE = 150.0
+QUADRATURE_NODES = 16
+# The largest h W (panel width in scaled time, spectral width) that one
+# panel integrates to 1.3e-15, as F^2 has frequencies up to 2 W.
+PANEL_PHASE = 1.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -154,54 +165,30 @@ def estimated_eta_norm_sq(D: int, theta: float) -> float:
 #     x, w = numpy.polynomial.legendre.leggauss(QUADRATURE_NODES)
 #     half = QUADRATURE_NODES // 2
 #     print(x[half:].tolist(), w[half:].tolist())
-_HALF_NODES = (
-    0.013035172768578641, 0.03909665862968216, 0.06513157148432151,
-    0.09112221606308468, 0.1170509271845839, 0.14290008176203126,
-    0.16865211078120385, 0.1942895112416571, 0.21979485805307034,
-    0.2451508158786387, 0.270340150917462, 0.2953457426179223,
-    0.3201505953140887, 0.3447378497772408, 0.3690907946746593,
-    0.39319287792789503, 0.4170277179627981, 0.4405791148436583,
-    0.46383106128389223, 0.4867677535257903, 0.5093736020819319,
-    0.5316332423309659, 0.5535315449605561, 0.5750536262503936,
-    0.5961848581882867, 0.6169108784124537, 0.6372175999732599,
-    0.6570912209077655, 0.6765182336205763, 0.6954854340646219,
-    0.713979930715622, 0.7319891533341408, 0.7495008615092763,
-    0.7665031529781774, 0.782984471715736, 0.7989336157889579,
-    0.8143397449706764, 0.8291923881074365, 0.8434814502365489,
-    0.8571972194474828, 0.8703303734829442, 0.88287198607517,
-    0.8948135330131572, 0.9061468979367375, 0.9168643778536237,
-    0.9269586883757737, 0.9364229686716758, 0.9452507861314756,
-    0.9534361407422758, 0.9609734691715827, 0.9678576485579723,
-    0.974084000010228, 0.9796482918210423, 0.9845467424134106,
-    0.9887760230715261, 0.9923332606161664, 0.9952160405989081,
-    0.9974224136132905, 0.9989509216740347, 0.9998008656589589,
-)
-_HALF_WEIGHTS = (
-    0.02606886882411011, 0.026051150475686975, 0.026015725821552746,
-    0.0259626189389462, 0.025891865923268358, 0.025803514863549194,
-    0.02569762580976311, 0.02557427073201389, 0.025433533471619196,
-    0.02527550968412522, 0.025100306774292442, 0.02490804382309519,
-    0.02469885150678549, 0.02447287200807568, 0.024230258919500713,
-    0.023971177139025107, 0.023695802757966265, 0.0234043229413099,
-    0.023096935800498458, 0.022773850258780533, 0.02243528590921119,
-    0.02208147286540035, 0.021712651605110427, 0.021329072806811344,
-    0.020930997179299762, 0.020518695284503674, 0.020092447353589157,
-    0.019652543096494748, 0.019199281505025624, 0.0187329706496368,
-    0.018253927470048517, 0.017762477559833185, 0.017258954945121356,
-    0.016743701857577165, 0.016217068501799697, 0.01567941281730609,
-    0.015131100235258979, 0.014572503430111489, 0.014004002066329497,
-    0.013425982540374292, 0.012838837718124108, 0.012242966667916631,
-    0.011638774389403512, 0.011026671538427988, 0.010407074148125545,
-    0.009780403346497598, 0.00914708507073763, 0.008507549778652397,
-    0.007862232157689745, 0.0072115708323790655, 0.0065560080716713515,
-    0.005895989499283941, 0.005231963814294543, 0.00456438254088188,
-    0.003893699862901642, 0.003220372733926812, 0.002544862054009893,
-    0.0018676392307709726, 0.0011892343277966884, 0.0005110260637000388,
-)
+_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+               0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+               0.9445750230732326, 0.9894009349916499)
+_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                 0.062253523938647456, 0.027152459411754176)
 # The rule on [-1, 1], read-only because every call shares it.
 _GL_NODES = np.concatenate([-np.array(_HALF_NODES[::-1]), _HALF_NODES])
 _GL_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
+
+
+@content_cache
+def _panel_table(lam, w, h, order, count):
+    """Running integrals of F^(order)^2 over [0, (i + 1) h], i < count.
+
+    Panel i is summed on its own row of nodes and the running sum is
+    sequential, so entry i is the same bit for bit in a table of any
+    length.  The amplitudes are not cached again: the table is the entry.
+    """
+    nodes = h * np.arange(count)[:, None] + 0.5 * h * (_GL_NODES + 1.0)
+    f = _amplitude_table.__wrapped__(lam, w, nodes, order)
+    panels = 0.5 * h * _GL_WEIGHTS * _derivative(f, order) ** 2
+    return np.cumsum(panels.sum(axis=-1))
 
 
 def forcing_norm_sq(
@@ -214,18 +201,23 @@ def forcing_norm_sq(
 ) -> float:
     """Exact squared L2 norm of the order-th derivative of R_jk over [0, tau].
 
-    The integrand is a trigonometric polynomial with frequencies up to
-    2 |k - j| W, so the QUADRATURE_NODES-point Gauss-Legendre rule is
-    rescaled to ceil(|k - j| tau W / PANEL_PHASE) equal panels of [0, tau]
-    (at least one), exact to rounding at any gap.  The rule is tabulated
-    from leggauss(QUADRATURE_NODES), so a call pays no build cost and the
-    rule is the same on every numpy and LAPACK build.
+    With g = |k - j| >= 1, R_jk^(order)(t) = g^order F^(order)(g t), so the
+    norm is g^(2 order - 1) times the integral of F^(order)^2 over
+    [0, g tau]: a prefix of a ``_panel_table`` of the spectral measure,
+    on panels of width tau / P, P = ceil(tau W / PANEL_PHASE) (1 whenever
+    delta_t < t*).  A table's length is rounded up to a power of two, so
+    the gaps up to g share ceil(log2 g) + 1 tables with every theta and
+    trial.  A diagonal entry (g = 0) is tau F(0)^2 for order 0, else 0.
     """
     if not 0 < tau < np.inf:  # a NaN fails this too
         raise ValueError("tau must be positive and finite")
-    panels = max(1, math.ceil(abs(k - j) * tau * spec.spectral_width / PANEL_PHASE))
-    h = tau / panels
-    nodes = (h * np.arange(panels)[:, None] + 0.5 * h * (_GL_NODES + 1.0)).ravel()
-    weights = np.tile(0.5 * h * _GL_WEIGHTS, panels)
-    vals = recovery_derivative(spec, v, j, k, nodes, order)
-    return float(np.sum(weights * vals**2))
+    if _check_entry(spec, v, j, k, tau):
+        return tau * recovery_derivative(spec, v, j, k, 0.0, order) ** 2
+    _check_natural("derivative orders", order)
+    g, order = abs(int(k) - int(j)), int(order)
+    per_unit = max(1, math.ceil(tau * spec.spectral_width / PANEL_PHASE))
+    count = g * per_unit
+    sums = _panel_table(np.asarray(spec.eigenvalues, dtype=float),
+                        np.asarray(eigenbasis_weights(spec, v), dtype=float),
+                        tau / per_unit, order, 1 << (count - 1).bit_length())
+    return g ** (2 * order - 1) * float(sums[count - 1])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from superkrylov import (
     estimated_eta_norm_sq,
     recovery_derivative,
 )
-from superkrylov import dynamics, experiments, minimax, solver
+from superkrylov import dynamics, experiments, measurement, minimax, solver
 from superkrylov.dynamics import SpectralDecomposition, _amplitude_table
 from superkrylov.experiments import (
     ExperimentConfig,
@@ -102,7 +103,9 @@ def test_context_matches_eigenvector_reference(cfg):
 
 def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
     # every scaled time a noisy sweep evaluates -- the series grids, the
-    # forcing-norm nodes and g t* -- recorded at the one amplitude kernel
+    # forcing-norm panel nodes and g t* -- recorded at the two entries of
+    # the amplitude kernel: the cached one and the uncached one that the
+    # panel tables call
     cfg = ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25,
                            theta_values=[1e-3], d_values=[5, 15, 40])
     ctx = build_context(cfg)
@@ -113,19 +116,33 @@ def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
     assert (ctx.spec.dim, full.dim) == (20, 64)
     times = []
 
-    def record(spec, w, s, order):
-        times.append(np.atleast_1d(np.asarray(s, dtype=float)))
-        return amplitudes(spec, w, s, order)
+    def recorder(kernel):
+        def record(spec, w, s, order):
+            times.append(np.atleast_1d(np.asarray(s, dtype=float)).ravel())
+            return kernel(spec, w, s, order)
+        return record
 
-    amplitudes = dynamics._amplitudes
-    monkeypatch.setattr(dynamics, "_amplitudes", record)
-    monkeypatch.setattr(solver, "_amplitudes", record)
+    amplitudes = recorder(dynamics._amplitudes)
+    monkeypatch.setattr(dynamics, "_amplitudes", amplitudes)
+    monkeypatch.setattr(solver, "_amplitudes", amplitudes)
+    monkeypatch.setattr(_amplitude_table, "__wrapped__",
+                        recorder(_amplitude_table.__wrapped__))
+    measurement._panel_table.cache_clear()
     experiments._convergence(ctx, cfg)
     experiments._derivative_scaling(ctx, cfg)
     monkeypatch.undo()
+    s = np.unique(np.concatenate(times))
     # the series of every gap is one call on a 2-D (gap, grid) table
-    s = np.unique(np.concatenate([t.ravel() for t in times]))
-    assert s.size > 3000
+    gaps = np.arange(1, max(cfg.m_values))
+    grids = [np.multiply.outer(gaps, sample_grid(ctx.t_star, ctx.delta_t, cfg.D))]
+    grids += [sample_grid(ctx.t_star, ctx.delta_t, D) for D in cfg.d_values]
+    # the largest table's panels; every smaller table is a prefix of it
+    per_unit = math.ceil(ctx.tau * ctx.spec.spectral_width / measurement.PANEL_PHASE)
+    h = ctx.tau / per_unit
+    panels = 1 << int(per_unit * gaps[-1] - 1).bit_length()
+    nodes = h * np.arange(panels)[:, None] + 0.5 * h * (measurement._GL_NODES + 1.0)
+    for want in grids + [nodes]:
+        assert np.all(np.isin(want, s))
     for order in range(3):
         ref = recovery_derivative(full, full_v, 0, 1, s, order)
         got = recovery_derivative(ctx.spec, ctx.v, 0, 1, s, order)
@@ -158,7 +175,7 @@ def test_context_assembles_only_factors(cfg, shapes, factor_qubits, levels,
     assert abs(np.sum(ctx.v ** 2) - 1.0) <= 1e-15
 
 
-CACHES = (_amplitude_table, minimax._kernel_overlaps)
+CACHES = (_amplitude_table, measurement._panel_table, minimax._kernel_overlaps)
 
 
 def _clear_caches():
@@ -196,20 +213,23 @@ def test_caches_never_leak_between_configs(tmp_path):
 
 @pytest.mark.parametrize("M", [3, 6])
 def test_convergence_reuses_amplitudes_across_theta(M, tmp_path):
-    # per cell one key for the series of every gap on the grid (R_0g(t) =
-    # R_01(g t)), one per even derivative R_01^(p)(0), p = 2, 4, .. < M,
-    # which every gap shares (R_0g^(p)(0) = g^p R_01^(p)(0)), one forcing
-    # norm per gap and one exact pair; none depends on theta, so the second
-    # theta computes nothing new
+    # per cell the amplitude cache sees one key for the series of every gap
+    # on the grid (R_0g(t) = R_01(g t)), one per even derivative R_01^(p)(0),
+    # p = 2, 4, .. < M, which every gap shares (R_0g^(p)(0) = g^p R_01^(p)(0)),
+    # and one for the exact pair; each gap's forcing norm reads a prefix of
+    # one panel table per power of two up to the largest gap.  None depends
+    # on theta, so the second theta computes nothing new
     cfg = _noisy4(M=M, out=str(tmp_path))
     gaps = max(cfg.m_values) - 1
-    even = len(range(2, M, 2))
-    distinct = 1 + even + gaps + 1
+    cells = len(cfg.theta_values) * cfg.trials
+    keys = 1 + len(range(2, M, 2)) + 1
+    tables = math.ceil(math.log2(gaps)) + 1
     _clear_caches()
     experiments.run("convergence", cfg)
     info = _amplitude_table.cache_info()
-    calls = distinct * len(cfg.theta_values) * cfg.trials
-    assert (info.misses, info.hits) == (distinct, calls - distinct)
+    assert (info.misses, info.hits) == (keys, keys * (cells - 1))
+    info = measurement._panel_table.cache_info()
+    assert (info.misses, info.hits) == (tables, gaps * cells - tables)
 
 
 def test_stage_times_survive_a_backward_wall_clock_step(monkeypatch, tmp_path):

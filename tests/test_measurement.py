@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from superkrylov import (
     measure_series,
     sample_grid,
 )
-from superkrylov import measurement
-from superkrylov.dynamics import recovery_derivative
+from superkrylov import dynamics, measurement
+from superkrylov.dynamics import eigenbasis_weights, recovery_derivative
+from superkrylov.experiments import ExperimentConfig, build_context
 
 
 @pytest.fixture
@@ -162,7 +164,7 @@ class TestForcingNorm:
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         # exact to degree 2 * QUADRATURE_NODES - 1: sum w P_n(x) = 2 delta_n0,
         # with P_n from the three-term recurrence; degree 2 * QUADRATURE_NODES
-        # is off by about 0.1, so the check tells a wrong rule from this one
+        # is off by about 0.3, so the check tells a wrong rule from this one
         prev, cur = np.zeros_like(x), np.ones_like(x)
         for n in range(2 * measurement.QUADRATURE_NODES):
             assert abs(w @ cur - (2.0 if n == 0 else 0.0)) <= 5e-14, n
@@ -194,15 +196,84 @@ def _reference_norm_sq(spec, v, gap, tau, order, panels=16, nodes=600):
     return float(np.sum(np.tile(0.5 * h * w, panels) * vals**2))
 
 
-@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("order", [2, 3, 6])
 @pytest.mark.parametrize("gap, delta_t_fraction", [
-    (80, 0.15), (95, 0.15), (119, 0.15), (50, 0.9)])
+    (1, 0.15), (29, 0.15), (80, 0.15), (95, 0.15), (119, 0.15), (50, 0.9)])
 def test_forcing_norm_exact_at_high_gaps(chain6, gap, delta_t_fraction, order):
-    # a single 120-node panel misses these by up to 26%: the integrand's
-    # frequencies reach 2 * gap * W
+    # the integrand's frequencies reach 2 * gap * W, so a rule sized for
+    # gap 1 misses the high gaps unless it scales with the gap
     spec, v = chain6
     t_star = choose_timestep(2 * spec.spectral_width)
     tau = 1.5 * (1 + delta_t_fraction) * t_star
     got = forcing_norm_sq(spec, v, 0, gap, tau, order=order)
     want = _reference_norm_sq(spec, v, gap, tau, order)
     assert abs(got - want) <= 1e-12 * want
+
+
+CONTEXTS = {name: build_context(ExperimentConfig(model=model, n=n))
+            for name, model, n in [("heisenberg4", "heisenberg", 4),
+                                   ("bipartite2", "bipartite", 2)]}
+
+
+def _rule_norm_sq(spec, v, gap, tau, order, panels):
+    """The module's rule on equal panels of [0, tau], in unscaled time."""
+    x, w = measurement._GL_NODES, measurement._GL_WEIGHTS
+    h = tau / panels
+    ts = (h * np.arange(panels)[:, None] + 0.5 * h * (x + 1.0)).ravel()
+    vals = recovery_derivative(spec, v, 0, gap, ts, order)
+    return float(np.sum(np.tile(0.5 * h * w, panels) * vals**2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(sorted(CONTEXTS)), st.integers(1, 200),
+       st.floats(0.01, 0.95), st.integers(0, 8))
+def test_forcing_norm_converged_in_its_panels(name, gap, delta_t_fraction, order):
+    # twice as many panels of the same rule, laid on [0, tau] itself rather
+    # than on scaled time, must not move the norm
+    ctx = CONTEXTS[name]
+    tau = 1.5 * (1 + delta_t_fraction) * ctx.t_star
+    per_unit = math.ceil(tau * ctx.spec.spectral_width / measurement.PANEL_PHASE)
+    got = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, tau, order=order)
+    try:
+        want = _rule_norm_sq(ctx.spec, ctx.v, gap, tau, order, 2 * gap * per_unit)
+    finally:
+        dynamics._amplitude_table.cache_clear()  # its tables are large
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("tau_w", [None, 30.0])
+def test_forcing_norm_is_the_same_in_any_call_order(tau_w):
+    # every gap reads a prefix of a table whose length is a power of two,
+    # so which table a gap reads must not change a bit of its norm
+    ctx = CONTEXTS["heisenberg4"]
+    tau = ctx.tau if tau_w is None else tau_w / ctx.spec.spectral_width
+    gaps = range(1, 41)
+
+    def norms(order, clear=False):
+        got = {}
+        for g in order:
+            if clear:
+                measurement._panel_table.cache_clear()
+            got[g] = forcing_norm_sq(ctx.spec, ctx.v, 0, g, tau, order=3)
+        return got
+
+    measurement._panel_table.cache_clear()
+    ascending = norms(gaps)
+    measurement._panel_table.cache_clear()
+    assert norms(reversed(gaps)) == ascending
+    assert norms(gaps, clear=True) == ascending
+    lam, w = ctx.spec.eigenvalues, eigenbasis_weights(ctx.spec, ctx.v)
+    table = measurement._panel_table.__wrapped__
+    for count in (1, 2, 3, 8, 40):
+        short = table(lam, w, 0.37 * tau, 3, count)
+        assert table(lam, w, 0.37 * tau, 3, 2 * count)[:count].tobytes() == short.tobytes()
+
+
+def test_indices_and_orders_may_be_numpy_integers():
+    ctx = CONTEXTS["heisenberg4"]
+    spec, v, tau = ctx.spec, ctx.v, ctx.tau
+    j, k, order = np.int64(2), np.int32(7), np.int64(3)
+    assert forcing_norm_sq(spec, v, j, k, tau, order) == forcing_norm_sq(
+        spec, v, 2, 7, tau, 3)
+    assert recovery_derivative(spec, v, j, k, 0.3, order) == recovery_derivative(
+        spec, v, 2, 7, 0.3, 3)

@@ -29,7 +29,7 @@ from superkrylov import (
     sample_grid,
     threshold_solve,
 )
-from superkrylov.dynamics import recovery_derivative
+from superkrylov.dynamics import exact_J_entry, recovery_derivative, recovery_probability
 from superkrylov.experiments import ExperimentConfig, _fit_gaps, build_context
 from superkrylov.measurement import forcing_norm_sq
 
@@ -406,6 +406,26 @@ BAD_INPUT_CASES = {
         ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=1.5)),
     "forcing_norm_sq with order = 3.0": (
         ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=3.0)),
+    # a bool is an Integral to Python, but not a derivative order or an index
+    "forcing_norm_sq with order = True": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=True)),
+    "recovery_derivative with order = True": (
+        ValueError, lambda s, v, t: recovery_derivative(s, v, 0, 1, 0.3, True)),
+    # a fractional index would be a fractional gap
+    "recovery_probability with k = 1.5": (
+        ValueError, lambda s, v, t: recovery_probability(s, v, 0, 1.5, 0.3)),
+    "recovery_probability with j = 0.0": (
+        ValueError, lambda s, v, t: recovery_probability(s, v, 0.0, 1, 0.3)),
+    "recovery_probability with k = True": (
+        ValueError, lambda s, v, t: recovery_probability(s, v, 0, True, 0.3)),
+    "recovery_derivative with k = 2.0": (
+        ValueError, lambda s, v, t: recovery_derivative(s, v, 0, 2.0, 0.3, 1)),
+    "exact_J_entry with j = 0.5": (
+        ValueError, lambda s, v, t: exact_J_entry(s, v, 0.5, 2, 0.3)),
+    "forcing_norm_sq with k = 2.0": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 2.0, 0.5, order=3)),
+    "forcing_norm_sq with j = k = 1.0": (
+        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 1.0, 1.0, 0.5, order=0)),
     "evaluate_component with component = 0.5": (
         ValueError, lambda s, v, t: evaluate_component(
             _fit_for_gap(s, v, 1, t, D=10), t, 0.5)),
