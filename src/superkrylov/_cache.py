@@ -1,12 +1,12 @@
 """One bounded cache for the arrays a sweep recomputes.
 
 In the projected pair the entry (j, k) depends only on the gap k - j, so
-every noise level and trial of a sweep asks for the same spectral
-amplitudes (``dynamics``), forcing-norm panel tables (``measurement``)
-and kernel overlaps (``minimax``).  A ``convergence`` sweep asks for 2 +
-len(range(2, M, 2)) amplitude tables (every gap's series on the grid,
-each even derivative at 0, the exact pair) and ceil(log2(m_max - 1)) + 1
-panel tables.  ``content_cache`` memoizes them all by content:
+every gap, noise level and trial of a sweep reads the same forcing-norm
+panel tables (``measurement``) and kernel overlaps (``minimax``): a
+``convergence`` sweep ceil(log2(m_max - 1)) + 1 tables and three overlap
+arrays (the grid's forcing Gram and the representers of components 0 and
+1 at t*), ``deriv-scaling`` one table and two overlap arrays per D.
+``content_cache`` memoizes them by content:
 
 * an array argument is keyed by its dtype, shape and bytes, so an int64
   and a float64 array with the same bytes, or shapes (6,), (2, 3) and
@@ -17,7 +17,7 @@ panel tables.  ``content_cache`` memoizes them all by content:
   caller's, and the array it returns is made read-only, because a hit
   hands the miss's object to every later caller;
 * each function holds at most 256 entries.  At the dense cap (N = 4096)
-  the eigenvalues and weights in an amplitude key take 64 KB, so those
+  the eigenvalues and weights in a panel-table key take 64 KB, so those
   keys take at most 16 MB.
 
 Every input check belongs to the caller and runs before the lookup, so a

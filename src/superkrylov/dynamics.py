@@ -31,16 +31,6 @@ shape(s) with s at least 1-D.  It contracts the phases exp(-i s lam_p)
 with one coefficient row w (-i lam)^n per order in one pass, so it holds
 the size(s) x N phase array and one product of that size (16 MB per
 120 times at N = 4096), and scalar and array calls agree bit for bit.
-It is cached by ``_cache.content_cache``, as a sweep asks for the series
-of every gap, one (gap, grid) table, at every theta and trial, and every
-gap's derivatives at t = 0 are one entry.  The key is the eigenvalues,
-the weights, s and the order; ``_cache`` describes the keys, the
-read-only results and the bound.  A value holds (order + 1) * size(s)
-complex numbers: 7.0 KB for the series of 29 gaps on 15 times.  The
-forcing-norm panel tables are entries of their own, so they call the
-kernel uncached.  The checks -- finite times, integer indices and orders
-and the state shape in ``eigenbasis_weights`` -- run before the cache
-is consulted, so a hit cannot skip them.
 """
 
 from __future__ import annotations
@@ -51,7 +41,6 @@ from math import comb
 
 import numpy as np
 
-from ._cache import content_cache
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -87,11 +76,16 @@ class SpectralDecomposition:
 
 
 def _entry_scale_and_asymmetry(h: np.ndarray) -> tuple[float, float]:
-    """max |h| and max |h - h^dag|, one strip of rows and columns at a time."""
+    """max |h| and max |h - h^dag|, one strip of rows and columns at a time;
+    a non-finite entry raises NotHermitian (Python's max would drop a NaN)."""
     scale = asymmetry = 0.0
     for i in range(0, h.shape[0], _STRIP_ROWS):
         rows = h[i:i + _STRIP_ROWS]
-        scale = max(scale, float(np.max(np.abs(rows))))
+        top = float(np.max(np.abs(rows)))  # NaN or inf if any entry is
+        if not np.isfinite(top):
+            bad = np.argwhere(~np.isfinite(rows))[:4] + (i, 0)
+            raise NotHermitian(f"non-finite entries at {bad.tolist()}")
+        scale = max(scale, top)
         asymmetry = max(asymmetry, float(np.max(
             np.abs(rows - h[:, i:i + _STRIP_ROWS].conj().T))))
     return scale, asymmetry
@@ -108,7 +102,9 @@ def eigendecompose(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition
 
     With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``)
     and the result is in H's eigenbasis (``eigenvectors=None``), which is
-    all the recovery-probability oracles need.
+    all the recovery-probability oracles need.  A matrix that is not
+    Hermitian to the tolerance, or has a non-finite entry, raises
+    ``NotHermitian``.
     """
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
@@ -201,31 +197,20 @@ def spectral_measure(spec: SpectralDecomposition, v: np.ndarray
 def _amplitudes(spec, w, s, order):
     """Amplitudes f_0..f_order of F at the scaled times s, for the weights w.
 
-    The result has the shape (order + 1,) + shape(atleast_1d(s)).  Every s
-    must be finite.  The result is shared through the cache: read-only.
+    The result has the shape (order + 1,) + shape(atleast_1d(s)); every s
+    must be finite.  f_n(s) = sum_p (w_p z_p^n) exp(s z_p) with z_p =
+    -i lam_p: the phases are contracted with one coefficient row w z^n per
+    order, each in one pass over the last axis, so the kernel holds the
+    phase array and one product of its size, never a (size(s), order + 1,
+    N) temporary.  Each row of a sum runs the same pairwise loop whatever
+    size(s) is, so scalar and array calls agree bit for bit.  R ignores a
+    shift of H, so lam is centred first to keep lam^n small.
     """
     _check_times(s)
-    return _amplitude_table(
-        np.asarray(spec.eigenvalues, dtype=float), np.asarray(w, dtype=float),
-        np.atleast_1d(np.asarray(s, dtype=float)), order)
-
-
-@content_cache
-def _amplitude_table(lam, w, s, order):
-    """The amplitudes of ``_amplitudes``, from arrays cast and checked there.
-
-    f_n(s) = sum_p (w_p z_p^n) exp(s z_p) with z_p = -i lam_p: the phases
-    are contracted with one coefficient row w z^n per order, each in one
-    pass over the last axis, so the kernel holds the phase array and one
-    product of its size, never a (size(s), order + 1, N) temporary.  Each
-    row of a sum runs the same pairwise loop whatever size(s) is, so scalar
-    and array calls agree bit for bit.  R ignores a shift of H, so lam is
-    centred first to keep lam^n small.
-    """
-    lam = lam - 0.5 * (lam[0] + lam[-1])
-    z = 1j * -lam
-    coef = w * z ** np.arange(order + 1)[:, None]
-    phases = np.multiply.outer(s, z)
+    lam = np.asarray(spec.eigenvalues, dtype=float)
+    z = 1j * -(lam - 0.5 * (lam[0] + lam[-1]))
+    coef = np.asarray(w, dtype=float) * z ** np.arange(order + 1)[:, None]
+    phases = np.multiply.outer(np.atleast_1d(np.asarray(s, dtype=float)), z)
     np.exp(phases, out=phases)
     return np.stack([(phases * row).sum(axis=-1) for row in coef])
 

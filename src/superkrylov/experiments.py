@@ -15,13 +15,13 @@ for one family of sweeps, the ``COMMANDS`` entry of that name:
 * ``gram``: dump of the exact (and, with noise, estimated) projected
   matrices.
 
-Every runner measures and fits through one routine,
-``_measure_and_fit``, which takes a list of gaps on one grid and computes
-each quantity once for all of them: one oracle call for the exact series
-of every gap, one per even derivative of the initial conditions, and one
-stacked ridge solve (``minimax.fit_batch``).  ``convergence`` and
-``gram`` pass the gaps 1..m_max - 1, ``deriv-scaling`` gap 1, and
-``minimax-demo`` gap 1 with its three budgets.
+Every runner measures and fits a list of gaps on one grid in two parts:
+``_exact_data``, once per grid, evaluates what no noise level or trial
+changes, and ``_fit_noisy``, once per cell, adds the seeded noise and
+fits every gap in one stacked ridge solve (``minimax.fit_batch``).
+``convergence`` and ``gram`` pass the gaps 1..m_max - 1,
+``deriv-scaling`` gap 1 on one grid per D, and ``minimax-demo`` gap 1
+with its three budgets.
 
 All floating output is formatted with 17 significant digits so reruns
 with identical config and seed are byte-identical.
@@ -315,114 +315,127 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _measure_and_fit(ctx: PipelineContext, config: ExperimentConfig,
-                     grid: np.ndarray, theta: float, gaps, seeds,
-                     eta_bounds) -> tuple:
-    """Measure one seeded noisy series of R_0g per gap g on the grid, and
-    fit each once per noise bound ||eta||^2, all in one batch.
+_ExactData = collections.namedtuple("_ExactData", "grid gaps values x_in")
 
-    ``seeds[i]`` holds the ``_cell_seed`` parts of gap ``gaps[i]``'s
-    noise, and either the gaps or the bounds are one.  Returns the
-    series, one row per gap, and the fits, where ``fits[i][b]`` fits gap
-    ``gaps[i]`` under ``eta_bounds[b]``.  Every gap's exact series is one
-    oracle call, R_0g(t) = R_01(g t); its initial condition is x_in[p] =
-    g^p R_01^(p)(0), one oracle call per even p; each gap's forcing norm
-    reads a panel table that the gaps share, and only the budget's r
-    differs between the fits of a gap, which share its row of the series.
+
+def _exact_data(ctx: PipelineContext, config: ExperimentConfig,
+                grid: np.ndarray, gaps) -> _ExactData:
+    """The exact series of R_0g on the grid and the initial condition
+    x_in, one row each per gap g, which no noise level or trial changes.
+
+    The series of every gap is one oracle call, R_0g(t) = R_01(g t), and
+    x_in[p] = g^p R_01^(p)(0) one per even p.
     """
     gaps = list(gaps)
     values = recovery_probability(ctx.spec, ctx.v, 0, 1,
                                   np.multiply.outer(gaps, grid))
-    if theta > 0:
-        values = values + np.array([
-            np.random.default_rng(_cell_seed(config.master_seed, *parts))
-            .normal(0.0, theta, size=grid.size) for parts in seeds])
-    series = MeasurementSeries(timepoints=grid, values=values)
     x_in = np.zeros((len(gaps), config.M))
     x_in[:, 0] = 1.0
     # R is even in t, so its odd derivatives vanish at 0
     for p in range(2, config.M, 2):
         scale = np.array([g ** p for g in gaps], dtype=float)
         x_in[:, p] = scale * recovery_derivative(ctx.spec, ctx.v, 0, 1, 0.0, p)
+    return _ExactData(grid, gaps, values, x_in)
+
+
+def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
+               exact: _ExactData, theta: float, seeds, eta_bounds) -> tuple:
+    """Add seeded noise to each gap's exact series, into a new array as
+    every cell shares ``exact``, and fit each noisy series once per noise
+    bound ||eta||^2, all in one batch.
+
+    ``seeds[i]`` holds the ``_cell_seed`` parts of gap ``exact.gaps[i]``'s
+    noise, and either the gaps or the bounds are one.  Returns the noisy
+    series, one row per gap, and the fits, where ``fits[i][b]`` fits gap
+    ``exact.gaps[i]`` under ``eta_bounds[b]``.  The gaps' forcing norms
+    read shared panel tables.
+    """
+    values = exact.values
+    if theta > 0:
+        values = values + np.array([
+            np.random.default_rng(_cell_seed(config.master_seed, *parts))
+            .normal(0.0, theta, size=exact.grid.size) for parts in seeds])
+    series = MeasurementSeries(timepoints=exact.grid, values=values)
     f_norms = [forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=config.M)
-               for g in gaps]
+               for g in exact.gaps]
     models = [EstimatorModel(x, ctx.tau, NoiseBudget(f_norm, eta))
-              for x, f_norm in zip(x_in, f_norms) for eta in eta_bounds]
+              for x, f_norm in zip(exact.x_in, f_norms) for eta in eta_bounds]
     fits = fit_batch(models, series)
     k = len(eta_bounds)
     return series, [fits[i:i + k] for i in range(0, len(fits), k)]
 
 
-def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig, theta: float,
-              trial: int) -> list:
-    """One minimax fit per index gap g = 1..max(m_values) - 1, each on a
-    freshly sampled noisy series; fits[g - 1] is the fit for gap g."""
+def _every_gap(ctx: PipelineContext, config: ExperimentConfig) -> _ExactData:
+    """The exact data of every gap 1..max(m_values) - 1 on config.D points."""
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
-    gaps = range(1, max(config.m_values))
-    seeds = [(1, _theta_key(theta), trial, g) for g in gaps]
-    _, fits = _measure_and_fit(ctx, config, grid, theta, gaps, seeds,
-                               [estimated_eta_norm_sq(config.D, theta)])
+    return _exact_data(ctx, config, grid, range(1, max(config.m_values)))
+
+
+def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig,
+              exact: _ExactData, theta: float, trial: int) -> list:
+    """One minimax fit per gap of ``_every_gap``, each on a freshly sampled
+    noisy series; fits[g - 1] is the fit for gap g."""
+    seeds = [(1, _theta_key(theta), trial, g) for g in exact.gaps]
+    _, fits = _fit_noisy(ctx, config, exact, theta, seeds,
+                         [estimated_eta_norm_sq(config.D, theta)])
     return [f for [f] in fits]
 
 
-def _convergence_cell(ctx: PipelineContext, config: ExperimentConfig,
-                      theta: float, trial: int) -> list[tuple]:
-    m_max = max(config.m_values)
-    exact_full = assemble_pair_exact(ctx.spec, ctx.v, m_max, ctx.t_star)
-    fits = None if theta == 0.0 else _fit_gaps(ctx, config, theta, trial)
+def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
+    """Ground-energy error versus Krylov dimension m, per noise level.
+
+    The exact m_max pair, and with noise the exact data of every gap, are
+    evaluated once, before the theta and trial loops.
+    """
+    exact_full = assemble_pair_exact(ctx.spec, ctx.v, max(config.m_values),
+                                     ctx.t_star)
+    exact = _every_gap(ctx, config) if max(config.theta_values) > 0 else None
     j_norm = 2.0 * ctx.spec.spectral_width
     rows = []
-    for m in sorted(config.m_values):
-        # leading principal submatrices of the m_max pair are the m-pair
-        exact_m = exact_full.leading(m)
-        if theta == 0.0:
-            pair = exact_m
-            omega = 0.0
-        else:
-            pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
-            omega = noise_rate(pair, exact_m, j_norm)
-        result = threshold_solve(pair, _eps(config, m, theta))
-        estimate = ground_energy(result, ctx.class_tag,
-                                 top_energy=ctx.top_energy)
-        rel_error = abs(estimate - ctx.lam0) / abs(ctx.lam0)
-        rows.append((m, theta, config.gamma0, trial, result.ground_gap,
-                     estimate, rel_error, omega, result.kept_dim))
-    return rows
-
-
-def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
-    """Ground-energy error versus Krylov dimension m, per noise level."""
-    rows = [row for theta in config.theta_values
-            for trial in range(config.trials)
-            for row in _convergence_cell(ctx, config, theta, trial)]
+    for theta in config.theta_values:
+        for trial in range(config.trials):
+            fits = (None if theta == 0.0
+                    else _fit_gaps(ctx, config, exact, theta, trial))
+            for m in sorted(config.m_values):
+                # the m-pair is a leading principal submatrix of the m_max one
+                exact_m = exact_full.leading(m)
+                if theta == 0.0:
+                    pair = exact_m
+                    omega = 0.0
+                else:
+                    pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
+                    omega = noise_rate(pair, exact_m, j_norm)
+                result = threshold_solve(pair, _eps(config, m, theta))
+                estimate = ground_energy(result, ctx.class_tag,
+                                         top_energy=ctx.top_energy)
+                rel_error = abs(estimate - ctx.lam0) / abs(ctx.lam0)
+                rows.append((m, theta, config.gamma0, trial, result.ground_gap,
+                             estimate, rel_error, omega, result.kept_dim))
     header = ["m", "theta", "gamma0", "trial", "delta0_prime", "estimate",
               "rel_error", "omega", "kept_dim"]
     return [("convergence.csv", header, rows)]
-
-
-def _scaling_cell(ctx: PipelineContext, config: ExperimentConfig,
-                  D: int, theta: float, trial: int) -> tuple:
-    gap = 1
-    grid = sample_grid(ctx.t_star, ctx.delta_t, D)
-    _, [[f]] = _measure_and_fit(ctx, config, grid, theta, [gap],
-                                [(2, _theta_key(theta), trial, D)],
-                                [estimated_eta_norm_sq(D, theta)])
-    truth = recovery_derivative(ctx.spec, ctx.v, 0, gap, ctx.t_star, 1)
-    abs_error = abs(evaluate_x1(f, ctx.t_star) - truth)
-    sigma = error_certificate(f.model, grid, ctx.t_star, 1)
-    return (D, theta, trial, abs_error, sigma)
 
 
 def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
     """Derivative error and certificate versus datapoint count D.
 
     Per-trial rows are followed by summary rows (trial = -1) holding the
-    trial-averaged error and certificate for each (D, theta).
+    trial-averaged error and certificate for each (D, theta).  The true
+    derivative of gap 1 at t* is evaluated once, its exact data once per D.
     """
-    rows = [_scaling_cell(ctx, config, D, theta, trial)
-            for D in config.d_values
-            for theta in config.theta_values
-            for trial in range(config.trials)]
+    truth = recovery_derivative(ctx.spec, ctx.v, 0, 1, ctx.t_star, 1)
+    rows = []
+    for D in config.d_values:
+        grid = sample_grid(ctx.t_star, ctx.delta_t, D)
+        exact = _exact_data(ctx, config, grid, [1])
+        for theta in config.theta_values:
+            for trial in range(config.trials):
+                _, [[f]] = _fit_noisy(ctx, config, exact, theta,
+                                      [(2, _theta_key(theta), trial, D)],
+                                      [estimated_eta_norm_sq(D, theta)])
+                rows.append((D, theta, trial,
+                             abs(evaluate_x1(f, ctx.t_star) - truth),
+                             error_certificate(f.model, grid, ctx.t_star, 1)))
     summary = []
     for D in config.d_values:
         for theta in config.theta_values:
@@ -447,9 +460,9 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
     eta0 = estimated_eta_norm_sq(config.D, theta)
     # the r variants come from scaled noise bounds so each budget stays valid
-    series, [[fit_low, fit0, fit_high]] = _measure_and_fit(
-        ctx, config, grid, theta, [gap], [(3, _theta_key(theta), 0, gap)],
-        [10.0 * eta0, eta0, 0.1 * eta0])
+    series, [[fit_low, fit0, fit_high]] = _fit_noisy(
+        ctx, config, _exact_data(ctx, config, grid, [gap]), theta,
+        [(3, _theta_key(theta), 0, gap)], [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
     exact_r = recovery_probability(ctx.spec, ctx.v, 0, gap, dense)
     exact_dr = recovery_derivative(ctx.spec, ctx.v, 0, gap, dense, 1)
@@ -480,7 +493,8 @@ def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
     theta = max(config.theta_values)
     if theta > 0:
         pairs["minimax"] = assemble_pair_minimax(
-            _fit_gaps(ctx, config, theta, 0), ctx.t_star)
+            _fit_gaps(ctx, config, _every_gap(ctx, config), theta, 0),
+            ctx.t_star)
     rows = []
     for source, pair in pairs.items():
         R, J = pair.R_hat, pair.J_hat

@@ -21,7 +21,7 @@ import numpy as np
 from ._cache import content_cache
 from .dynamics import (
     SpectralDecomposition,
-    _amplitude_table,
+    _amplitudes,
     _check_entry,
     _check_natural,
     _derivative,
@@ -151,7 +151,7 @@ def estimated_eta_norm_sq(D: int, theta: float) -> float:
     0.95) and 0.988 at D = 15 (the default D).  So below D = 8 the budget
     premise fails in more than 5% of trials.
     """
-    if not (isinstance(D, numbers.Integral) and D >= 1):
+    if isinstance(D, bool) or not (isinstance(D, numbers.Integral) and D >= 1):
         raise ValueError("D must be a positive integer")
     if not 0 <= theta < np.inf:  # a NaN fails this too
         raise ValueError("theta must be nonnegative and finite")
@@ -183,10 +183,10 @@ def _panel_table(lam, w, h, order, count):
 
     Panel i is summed on its own row of nodes and the running sum is
     sequential, so entry i is the same bit for bit in a table of any
-    length.  The amplitudes are not cached again: the table is the entry.
+    length.
     """
     nodes = h * np.arange(count)[:, None] + 0.5 * h * (_GL_NODES + 1.0)
-    f = _amplitude_table.__wrapped__(lam, w, nodes, order)
+    f = _amplitudes(SpectralDecomposition(lam, None), w, nodes, order)
     panels = 0.5 * h * _GL_WEIGHTS * _derivative(f, order) ** 2
     return np.cumsum(panels.sum(axis=-1))
 

@@ -13,8 +13,8 @@ from scipy.linalg import expm
 import superkrylov as sk
 from superkrylov.experiments import (
     ExperimentConfig,
-    _convergence_cell,
-    _scaling_cell,
+    _convergence,
+    _derivative_scaling,
     build_context,
 )
 
@@ -172,15 +172,10 @@ def test_criterion_06_derivative_estimation_regime():
     cfg = ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25,
                            d_values=[5, 10, 20, 40, 80],
                            theta_values=[1e-3, 1e-2], trials=30, master_seed=0)
-    ctx = build_context(cfg)
-    floors = {}
-    for theta in cfg.theta_values:
-        means = []
-        for D in cfg.d_values:
-            cells = [_scaling_cell(ctx, cfg, D, theta, trial)
-                     for trial in range(cfg.trials)]
-            means.append(float(np.mean([c[3] for c in cells])))
-        floors[theta] = min(means)
+    [(_, _, rows)] = _derivative_scaling(build_context(cfg), cfg)
+    # the summary rows (trial = -1) hold each (D, theta)'s mean error
+    floors = {theta: min(r[3] for r in rows if r[1] == theta and r[2] == -1)
+              for theta in cfg.theta_values}
     ratio = floors[1e-2] / floors[1e-3]
     assert 2.0 <= ratio <= 50.0, floors
     elapsed = time.monotonic() - start
@@ -272,14 +267,11 @@ def test_criterion_09_noisy_end_to_end():
                            m_values=list(range(2, 31)),
                            theta_values=[1e-4, 1e-3], D=15, M=3,
                            eps_rule="m-theta", trials=10, master_seed=0)
-    ctx = build_context(cfg)
-    medians = {}
-    for theta in cfg.theta_values:
-        finals = []
-        for trial in range(cfg.trials):
-            rows = _convergence_cell(ctx, cfg, theta, trial)
-            finals.append(rows[-1][6])  # rel_error at the largest m
-        medians[theta] = float(np.median(finals))
+    [(_, _, rows)] = _convergence(build_context(cfg), cfg)
+    # rel_error at the largest m, one row per trial
+    medians = {theta: float(np.median([r[6] for r in rows if r[1] == theta
+                                       and r[0] == max(cfg.m_values)]))
+               for theta in cfg.theta_values}
     assert medians[1e-4] <= medians[1e-3]
     assert medians[1e-4] < 1e-2
     elapsed = time.monotonic() - start

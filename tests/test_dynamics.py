@@ -24,7 +24,6 @@ from _phase_oracle import (
 )
 from superkrylov.dynamics import (
     SpectralDecomposition,
-    _amplitude_table,
     _amplitudes,
     _entry_scale_and_asymmetry,
     eigenbasis_weights,
@@ -67,6 +66,22 @@ class TestEigendecompose:
     def test_not_hermitian_rejected(self, vectors):
         with pytest.raises(NotHermitian):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, vectors, dtype, bad):
+        # Python's max drops a NaN from the strip maxima, and eigh turns an
+        # inf into NaN eigenvalues: neither may reach a spectrum
+        h = np.diag([0.0, 1.0]).astype(dtype)
+        h[1, 1] = bad
+        with pytest.raises(NotHermitian, match=r"non-finite .* \[\[1, 1\]\]$"):
+            eigendecompose(h, vectors=vectors)
+        # an entry past the first strip is named by its row in h
+        h = np.eye(100, dtype=dtype)
+        h[70, 3] = h[3, 70] = bad
+        with pytest.raises(NotHermitian, match=r"\[\[3, 70\]\]$"):
+            eigendecompose(h, vectors=vectors)
 
     @pytest.mark.parametrize("vectors", [True, False])
     def test_hermiticity_tolerance_scales_with_entries(self, vectors):
@@ -274,7 +289,7 @@ class TestStateShape:
 
 
 def fresh_amplitudes(spec, w, s, order):
-    """The amplitudes computed directly, without the cache."""
+    """The amplitudes computed directly, as a reference for the kernel."""
     lam = spec.eigenvalues - 0.5 * (spec.eigenvalues[0] + spec.eigenvalues[-1])
     z = 1j * -lam
     phases = np.exp(np.multiply.outer(np.atleast_1d(s), z))
@@ -282,83 +297,37 @@ def fresh_amplitudes(spec, w, s, order):
     return np.stack([np.sum(phases * row, axis=-1) for row in coef])
 
 
-def _nudged(x, i, towards):
-    """x with entry i moved by one ulp."""
-    x = np.array(x, dtype=float)
-    x[i] = np.nextafter(x[i], towards)
-    return x
-
-
-def _amplitude_cases():
+@pytest.mark.parametrize("s, shape", [
+    (0.8, (1,)),
+    ([0.8, 0.3], (2,)),
+    (np.linspace(0.1, 1.0, 7), (7,)),
+    # the series of two gaps on one grid
+    (np.multiply.outer([1.0, 2.0], np.linspace(0.1, 1.0, 3)), (2, 3)),
+], ids=["scalar", "list", "1-D", "2-D"])
+def test_kernel_values_and_shapes(s, shape):
     rng = np.random.default_rng(12)
     spec = eigendecompose(random_hermitian(rng, 8))
     w = eigenbasis_weights(spec, random_state(rng, 8))
-    t = np.linspace(0.1, 1.0, 7)
-    nudged_spec = type(spec)(eigenvalues=_nudged(spec.eigenvalues, 3, np.inf),
-                             eigenvectors=None)
-    base = (spec, w, t, 2)
-    # (first call, second call, whether they share a key)
-    return {
-        "same-content": (base, (spec, w.copy(), t.copy(), 2), True),
-        "eigenvalue-ulp": (base, (nudged_spec, w, t, 2), False),
-        "weight-ulp": (base, (spec, _nudged(w, 5, 0.0), t, 2), False),
-        "time-ulp": (base, (spec, w, _nudged(t, 2, np.inf), 2), False),
-        # gap 2 on the same grid: the scaled times 2 t
-        "gap": (base, (spec, w, 2 * t, 2), False),
-        "order": (base, (spec, w, t, 3), False),
-        # a scalar s and a one-element list are the same 1-D key
-        "scalar-vs-list-t": ((spec, w, 0.8, 1), (spec, w, [0.8], 1), True),
-        "1d-vs-2d-t": ((spec, w, [0.8], 1), (spec, w, np.array([[0.8]]), 1),
-                       False),
-    }
-
-
-AMPLITUDE_CASES = _amplitude_cases()
-
-
-@pytest.mark.parametrize("case", AMPLITUDE_CASES)
-def test_amplitude_cache_key(case):
-    # every input the amplitudes depend on is in the key, and a hit or a
-    # miss has the value and the shape of a fresh computation
-    first_args, second_args, same_key = AMPLITUDE_CASES[case]
-    _amplitude_table.cache_clear()
-    first = _amplitudes(*first_args)
-    second = _amplitudes(*second_args)
-    assert _amplitude_table.cache_info().misses == (1 if same_key else 2)
-    assert (second is first) == same_key
-    for args, got in [(first_args, first), (second_args, second)]:
-        ref = fresh_amplitudes(*args)
-        assert got.shape == ref.shape
+    for order in range(4):
+        got = _amplitudes(spec, w, s, order)
+        ref = fresh_amplitudes(spec, w, s, order)
+        assert got.shape == ref.shape == (order + 1,) + shape
         assert got.tobytes() == ref.tobytes()
-        assert not got.flags.writeable
-
-
-class TestAmplitudeCache:
-    def test_result_is_read_only(self):
-        rng = np.random.default_rng(12)
-        spec = eigendecompose(random_hermitian(rng, 8))
-        w = eigenbasis_weights(spec, random_state(rng, 8))
-        f = _amplitudes(spec, w, 0.3, 2)
-        with pytest.raises(ValueError):
-            f[0, 0] = 1.0
 
 
 def test_checks_run_on_a_cached_amplitude_key(toy):
+    # each oracle checks its times, state, indices and order before it
+    # evaluates the kernel
     spec, v = toy
-    for oracle in ORACLES.values():
-        oracle(spec, v, 0.3)  # fills the cache
-    hits = _amplitude_table.cache_info().hits
     with pytest.raises(ValueError, match="times must be finite"):
         recovery_probability(spec, v, 0, 1, np.nan)
-    # a row vector has the same weight bytes as v
+    # a row vector holds the same weights as v
     with pytest.raises(DimensionMismatch):
         recovery_probability(spec, v[None, :], 0, 1, 0.3)
     with pytest.raises(ValueError, match="Krylov indices"):
         recovery_probability(spec, v, -1, 0, 0.3)
-    # 1.0 and 1 are one cache key, so the order is checked before it
     with pytest.raises(ValueError, match="nonnegative integer"):
         recovery_derivative(spec, v, 0, 1, 0.3, 1.0)
-    assert _amplitude_table.cache_info().hits == hits
 
 
 def test_kernel_peak_memory_is_about_two_phase_arrays():
@@ -366,12 +335,13 @@ def test_kernel_peak_memory_is_about_two_phase_arrays():
     # never a (times, order + 1, N) temporary
     rng = np.random.default_rng(4)
     n, nodes = 4096, 120
-    lam = np.sort(rng.normal(size=n))
+    spec = SpectralDecomposition(eigenvalues=np.sort(rng.normal(size=n)),
+                                 eigenvectors=None)
     w = np.full(n, 1.0 / n)
     s = np.linspace(0.0, 1.0, nodes)
     tracemalloc.start()
     try:
-        _amplitude_table.__wrapped__(lam, w, s, 3)
+        _amplitudes(spec, w, s, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

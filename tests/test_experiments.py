@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -19,12 +20,13 @@ from superkrylov import (
     recovery_derivative,
 )
 from superkrylov import dynamics, experiments, measurement, minimax, solver
-from superkrylov.dynamics import SpectralDecomposition, _amplitude_table
+from superkrylov.dynamics import SpectralDecomposition
 from superkrylov.experiments import (
     ExperimentConfig,
+    _exact_data,
+    _fit_noisy,
+    _fmt,
     _hamiltonian,
-    _measure_and_fit,
-    _scaling_cell,
     _theta_key,
     build_context,
 )
@@ -39,8 +41,9 @@ def test_certificate_holds_with_high_order_initial_condition(M, theta):
     # higher ones left at 0 the true signal lies outside the budget
     # ellipsoid and the worst-case bound fails
     cfg = ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25,
-                           D=15, M=M, theta_values=[theta], master_seed=0)
-    *_, abs_error, sigma = _scaling_cell(build_context(cfg), cfg, 15, theta, 0)
+                           d_values=[15], M=M, theta_values=[theta], master_seed=0)
+    [(_, _, [row, _])] = experiments._derivative_scaling(build_context(cfg), cfg)
+    *_, abs_error, sigma = row
     assert abs_error <= sigma
 
 
@@ -54,9 +57,9 @@ def test_ill_conditioned_certificate_raises():
                            master_seed=0)
     ctx = build_context(cfg)
     grid = sample_grid(ctx.t_star, ctx.delta_t, cfg.D)
-    _, [[f]] = _measure_and_fit(ctx, cfg, grid, theta, [gap],
-                                [(1, _theta_key(theta), 0, gap)],
-                                [estimated_eta_norm_sq(cfg.D, theta)])
+    _, [[f]] = _fit_noisy(ctx, cfg, _exact_data(ctx, cfg, grid, [gap]), theta,
+                          [(1, _theta_key(theta), 0, gap)],
+                          [estimated_eta_norm_sq(cfg.D, theta)])
     with pytest.raises(SingularSystem, match="component 1"):
         error_certificate(f.model, grid, ctx.t_star, 1)
 
@@ -103,9 +106,8 @@ def test_context_matches_eigenvector_reference(cfg):
 
 def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
     # every scaled time a noisy sweep evaluates -- the series grids, the
-    # forcing-norm panel nodes and g t* -- recorded at the two entries of
-    # the amplitude kernel: the cached one and the uncached one that the
-    # panel tables call
+    # forcing-norm panel nodes and g t* -- recorded at the amplitude kernel,
+    # wherever a module bound it
     cfg = ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25,
                            theta_values=[1e-3], d_values=[5, 15, 40])
     ctx = build_context(cfg)
@@ -123,10 +125,8 @@ def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
         return record
 
     amplitudes = recorder(dynamics._amplitudes)
-    monkeypatch.setattr(dynamics, "_amplitudes", amplitudes)
-    monkeypatch.setattr(solver, "_amplitudes", amplitudes)
-    monkeypatch.setattr(_amplitude_table, "__wrapped__",
-                        recorder(_amplitude_table.__wrapped__))
+    for module in (dynamics, solver, measurement):
+        monkeypatch.setattr(module, "_amplitudes", amplitudes)
     measurement._panel_table.cache_clear()
     experiments._convergence(ctx, cfg)
     experiments._derivative_scaling(ctx, cfg)
@@ -175,7 +175,7 @@ def test_context_assembles_only_factors(cfg, shapes, factor_qubits, levels,
     assert abs(np.sum(ctx.v ** 2) - 1.0) <= 1e-15
 
 
-CACHES = (_amplitude_table, measurement._panel_table, minimax._kernel_overlaps)
+CACHES = (measurement._panel_table, minimax._kernel_overlaps)
 
 
 def _clear_caches():
@@ -211,25 +211,78 @@ def test_caches_never_leak_between_configs(tmp_path):
     assert other != first
 
 
+def _record_kernel_calls(monkeypatch) -> collections.Counter:
+    """Count the amplitude kernel's evaluations by the module that made
+    them: the oracles (dynamics), the exact pair (solver) and the
+    forcing-norm panel tables (measurement)."""
+    calls = collections.Counter()
+    kernel = dynamics._amplitudes
+    for module in (dynamics, solver, measurement):
+        def record(*args, _name=module.__name__.rsplit(".", 1)[-1]):
+            calls[_name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(module, "_amplitudes", record)
+    return calls
+
+
 @pytest.mark.parametrize("M", [3, 6])
-def test_convergence_reuses_amplitudes_across_theta(M, tmp_path):
-    # per cell the amplitude cache sees one key for the series of every gap
-    # on the grid (R_0g(t) = R_01(g t)), one per even derivative R_01^(p)(0),
-    # p = 2, 4, .. < M, which every gap shares (R_0g^(p)(0) = g^p R_01^(p)(0)),
-    # and one for the exact pair; each gap's forcing norm reads a prefix of
-    # one panel table per power of two up to the largest gap.  None depends
-    # on theta, so the second theta computes nothing new
+def test_convergence_reuses_amplitudes_across_theta(M, tmp_path, monkeypatch):
+    # the sweep evaluates F once for the series of every gap on the grid
+    # (R_0g(t) = R_01(g t)), once per even derivative R_01^(p)(0), p = 2,
+    # 4, .. < M, which every gap shares (R_0g^(p)(0) = g^p R_01^(p)(0)), and
+    # once for the exact pair; each gap's forcing norm reads a prefix of one
+    # panel table per power of two up to the largest gap.  None depends on
+    # theta, so the second theta computes nothing new
     cfg = _noisy4(M=M, out=str(tmp_path))
     gaps = max(cfg.m_values) - 1
     cells = len(cfg.theta_values) * cfg.trials
-    keys = 1 + len(range(2, M, 2)) + 1
     tables = math.ceil(math.log2(gaps)) + 1
     _clear_caches()
+    calls = _record_kernel_calls(monkeypatch)
     experiments.run("convergence", cfg)
-    info = _amplitude_table.cache_info()
-    assert (info.misses, info.hits) == (keys, keys * (cells - 1))
+    assert calls == {"dynamics": 1 + len(range(2, M, 2)), "solver": 1,
+                     "measurement": tables}
     info = measurement._panel_table.cache_info()
     assert (info.misses, info.hits) == (tables, gaps * cells - tables)
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("convergence", dict(theta_values=[1e-3], trials=1)),
+    ("convergence", dict(theta_values=[0.0, 1e-3, 1e-2], trials=3, M=6)),
+    ("convergence", dict(theta_values=[0.0], trials=2)),
+    ("deriv-scaling", dict(theta_values=[1e-3], trials=1)),
+    ("deriv-scaling", dict(d_values=[5, 9, 12], trials=3, M=6)),
+], ids=["noisy-one-cell", "noisy-nine-cells", "noise-free", "scaling-one-cell",
+        "scaling-many-cells"])
+def test_kernel_evaluations_per_sweep(command, overrides, tmp_path, monkeypatch):
+    # outside the panel tables, a sweep evaluates F a number of times that
+    # no theta or trial changes: the exact pair, and with noise the series
+    # and each even x_in derivative once; deriv-scaling the true F'(t*)
+    # once, and the series and x_in derivatives once per D
+    cfg = _noisy4(out=str(tmp_path), **overrides)
+    even = len(range(2, cfg.M, 2))
+    if command == "deriv-scaling":
+        want = 1 + len(cfg.d_values) * (1 + even)
+    else:
+        want = 2 + even if max(cfg.theta_values) > 0 else 1
+    calls = _record_kernel_calls(monkeypatch)
+    experiments.run(command, cfg)
+    assert calls["dynamics"] + calls["solver"] == want
+
+
+def test_no_cell_writes_into_the_shared_exact_series(tmp_path):
+    # every cell of a sweep adds its noise to one exact series of every
+    # gap, so each theta's rows must be byte for byte those of a sweep of
+    # that theta alone
+    def lines(cfg, out):
+        cfg.out = str(out)
+        return Path(experiments.run("convergence", cfg)).read_text().splitlines()
+
+    header, *rows = lines(_noisy4(), tmp_path / "both")
+    for theta in _noisy4().theta_values:
+        alone = lines(_noisy4(theta_values=[theta]), tmp_path / _fmt(theta))
+        assert alone[0] == header
+        assert [r for r in rows if r.split(",")[1] == _fmt(theta)] == alone[1:]
 
 
 def test_stage_times_survive_a_backward_wall_clock_step(monkeypatch, tmp_path):

@@ -20,7 +20,7 @@ from superkrylov import (
     measure_series,
     sample_grid,
 )
-from superkrylov import dynamics, measurement
+from superkrylov import measurement
 from superkrylov.dynamics import eigenbasis_weights, recovery_derivative
 from superkrylov.experiments import ExperimentConfig, build_context
 
@@ -55,6 +55,12 @@ class TestSampleGrid:
         np.testing.assert_array_equal(sample_grid(0.5, 0.15, np.int64(7)),
                                       sample_grid(0.5, 0.15, 7))
         assert estimated_eta_norm_sq(np.int64(5), 1e-3) == estimated_eta_norm_sq(5, 1e-3)
+
+    @pytest.mark.parametrize("D", [True, False, 5.0])
+    def test_bool_or_float_size_rejected(self, D):
+        # Python counts a bool as an Integral: True would read as D = 1
+        with pytest.raises(ValueError, match="positive integer"):
+            estimated_eta_norm_sq(D, 0.1)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -234,10 +240,7 @@ def test_forcing_norm_converged_in_its_panels(name, gap, delta_t_fraction, order
     tau = 1.5 * (1 + delta_t_fraction) * ctx.t_star
     per_unit = math.ceil(tau * ctx.spec.spectral_width / measurement.PANEL_PHASE)
     got = forcing_norm_sq(ctx.spec, ctx.v, 0, gap, tau, order=order)
-    try:
-        want = _rule_norm_sq(ctx.spec, ctx.v, gap, tau, order, 2 * gap * per_unit)
-    finally:
-        dynamics._amplitude_table.cache_clear()  # its tables are large
+    want = _rule_norm_sq(ctx.spec, ctx.v, gap, tau, order, 2 * gap * per_unit)
     assert abs(got - want) <= 1e-12 * want
 
 

@@ -30,7 +30,12 @@ from superkrylov import (
     threshold_solve,
 )
 from superkrylov.dynamics import exact_J_entry, recovery_derivative, recovery_probability
-from superkrylov.experiments import ExperimentConfig, _fit_gaps, build_context
+from superkrylov.experiments import (
+    ExperimentConfig,
+    _every_gap,
+    _fit_gaps,
+    build_context,
+)
 from superkrylov.measurement import forcing_norm_sq
 
 from _kernel_reference import toeplitz_pair_reference
@@ -350,7 +355,8 @@ def test_noise_rate_matches_svd_norms_on_random_pairs(m):
 def test_noise_rate_matches_svd_norms_on_a_minimax_pair():
     cfg = ExperimentConfig(n=4, m_values=list(range(2, 13)), theta_values=[1e-3])
     ctx = build_context(cfg)
-    est = assemble_pair_minimax(_fit_gaps(ctx, cfg, 1e-3, 0), ctx.t_star)
+    fits = _fit_gaps(ctx, cfg, _every_gap(ctx, cfg), 1e-3, 0)
+    est = assemble_pair_minimax(fits, ctx.t_star)
     exact = assemble_pair_exact(ctx.spec, ctx.v, est.m, ctx.t_star)
     j_norm = 2.0 * ctx.spec.spectral_width
     ref = _svd_noise_rate(est, exact, j_norm)
