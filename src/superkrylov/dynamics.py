@@ -142,11 +142,14 @@ def _check_times(t):
         raise ValueError("times must be finite")
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer; never a bool, though bool is an Integral."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _check_natural(what: str, *values):
-    """Reject values that are not nonnegative ints or numpy integers; a
-    bool is neither, though Python counts it as an Integral."""
-    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-               and x >= 0 for x in values):
+    """Reject values that are not nonnegative integers (``_is_integer``)."""
+    if not all(_is_integer(x) and x >= 0 for x in values):
         raise ValueError(f"{what} must be nonnegative integers")
 
 

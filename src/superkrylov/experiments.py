@@ -43,7 +43,11 @@ import numpy as np
 
 from .dynamics import (
     SpectralDecomposition,
+    _amplitudes,
+    _derivative,
+    _is_integer,
     build_initial_state,
+    eigenbasis_weights,
     eigendecompose,
     recovery_derivative,
     recovery_probability,
@@ -101,8 +105,7 @@ def _list_of(item: _Kind, noun: str) -> _Kind:
 
 
 # numpy's integers and reals count, a bool is neither, and a real is finite
-INTEGER = _Kind(lambda x: isinstance(x, numbers.Integral)
-                and not isinstance(x, bool), "an integer", int)
+INTEGER = _Kind(_is_integer, "an integer", int)
 REAL = _Kind(lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool)
              and math.isfinite(x), "a finite real number", float)
 STRING = _Kind(lambda x: isinstance(x, str), "a string", str)
@@ -318,23 +321,28 @@ def _fmt(x) -> str:
 _ExactData = collections.namedtuple("_ExactData", "grid gaps values x_in")
 
 
-def _exact_data(ctx: PipelineContext, config: ExperimentConfig,
-                grid: np.ndarray, gaps) -> _ExactData:
+def _initial_condition(ctx: PipelineContext, config: ExperimentConfig):
+    """x_in of gap 1, R_01^(p)(0) for p < M, from one kernel call at 0 that
+    every grid and gap shares; R is even, so its odd derivatives vanish."""
+    f = _amplitudes(ctx.spec, eigenbasis_weights(ctx.spec, ctx.v), 0.0,
+                    config.M - 1)
+    return np.array([1.0] + [0.0 if p % 2 else _derivative(f, p)[0]
+                             for p in range(1, config.M)])
+
+
+def _exact_data(ctx: PipelineContext, grid: np.ndarray, gaps,
+                x_in_1: np.ndarray) -> _ExactData:
     """The exact series of R_0g on the grid and the initial condition
     x_in, one row each per gap g, which no noise level or trial changes.
 
     The series of every gap is one oracle call, R_0g(t) = R_01(g t), and
-    x_in[p] = g^p R_01^(p)(0) one per even p.
+    x_in[p] = g^p R_01^(p)(0) scales ``x_in_1`` (``_initial_condition``).
     """
     gaps = list(gaps)
     values = recovery_probability(ctx.spec, ctx.v, 0, 1,
                                   np.multiply.outer(gaps, grid))
-    x_in = np.zeros((len(gaps), config.M))
-    x_in[:, 0] = 1.0
-    # R is even in t, so its odd derivatives vanish at 0
-    for p in range(2, config.M, 2):
-        scale = np.array([g ** p for g in gaps], dtype=float)
-        x_in[:, p] = scale * recovery_derivative(ctx.spec, ctx.v, 0, 1, 0.0, p)
+    x_in = x_in_1 * np.array([[g ** p for p in range(x_in_1.size)]
+                              for g in gaps], dtype=float)
     return _ExactData(grid, gaps, values, x_in)
 
 
@@ -368,7 +376,8 @@ def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
 def _every_gap(ctx: PipelineContext, config: ExperimentConfig) -> _ExactData:
     """The exact data of every gap 1..max(m_values) - 1 on config.D points."""
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
-    return _exact_data(ctx, config, grid, range(1, max(config.m_values)))
+    return _exact_data(ctx, grid, range(1, max(config.m_values)),
+                       _initial_condition(ctx, config))
 
 
 def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig,
@@ -421,13 +430,14 @@ def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
 
     Per-trial rows are followed by summary rows (trial = -1) holding the
     trial-averaged error and certificate for each (D, theta).  The true
-    derivative of gap 1 at t* is evaluated once, its exact data once per D.
+    derivative of gap 1 at t* and x_in are found once, its series once per D.
     """
     truth = recovery_derivative(ctx.spec, ctx.v, 0, 1, ctx.t_star, 1)
+    x_in_1 = _initial_condition(ctx, config)
     rows = []
     for D in config.d_values:
         grid = sample_grid(ctx.t_star, ctx.delta_t, D)
-        exact = _exact_data(ctx, config, grid, [1])
+        exact = _exact_data(ctx, grid, [1], x_in_1)
         for theta in config.theta_values:
             for trial in range(config.trials):
                 _, [[f]] = _fit_noisy(ctx, config, exact, theta,
@@ -459,9 +469,10 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
     theta = max(config.theta_values)
     grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
     eta0 = estimated_eta_norm_sq(config.D, theta)
+    exact = _exact_data(ctx, grid, [gap], _initial_condition(ctx, config))
     # the r variants come from scaled noise bounds so each budget stays valid
     series, [[fit_low, fit0, fit_high]] = _fit_noisy(
-        ctx, config, _exact_data(ctx, config, grid, [gap]), theta,
+        ctx, config, exact, theta,
         [(3, _theta_key(theta), 0, gap)], [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
     exact_r = recovery_probability(ctx.spec, ctx.v, 0, gap, dense)
@@ -495,21 +506,12 @@ def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
         pairs["minimax"] = assemble_pair_minimax(
             _fit_gaps(ctx, config, _every_gap(ctx, config), theta, 0),
             ctx.t_star)
-    rows = []
-    for source, pair in pairs.items():
-        R, J = pair.R_hat, pair.J_hat
-        # the table keeps the signed zeros of the complex entries it has
-        # always written: a minimax J entry was the quotient x_hat_1/(-ig),
-        # whose real part is -0
-        j_re = -0.0 if source == "minimax" else 0.0
-        for j in range(m):
-            for k in range(m):
-                rows.append((
-                    source, j, k,
-                    float(R[j, k].real), float(R[j, k].imag),
-                    j_re if j != k else 0.0, float(J[j, k].imag),
-                ))
-    header = ["source", "row", "col", "R_re", "R_im", "J_re", "J_im"]
+    # R_hat is real and J_hat = i A_hat imaginary: one column each
+    rows = [(source, j, k, R[j][k], A[j][k])
+            for source, pair in pairs.items()
+            for R, A in [(pair.R_hat.tolist(), pair.A_hat.tolist())]
+            for j in range(m) for k in range(m)]
+    header = ["source", "row", "col", "R_re", "J_im"]
     return [("gram.csv", header, rows)]
 
 

@@ -13,7 +13,6 @@ norm of the noise vector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .dynamics import (
     _check_entry,
     _check_natural,
     _derivative,
+    _is_integer,
     eigenbasis_weights,
     recovery_derivative,
     recovery_probability,
@@ -107,7 +107,7 @@ def sample_grid(t_star: float, delta_t: float, D: int) -> np.ndarray:
     Endpoints are inset by half a spacing, so the grid stays strictly
     inside the window and contains t* whenever D is odd.
     """
-    if not (isinstance(D, numbers.Integral) and D >= 2):
+    if not (_is_integer(D) and D >= 2):
         raise ValueError("the number D of timepoints must be an integer >= 2")
     if not 0 < delta_t < np.inf:  # a NaN fails this too
         raise ValueError("delta_t must be positive and finite")
@@ -151,7 +151,7 @@ def estimated_eta_norm_sq(D: int, theta: float) -> float:
     0.95) and 0.988 at D = 15 (the default D).  So below D = 8 the budget
     premise fails in more than 5% of trials.
     """
-    if isinstance(D, bool) or not (isinstance(D, numbers.Integral) and D >= 1):
+    if not (_is_integer(D) and D >= 1):
         raise ValueError("D must be a positive integer")
     if not 0 <= theta < np.inf:  # a NaN fails this too
         raise ValueError("theta must be nonnegative and finite")

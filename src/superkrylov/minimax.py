@@ -63,13 +63,13 @@ values cannot go stale, and the checks run before the lookup.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from ._cache import content_cache
+from .dynamics import _is_integer
 from .errors import BadHorizon, OutOfHorizon, SingularSystem
 from .measurement import MeasurementSeries, NoiseBudget
 
@@ -214,8 +214,8 @@ def _ridge_solve(models, ts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _check_evaluation(model: EstimatorModel, t: float, component: int):
     """A component is an integer in [0, M) and t lies in [0, tau]."""
-    # the type test is the fast path; numbers.Integral admits numpy integers
-    if not ((type(component) is int or isinstance(component, numbers.Integral))
+    # the type test is the fast path; _is_integer admits numpy integers
+    if not ((type(component) is int or _is_integer(component))
             and 0 <= component < model.M):
         raise ValueError("component must be an integer in [0, M)")
     if not 0 <= t <= model.tau:

@@ -11,9 +11,10 @@ where R_hat collects recovery probabilities (the Gram matrix of the
 Krylov family) and J_hat the projected commutator.  Both matrices depend
 only on the index gap k - j and are Hermitian, so each is fixed by its
 first row, one value per gap, and the m-pair is the leading block of
-every larger one.  R_hat is real and J_hat purely imaginary, for exact
-and estimated pairs alike, so a ``KrylovPair`` holds two real rows and
-is solved in real arithmetic; the Ritz spectrum is antisymmetric.
+every larger one.  R_hat is real and J_hat = i A_hat with A_hat real,
+for exact and estimated pairs alike, so a ``KrylovPair`` holds two real
+rows, gives R_hat and A_hat, and is solved in real arithmetic; the Ritz
+spectrum is antisymmetric.
 The Gram matrix is nearly singular by design (that is what convergence
 looks like), so the solve first discards Gram eigendirections below a
 threshold eps and whitens the rest.
@@ -29,6 +30,7 @@ from .dynamics import (
     SpectralDecomposition,
     _amplitudes,
     _derivative,
+    _is_integer,
     _probability,
     eigenbasis_weights,
 )
@@ -54,20 +56,13 @@ def _toeplitz(row: np.ndarray, antisymmetric: bool = False) -> np.ndarray:
     return full[m - 1 + i - i[:, None]]
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex matrix re + i im, with the signed zeros of both parts."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 @dataclass(frozen=True)
 class KrylovPair:
-    """The pair (J_hat, R_hat), held as two real first rows r and a.
+    """The pair (J_hat, R_hat), held as two finite real first rows r and a.
 
     R_hat is real symmetric Toeplitz with R_jk = r[|k - j|], r[0] = 1,
-    and J_hat = i A with A real antisymmetric Toeplitz, A_jk = a[k - j]
-    for k >= j, a[0] = 0.  The rows are read-only copies.
+    and J_hat = i A_hat with A_hat real antisymmetric Toeplitz, A_jk =
+    a[k - j] for k >= j, a[0] = 0.  The rows are read-only copies.
     """
 
     r: np.ndarray
@@ -78,6 +73,8 @@ class KrylovPair:
         if r.ndim != 1 or r.size == 0 or a.shape != r.shape:
             raise DimensionMismatch(
                 "pair rows must be 1-D, nonempty and of one length")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(a))):
+            raise SingularSystem("projected pair has non-finite entries")
         if a[0] != 0:
             raise ValueError("a[0] must be 0: J_hat has a zero diagonal")
         r.flags.writeable = a.flags.writeable = False
@@ -91,20 +88,19 @@ class KrylovPair:
 
     def leading(self, m: int) -> "KrylovPair":
         """The m-pair: the leading m x m blocks, with rows r[:m], a[:m]."""
+        if not (_is_integer(m) and 1 <= m <= self.m):
+            raise ValueError(f"m must be an integer in [1, {self.m}]")
         return KrylovPair(r=self.r[:m], a=self.a[:m])
 
     @property
     def R_hat(self) -> np.ndarray:
-        """R_hat as a complex Hermitian matrix; its imaginary parts are +0
-        on and above the diagonal and -0 below it, as conjugation puts them."""
-        return _complex(_toeplitz(self.r),
-                        _toeplitz(np.zeros(self.m), antisymmetric=True))
+        """R_hat as a real symmetric matrix."""
+        return _toeplitz(self.r)
 
     @property
-    def J_hat(self) -> np.ndarray:
-        """J_hat = i A as a complex Hermitian matrix; its real parts are +0."""
-        return _complex(np.zeros((self.m, self.m)),
-                        _toeplitz(self.a, antisymmetric=True))
+    def A_hat(self) -> np.ndarray:
+        """A_hat = J_hat / i as a real antisymmetric matrix."""
+        return _toeplitz(self.a, antisymmetric=True)
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,8 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
     R_0g = F(g t_star) as in recovery_probability and J_0g = R_0g'/(-ig)
     = i F'(g t_star) as in exact_J_entry, so a_g = F'(g t_star).
     """
-    if m < 2:
-        raise ValueError("Krylov dimension m must be at least 2")
+    if not (_is_integer(m) and m >= 2):
+        raise ValueError("Krylov dimension m must be an integer >= 2")
     times = np.arange(1, m) * t_star
     f = _amplitudes(spec, eigenbasis_weights(spec, v), times, 1)
     return KrylovPair(r=np.r_[1.0, _probability(f)],
@@ -162,14 +158,12 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
     Gram eigendirections with eigenvalue <= eps are projected out; the
     survivors are whitened (scaled by sigma^{-1/2}) so the reduced problem
     is an ordinary Hermitian eigenproblem.  All of it is real but the last
-    step: R is real symmetric, and with W the whitened kept eigenvectors
-    the reduced J_hat is i B, B = W^T A W real antisymmetric.
+    step: with W the whitened kept eigenvectors of the real symmetric
+    R_hat, the reduced J_hat is i B, B = W^T A_hat W real antisymmetric.
     """
     if not eps >= 0:  # a NaN fails this too
         raise ValueError("threshold eps must be nonnegative")
-    if not (np.all(np.isfinite(pair.r)) and np.all(np.isfinite(pair.a))):
-        raise SingularSystem("projected pair has non-finite entries")
-    sig, V = np.linalg.eigh(_toeplitz(pair.r))
+    sig, V = np.linalg.eigh(pair.R_hat)
     keep = sig > eps
     if not keep.any():
         raise AllModesThresholded(
@@ -177,7 +171,7 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
             f"(max eigenvalue {sig[-1]:.3e})"
         )
     W = V[:, keep] / np.sqrt(sig[keep])
-    B = W.T @ _toeplitz(pair.a, antisymmetric=True) @ W
+    B = W.T @ pair.A_hat @ W
     ritz = np.linalg.eigvalsh(1j * B)
     return RitzResult(ritz_values=ritz, kept_dim=int(keep.sum()))
 

@@ -6,8 +6,9 @@
 
 as ``minimax._overlap`` computed it before it stopped materializing the
 broadcast of its four arguments, and ``toeplitz_pair_reference`` fills the
-Hermitian Toeplitz pair from its first rows entry by entry, the reference
-for the complex matrices a ``solver.KrylovPair`` derives from its rows.
+symmetric and antisymmetric Toeplitz pair from its first rows entry by
+entry, the reference for the real matrices a ``solver.KrylovPair``
+derives from its rows.
 """
 
 import numpy as np
@@ -28,16 +29,15 @@ def overlap_reference(a, p, b, q):
     return total
 
 
-def toeplitz_pair_reference(r_row, j_row):
+def toeplitz_pair_reference(r_row, a_row):
     m = len(r_row)
-    R = np.zeros((m, m), dtype=complex)
-    J = np.zeros((m, m), dtype=complex)
+    R = np.zeros((m, m))
+    A = np.zeros((m, m))
     for j in range(m):
-        R[j, j], J[j, j] = r_row[0], j_row[0]
+        R[j, j], A[j, j] = r_row[0], a_row[0]
         for k in range(j + 1, m):
             g = k - j
-            R[j, k] = r_row[g]
-            R[k, j] = np.conj(R[j, k])
-            J[j, k] = j_row[g]
-            J[k, j] = np.conj(J[j, k])
-    return R, J
+            R[j, k] = R[k, j] = r_row[g]
+            A[j, k] = a_row[g]
+            A[k, j] = -A[j, k]
+    return R, A

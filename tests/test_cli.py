@@ -219,23 +219,9 @@ class TestOutputs:
         with open(os.path.join(out, "gram.csv")) as fh:
             header = fh.readline().strip().split(",")
             rows = fh.readlines()
-        assert header == ["source", "row", "col", "R_re", "R_im", "J_re", "J_im"]
+        # R_hat is real and J_hat imaginary, so each has one column
+        assert header == ["source", "row", "col", "R_re", "J_im"]
         assert len(rows) == 2 * 6 * 6  # exact + minimax, m=6
-
-    def test_gram_zero_columns_keep_their_signed_zeros(self, config_file,
-                                                      tmp_path):
-        # R is real and J imaginary, so R_im and J_re are zeros whose signs
-        # the table has always carried: R_im is -0 below the diagonal (a
-        # conjugate), and J_re is -0 off the diagonal of the minimax pair
-        # (the real part of the complex quotient x_hat_1/(-ig))
-        out = str(tmp_path / "o4")
-        assert main(["gram", "--config", config_file, "--out", out]) == 0
-        with open(os.path.join(out, "gram.csv")) as fh:
-            rows = [line.strip().split(",") for line in fh.readlines()[1:]]
-        for source, j, k, _, r_im, j_re, _ in rows:
-            below, off = int(j) > int(k), j != k
-            assert r_im == ("-0" if below else "0")
-            assert j_re == ("-0" if source == "minimax" and off else "0")
 
     def test_largest_theta_used_whatever_its_position(self, tmp_path):
         outputs = []

@@ -26,6 +26,7 @@ from superkrylov.experiments import (
     _exact_data,
     _fit_noisy,
     _fmt,
+    _initial_condition,
     _hamiltonian,
     _theta_key,
     build_context,
@@ -57,7 +58,8 @@ def test_ill_conditioned_certificate_raises():
                            master_seed=0)
     ctx = build_context(cfg)
     grid = sample_grid(ctx.t_star, ctx.delta_t, cfg.D)
-    _, [[f]] = _fit_noisy(ctx, cfg, _exact_data(ctx, cfg, grid, [gap]), theta,
+    exact = _exact_data(ctx, grid, [gap], _initial_condition(ctx, cfg))
+    _, [[f]] = _fit_noisy(ctx, cfg, exact, theta,
                           [(1, _theta_key(theta), 0, gap)],
                           [estimated_eta_norm_sq(cfg.D, theta)])
     with pytest.raises(SingularSystem, match="component 1"):
@@ -101,7 +103,7 @@ def test_context_matches_eigenvector_reference(cfg):
     pair = assemble_pair_exact(ctx.spec, ctx.v, 30, ctx.t_star)
     ref = assemble_pair_exact(ref_spec, ref_v, 30, ctx.t_star)
     _close(pair.R_hat, ref.R_hat)
-    _close(pair.J_hat, ref.J_hat)
+    _close(pair.A_hat, ref.A_hat)
 
 
 def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
@@ -125,7 +127,7 @@ def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
         return record
 
     amplitudes = recorder(dynamics._amplitudes)
-    for module in (dynamics, solver, measurement):
+    for module in (dynamics, experiments, solver, measurement):
         monkeypatch.setattr(module, "_amplitudes", amplitudes)
     measurement._panel_table.cache_clear()
     experiments._convergence(ctx, cfg)
@@ -213,11 +215,12 @@ def test_caches_never_leak_between_configs(tmp_path):
 
 def _record_kernel_calls(monkeypatch) -> collections.Counter:
     """Count the amplitude kernel's evaluations by the module that made
-    them: the oracles (dynamics), the exact pair (solver) and the
-    forcing-norm panel tables (measurement)."""
+    them: the oracles (dynamics), the initial conditions (experiments),
+    the exact pair (solver) and the forcing-norm panel tables
+    (measurement)."""
     calls = collections.Counter()
     kernel = dynamics._amplitudes
-    for module in (dynamics, solver, measurement):
+    for module in (dynamics, experiments, solver, measurement):
         def record(*args, _name=module.__name__.rsplit(".", 1)[-1]):
             calls[_name] += 1
             return kernel(*args)
@@ -228,8 +231,8 @@ def _record_kernel_calls(monkeypatch) -> collections.Counter:
 @pytest.mark.parametrize("M", [3, 6])
 def test_convergence_reuses_amplitudes_across_theta(M, tmp_path, monkeypatch):
     # the sweep evaluates F once for the series of every gap on the grid
-    # (R_0g(t) = R_01(g t)), once per even derivative R_01^(p)(0), p = 2,
-    # 4, .. < M, which every gap shares (R_0g^(p)(0) = g^p R_01^(p)(0)), and
+    # (R_0g(t) = R_01(g t)), once at 0 for every derivative R_01^(p)(0),
+    # p < M, which every gap shares (R_0g^(p)(0) = g^p R_01^(p)(0)), and
     # once for the exact pair; each gap's forcing norm reads a prefix of one
     # panel table per power of two up to the largest gap.  None depends on
     # theta, so the second theta computes nothing new
@@ -240,7 +243,7 @@ def test_convergence_reuses_amplitudes_across_theta(M, tmp_path, monkeypatch):
     _clear_caches()
     calls = _record_kernel_calls(monkeypatch)
     experiments.run("convergence", cfg)
-    assert calls == {"dynamics": 1 + len(range(2, M, 2)), "solver": 1,
+    assert calls == {"dynamics": 1, "experiments": 1, "solver": 1,
                      "measurement": tables}
     info = measurement._panel_table.cache_info()
     assert (info.misses, info.hits) == (tables, gaps * cells - tables)
@@ -256,18 +259,17 @@ def test_convergence_reuses_amplitudes_across_theta(M, tmp_path, monkeypatch):
         "scaling-many-cells"])
 def test_kernel_evaluations_per_sweep(command, overrides, tmp_path, monkeypatch):
     # outside the panel tables, a sweep evaluates F a number of times that
-    # no theta or trial changes: the exact pair, and with noise the series
-    # and each even x_in derivative once; deriv-scaling the true F'(t*)
-    # once, and the series and x_in derivatives once per D
+    # no theta, trial or M changes: the exact pair, and with noise the
+    # series and the x_in derivatives once; deriv-scaling the true F'(t*)
+    # and the x_in derivatives once, and the series once per D
     cfg = _noisy4(out=str(tmp_path), **overrides)
-    even = len(range(2, cfg.M, 2))
     if command == "deriv-scaling":
-        want = 1 + len(cfg.d_values) * (1 + even)
+        want = 2 + len(cfg.d_values)
     else:
-        want = 2 + even if max(cfg.theta_values) > 0 else 1
+        want = 3 if max(cfg.theta_values) > 0 else 1
     calls = _record_kernel_calls(monkeypatch)
     experiments.run(command, cfg)
-    assert calls["dynamics"] + calls["solver"] == want
+    assert calls["dynamics"] + calls["experiments"] + calls["solver"] == want
 
 
 def test_no_cell_writes_into_the_shared_exact_series(tmp_path):

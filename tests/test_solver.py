@@ -55,16 +55,16 @@ class TestExactAssembly:
         _, spec, v, t_star = chain
         pair = assemble_pair_exact(spec, v, 2, t_star)
         assert pair.R_hat[0, 0] == 1.0 and pair.R_hat[1, 1] == 1.0
-        assert pair.J_hat[0, 0] == 0.0
-        # single-pair Gram entries are real (modulus squared of an overlap)
-        assert abs(pair.R_hat[0, 1].imag) < 1e-14
-        assert abs(pair.R_hat[0, 1] - pair.R_hat[1, 0]) < 1e-14
+        assert pair.A_hat[0, 0] == 0.0
+        # Gram entries are real (modulus squared of an overlap)
+        assert pair.R_hat.dtype == pair.A_hat.dtype == np.float64
+        assert pair.R_hat[0, 1] == pair.R_hat[1, 0]
 
     def test_zero_timestep_degenerate(self, chain):
         _, spec, v, _ = chain
         pair = assemble_pair_exact(spec, v, 4, 0.0)
         np.testing.assert_allclose(pair.R_hat, np.ones((4, 4)), atol=1e-13)
-        np.testing.assert_allclose(pair.J_hat, 0.0, atol=1e-13)
+        np.testing.assert_allclose(pair.A_hat, 0.0, atol=1e-13)
 
     def test_entries_match_derivative_identity(self, chain):
         from superkrylov import recovery_probability
@@ -75,7 +75,8 @@ class TestExactAssembly:
         for j, k in ((0, 1), (0, 3), (1, 2)):
             fd = (recovery_probability(spec, v, j, k, t_star + h)
                   - recovery_probability(spec, v, j, k, t_star - h)) / (2 * h)
-            val = (1j * (j - k) * pair.J_hat[j, k]).real
+            # R_jk' = i (j - k) J_jk with J = i A_hat
+            val = (k - j) * pair.A_hat[j, k]
             assert abs(fd - val) < 1e-7
 
     def test_one_weight_vector_per_pair(self, chain, monkeypatch):
@@ -104,13 +105,17 @@ class TestExactAssembly:
         r = np.array([recovery_probability(spec, v, 0, g, t_star) for g in gaps])
         J = np.array([exact_J_entry(spec, v, 0, g, t_star) for g in gaps])
         assert np.max(np.abs(pair.R_hat[0, 1:] - r)) <= 1e-15 * np.max(np.abs(r))
-        assert np.max(np.abs(pair.J_hat[0, 1:] - J)) <= 1e-15 * np.max(np.abs(J))
+        # J_0g = i a_g
+        assert np.all(J.real == 0.0)
+        J = J.imag
+        assert np.max(np.abs(pair.A_hat[0, 1:] - J)) <= 1e-15 * np.max(np.abs(J))
 
     def test_hermitian(self, chain):
+        # R_hat symmetric and A_hat antisymmetric: J_hat = i A_hat is Hermitian
         _, spec, v, t_star = chain
         pair = assemble_pair_exact(spec, v, 6, t_star)
-        assert np.max(np.abs(pair.R_hat - pair.R_hat.conj().T)) < 1e-14
-        assert np.max(np.abs(pair.J_hat - pair.J_hat.conj().T)) < 1e-14
+        np.testing.assert_array_equal(pair.R_hat, pair.R_hat.T)
+        np.testing.assert_array_equal(pair.A_hat, -pair.A_hat.T)
 
 
 def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
@@ -128,20 +133,18 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
 class TestToeplitzPair:
     @pytest.mark.parametrize("m", [2, 3, 17])
     def test_matches_entrywise_fill(self, m):
-        # the complex matrices derived from the rows have the bits of the
-        # entry-by-entry Hermitian fill of R_0g = r_g and J_0g = i a_g,
-        # signed zeros included
+        # the real matrices derived from the rows have the bits of the
+        # entry-by-entry fill of R_0g = r_g and A_0g = a_g, signed zeros
+        # included
         rng = np.random.default_rng(m)
         r = np.r_[1.0, rng.uniform(size=m - 1)]
         a = np.r_[0.0, rng.normal(size=m - 1)]
         pair = KrylovPair(r=r, a=a)
-        j_row = np.zeros(m, dtype=complex)
-        j_row.imag = a
-        R, J = toeplitz_pair_reference(r.astype(complex), j_row)
+        R, A = toeplitz_pair_reference(r, a)
         assert pair.m == m
-        assert pair.R_hat.dtype == R.dtype and pair.J_hat.dtype == J.dtype
+        assert pair.R_hat.dtype == pair.A_hat.dtype == np.float64
         assert pair.R_hat.tobytes() == R.tobytes()
-        assert pair.J_hat.tobytes() == J.tobytes()
+        assert pair.A_hat.tobytes() == A.tobytes()
 
     def test_rows_are_read_only_copies(self):
         r, a = np.array([1.0, 0.5]), np.array([0.0, 0.25])
@@ -159,8 +162,11 @@ class TestToeplitzPair:
             small = assemble_pair_exact(spec, v, m, t_star)
             assert pair.r.tobytes() == small.r.tobytes()
             assert pair.a.tobytes() == small.a.tobytes()
-            for X, Y in ((pair.R_hat, full.R_hat), (pair.J_hat, full.J_hat)):
+            for X, Y in ((pair.R_hat, full.R_hat), (pair.A_hat, full.A_hat)):
                 assert X.tobytes() == np.ascontiguousarray(Y[:m, :m]).tobytes()
+        # a numpy integer is an integer; the whole pair is its own m-pair
+        for m in (np.int64(1), 6):
+            assert full.leading(m).r.tobytes() == full.r[:m].tobytes()
 
     def test_nonzero_diagonal_of_J_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +181,7 @@ class TestMinimaxAssembly:
         est = assemble_pair_minimax(fits, t_star)
         exact = assemble_pair_exact(spec, v, m, t_star)
         assert np.max(np.abs(est.R_hat - exact.R_hat)) < 1e-5
-        assert np.max(np.abs(est.J_hat - exact.J_hat)) < 1e-4
+        assert np.max(np.abs(est.A_hat - exact.A_hat)) < 1e-4
 
     def test_end_to_end_small_gap(self, chain):
         ham, spec, v, t_star = chain
@@ -201,21 +207,22 @@ class TestMinimaxAssembly:
         assert np.max(np.abs(pair.R_hat)) <= 1.0 + 1e-15
 
     def test_gap_fits_give_nested_hermitian_toeplitz_pairs(self, chain):
+        # R_hat symmetric and A_hat antisymmetric: J_hat = i A_hat is Hermitian
         _, spec, v, t_star = chain
         m_max = 5
         fits = [_fit_for_gap(spec, v, g, t_star, D=10, theta=1e-2, seed=g)
                 for g in range(1, m_max)]
         full = assemble_pair_minimax(fits, t_star)
         assert full.m == m_max
-        for X in (full.R_hat, full.J_hat):
-            np.testing.assert_array_equal(X, X.conj().T)
+        for X, sign in ((full.R_hat, 1.0), (full.A_hat, -1.0)):
+            np.testing.assert_array_equal(X, sign * X.T)
             for j in range(m_max):
                 for k in range(j, m_max):
                     assert X[j, k] == X[0, k - j]
         for m in range(2, m_max):
             pair = assemble_pair_minimax(fits[:m - 1], t_star)
             # bit for bit, signed zeros included
-            for X, Y in ((pair.R_hat, full.R_hat), (pair.J_hat, full.J_hat)):
+            for X, Y in ((pair.R_hat, full.R_hat), (pair.A_hat, full.A_hat)):
                 assert X.tobytes() == np.ascontiguousarray(Y[:m, :m]).tobytes()
 
 
@@ -230,12 +237,16 @@ class TestThresholdSolve:
         assert res.kept_dim == 3
 
     @pytest.mark.parametrize("matrix, bad", [("R_hat", np.nan), ("J_hat", np.inf)])
-    def test_non_finite_pair_rejected(self, matrix, bad):
+    def test_non_finite_pair_rejected(self, matrix, bad, chain):
+        # the pair rejects a non-finite row when it is built, so no solve
+        # sees one, nor noise_rate, whose eigvalsh would not converge
         rows = {"R_hat": [1.0, 0.0, 0.0], "J_hat": [0.0, 0.0, 0.0]}
         rows[matrix][1] = bad
-        pair = KrylovPair(r=rows["R_hat"], a=rows["J_hat"])
-        with pytest.raises(SingularSystem):
-            threshold_solve(pair, 0.0)
+        exact = _pair(*chain[1:])
+        for use in (lambda pair: threshold_solve(pair, 0.0),
+                    lambda pair: noise_rate(pair, exact, 1.0)):
+            with pytest.raises(SingularSystem):
+                use(KrylovPair(r=rows["R_hat"], a=rows["J_hat"]))
 
     def test_rank_one_gram(self, chain):
         _, spec, v, _ = chain
@@ -331,9 +342,9 @@ class TestTimestepAndNoiseRate:
 
 
 def _svd_noise_rate(est, exact, j_norm):
-    """omega with both spectral norms from the SVD."""
+    """omega with both spectral norms from the SVD; ||i X||_2 = ||X||_2."""
     return (np.linalg.norm(est.R_hat - exact.R_hat, 2)
-            + np.linalg.norm(est.J_hat - exact.J_hat, 2) / j_norm)
+            + np.linalg.norm(est.A_hat - exact.A_hat, 2) / j_norm)
 
 
 def _random_toeplitz_pair(rng, m):
@@ -462,6 +473,25 @@ BAD_INPUT_CASES = {
     "KrylovPair with mismatched matrices": (
         DimensionMismatch, lambda s, v, t: KrylovPair(
             r=np.ones(3), a=np.zeros(2))),
+    # a leading block lies inside the pair and has at least one row
+    "KrylovPair.leading with m > pair.m": (
+        ValueError, lambda s, v, t: _pair(s, v, t).leading(50)),
+    "KrylovPair.leading with m = -1": (
+        ValueError, lambda s, v, t: _pair(s, v, t).leading(-1)),
+    "KrylovPair.leading with m = 2.0": (
+        ValueError, lambda s, v, t: _pair(s, v, t).leading(2.0)),
+    "KrylovPair.leading with m = True": (
+        ValueError, lambda s, v, t: _pair(s, v, t).leading(True)),
+    "assemble_pair_exact with m = 3.5": (
+        ValueError, lambda s, v, t: assemble_pair_exact(s, v, 3.5, t)),
+    "assemble_pair_exact with m = float64(4.0)": (
+        ValueError, lambda s, v, t: assemble_pair_exact(s, v, np.float64(4.0), t)),
+    "evaluate_component with component = True": (
+        ValueError, lambda s, v, t: evaluate_component(
+            _fit_for_gap(s, v, 1, t, D=10), t, True)),
+    "error_certificate with component = True": (
+        ValueError, lambda s, v, t: [error_certificate(f.model, f.timepoints, t, True)
+                                     for f in [_fit_for_gap(s, v, 1, t, D=10)]]),
 }
 
 
