@@ -30,6 +30,7 @@ with identical config and seed are byte-identical.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import json
 import os
@@ -53,7 +54,7 @@ from .dynamics import (
     recovery_probability,
     spectral_measure,
 )
-from .errors import ConfigParse
+from .errors import ConfigParse, SuperKrylovError
 from .measurement import (
     MeasurementSeries,
     NoiseBudget,
@@ -380,6 +381,16 @@ def _every_gap(ctx: PipelineContext, config: ExperimentConfig) -> _ExactData:
                        _initial_condition(ctx, config))
 
 
+@contextlib.contextmanager
+def _cell(name: str):
+    """Prefix a SuperKrylovError leaving the block with the cell's name."""
+    try:
+        yield
+    except SuperKrylovError as exc:
+        exc.args = (f"{name}: {exc}",)  # the type, so the exit code, stays
+        raise
+
+
 def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig,
               exact: _ExactData, theta: float, trial: int) -> list:
     """One minimax fit per gap of ``_every_gap``, each on a freshly sampled
@@ -403,20 +414,20 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
     rows = []
     for theta in config.theta_values:
         for trial in range(config.trials):
-            fits = (None if theta == 0.0
-                    else _fit_gaps(ctx, config, exact, theta, trial))
+            with _cell(f"theta={theta} trial={trial}"):
+                fits = (None if theta == 0.0
+                        else _fit_gaps(ctx, config, exact, theta, trial))
             for m in sorted(config.m_values):
-                # the m-pair is a leading principal submatrix of the m_max one
-                exact_m = exact_full.leading(m)
-                if theta == 0.0:
-                    pair = exact_m
-                    omega = 0.0
-                else:
-                    pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
-                    omega = noise_rate(pair, exact_m, j_norm)
-                result = threshold_solve(pair, _eps(config, m, theta))
-                estimate = ground_energy(result, ctx.class_tag,
-                                         top_energy=ctx.top_energy)
+                with _cell(f"theta={theta} trial={trial} m={m}"):
+                    # a leading principal submatrix of the m_max pair
+                    exact_m = exact_full.leading(m)
+                    pair, omega = exact_m, 0.0
+                    if theta > 0.0:
+                        pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
+                        omega = noise_rate(pair, exact_m, j_norm)
+                    result = threshold_solve(pair, _eps(config, m, theta))
+                    estimate = ground_energy(result, ctx.class_tag,
+                                             top_energy=ctx.top_energy)
                 rel_error = abs(estimate - ctx.lam0) / abs(ctx.lam0)
                 rows.append((m, theta, config.gamma0, trial, result.ground_gap,
                              estimate, rel_error, omega, result.kept_dim))
@@ -440,12 +451,13 @@ def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
         exact = _exact_data(ctx, grid, [1], x_in_1)
         for theta in config.theta_values:
             for trial in range(config.trials):
-                _, [[f]] = _fit_noisy(ctx, config, exact, theta,
-                                      [(2, _theta_key(theta), trial, D)],
-                                      [estimated_eta_norm_sq(D, theta)])
-                rows.append((D, theta, trial,
-                             abs(evaluate_x1(f, ctx.t_star) - truth),
-                             error_certificate(f.model, grid, ctx.t_star, 1)))
+                with _cell(f"D={D} theta={theta} trial={trial}"):
+                    _, [[f]] = _fit_noisy(ctx, config, exact, theta,
+                                          [(2, _theta_key(theta), trial, D)],
+                                          [estimated_eta_norm_sq(D, theta)])
+                    error = abs(evaluate_x1(f, ctx.t_star) - truth)
+                    sigma = error_certificate(f.model, grid, ctx.t_star, 1)
+                rows.append((D, theta, trial, error, sigma))
     summary = []
     for D in config.d_values:
         for theta in config.theta_values:

@@ -35,11 +35,11 @@ Every kernel inner product is an overlap integral
 
 with the roles of (a, p) and (b, q) swapped when a > b.  All terms are
 nonnegative, so the closed form has no cancellation and no quadrature
-error, and one broadcasting routine (_overlap) serves every Gram matrix,
-reconstruction and certificate in this module.  The overlaps of the data
-kernels on a grid depend only on the grid and not on the data, so one
-function, ``_kernel_overlaps(ts, M, t, n)``, computes them and
-``_cache.content_cache`` keeps them:
+error.  One routine, _overlap, serves every Gram matrix, reconstruction
+and certificate in this module: its powers are integers, and only the
+times a, b broadcast.  The overlaps of the data kernels on a grid depend
+only on the grid, not on the data, so ``_kernel_overlaps(ts, M, t, n)``
+computes them and ``_cache.content_cache`` keeps them:
 
 * the representer overlaps w of component l at time t are
   ``_kernel_overlaps(ts, M, t, M - 1 - l)``; a sweep that reads every
@@ -64,7 +64,7 @@ values cannot go stale, and the checks run before the lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -74,25 +74,22 @@ from .errors import BadHorizon, OutOfHorizon, SingularSystem
 from .measurement import MeasurementSeries, NoiseBudget
 
 
-def _overlap(a, p, b, q) -> np.ndarray:
-    """int_0^min(a,b) (a-s)^p (b-s)^q ds, broadcast over all four arguments.
-
-    a, b >= 0 are times and p, q >= 0 integer powers; see the module
-    docstring for the closed form.  A zero bound min(a, b) gives zero.
+def _overlap(a, p: int, b, q: int) -> np.ndarray:
+    """int_0^min(a,b) (a-s)^p (b-s)^q ds for integer powers p, q >= 0,
+    broadcast over the times a, b >= 0: the module docstring's closed form
+    around the smaller bound.  A zero bound min(a, b) gives zero.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    swap = a > b
     # asarray keeps scalar calls on 0-d arrays, whose power loop rounds
     # differently from float64 scalar arithmetic
     lo, hi = np.asarray(np.minimum(a, b)), np.asarray(np.maximum(a, b))
-    p, q = np.where(swap, q, p), np.where(swap, p, q)
-    total = np.zeros(np.broadcast_shapes(lo.shape, p.shape))
-    coef = np.ones(total.shape)  # C(q, k), which is 0 once k exceeds q
-    for k in range(int(q.max(initial=0)) + 1):
-        power = p + k + 1
-        total += coef * (hi - lo) ** np.maximum(q - k, 0) * lo ** power / power
-        coef = coef * (q - k) / (k + 1)
-    return total
+
+    def expand(p, q):  # (lo, p) is the smaller bound and its power
+        return sum(comb(q, k) * (hi - lo) ** (q - k) * lo ** (p + k + 1)
+                   / (p + k + 1) for k in range(q + 1))
+
+    return expand(p, q) if p == q else np.where(a > b, expand(q, p),
+                                                expand(p, q))
 
 
 @dataclass(frozen=True)
@@ -176,9 +173,8 @@ def kernel_matrix(model: EstimatorModel, timepoints) -> np.ndarray:
     M=3 and ti = tj = 1 this is 1 + 1/3 + 1/20.  Symmetric PSD.
     """
     ts = _check_grid(model, timepoints)
-    p = np.arange(model.M)[:, None, None]
-    scale = np.array([factorial(i) ** 2 for i in range(model.M)], dtype=float)
-    return np.sum(_overlap(ts[:, None], p, ts, p) / scale[:, None, None], axis=0)
+    return sum(_overlap(ts[:, None], p, ts, p) / factorial(p) ** 2
+               for p in range(model.M))
 
 
 def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
@@ -220,16 +216,6 @@ def _check_evaluation(model: EstimatorModel, t: float, component: int):
         raise ValueError("component must be an integer in [0, M)")
     if not 0 <= t <= model.tau:
         raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
-
-
-def _representer(model: EstimatorModel, ts: np.ndarray, t: float,
-                 component: int) -> np.ndarray:
-    """Overlaps w_i = <k_i, kappa> of the data kernels on ts with the
-    representer kappa of component `component` at time t."""
-    _check_evaluation(model, t, component)
-    # float64, as a caller may pass a list
-    return _kernel_overlaps(np.asarray(ts, dtype=float), model.M, float(t),
-                            model.M - 1 - component)
 
 
 @content_cache
@@ -325,8 +311,9 @@ def error_certificate(model: EstimatorModel, timepoints, t_eval: float,
     a dense finite-difference boundary-value solve in the test suite.
     """
     ts = _check_grid(model, timepoints)
-    w = _representer(model, ts, t_eval, component)
+    _check_evaluation(model, t_eval, component)
     n = model.M - 1 - component
+    w = _kernel_overlaps(ts, model.M, float(t_eval), n)
     kk = float(_overlap(t_eval, n, t_eval, n)) / factorial(n) ** 2
     [u] = _ridge_solve([model], ts, w[None])
     sigma_sq = (kk - float(w @ u)) / model.budget.q

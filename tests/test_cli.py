@@ -104,12 +104,15 @@ class TestExitCodes:
     def test_missing_config(self):
         assert main(["gram", "--config", "/nonexistent.txt"]) == 2
 
-    def test_numerical_failure(self, tmp_path):
-        # eps far above every Gram eigenvalue kills all modes -> exit 3
+    def test_numerical_failure(self, tmp_path, capsys):
+        # eps far above every Gram eigenvalue kills all modes -> exit 3, and
+        # the message names the first cell, where the sweep stopped
         path = tmp_path / "cfg.txt"
         path.write_text(SMALL_CONFIG + f"out = {tmp_path}\n"
                         "eps_rule = fixed\neps_fixed = 1e6\n")
         assert main(["convergence", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: theta=0.001 trial=0 m=2: eps = " in err
 
     @pytest.mark.parametrize("line, command", [
         ("m_values = 1,2,4", "convergence"),

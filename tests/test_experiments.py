@@ -66,6 +66,25 @@ def test_ill_conditioned_certificate_raises():
         error_certificate(f.model, grid, ctx.t_star, 1)
 
 
+@pytest.mark.parametrize("command, name, cell", [
+    ("convergence", "_fit_gaps", "theta=0.001 trial=0: "),
+    ("deriv-scaling", "error_certificate", "D=5 theta=0.001 trial=0: "),
+])
+def test_failing_cell_names_itself(command, name, cell, tmp_path, monkeypatch):
+    # a SuperKrylovError leaving a cell keeps its type and gains the cell;
+    # tests/test_cli.py checks an m-cell of convergence through the CLI
+    def fail(*args, **kwargs):
+        raise SingularSystem("stop")
+
+    monkeypatch.setattr(experiments, name, fail)
+    cfg = ExperimentConfig(model="heisenberg", n=4, m_values=[2, 3],
+                           theta_values=[1e-3], d_values=[5], trials=2,
+                           out=str(tmp_path))
+    with pytest.raises(SingularSystem) as info:
+        experiments.run(command, cfg)
+    assert str(info.value) == cell + "stop"
+
+
 FRAME_CONFIGS = [
     ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25),
     ExperimentConfig(model="bipartite", n=3, model_seed=42, gamma0=0.25),

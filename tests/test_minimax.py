@@ -24,9 +24,9 @@ from superkrylov.minimax import (
     MinimaxFit,
     _kernel_overlaps,
     _overlap,
-    _representer,
     fit_batch,
 )
+from superkrylov.measurement import sample_grid
 
 from _bvp_oracle import certificate_oracle
 from _kernel_reference import overlap_reference
@@ -70,39 +70,29 @@ class TestOverlap:
         assert abs(_overlap(a, p, b, q) - ref) <= 1e-13 * abs(ref)
 
     def test_broadcast_matches_polynomial_integral(self):
+        # the powers are integers; the times broadcast, a zero bound included
         ts = np.array([0.0, 0.1, 0.35, 0.6, 0.9])
-        p = np.arange(4)[:, None, None]
-        got = _overlap(ts[:, None], p, ts, 3 - p)
-        assert got.shape == (4, 5, 5)
-        ref = [[[poly_overlap(a, pp, b, 3 - pp) for b in ts] for a in ts]
-               for pp in range(4)]
-        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        for p in range(4):
+            got = _overlap(ts[:, None], p, ts, 3 - p)
+            assert got.shape == (5, 5)
+            ref = [[poly_overlap(a, p, b, 3 - p) for b in ts] for a in ts]
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
     def test_matches_broadcast_arrays_reference(self):
-        # the routine without np.broadcast_arrays agrees with the earlier
-        # form to rounding, on every argument shape the module passes
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            D, M = int(rng.integers(2, 9)), int(rng.integers(2, 6))
-            ts = np.sort(rng.uniform(0.0, 1.0, D))
-            ts[0] = 0.0  # a zero bound
-            t, pw = float(rng.choice(ts)), int(rng.integers(0, M))  # t hits a knot
-            cases = [
-                (t, pw, float(rng.uniform()), int(rng.integers(0, M))),
-                (t, pw, t, pw),
-                (0.0, pw, t, M - 1),
-                (t, pw, ts, M - 1),
-                (ts, M - 1, t, pw),
-                (ts[:, None], M - 1, ts, M - 1),
-                (ts[:, None], np.arange(M)[:, None, None], ts,
-                 np.arange(M)[:, None, None]),
-                (ts[:, None], np.arange(M)[:, None, None], ts,
-                 M - 1 - np.arange(M)[:, None, None]),
-            ]
-            for a, p, b, q in cases:
-                got, ref = _overlap(a, p, b, q), overlap_reference(a, p, b, q)
-                assert got.shape == ref.shape
-                np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+        # the integer-power routine agrees with the earlier array-power form
+        # to rounding at the shapes the pipeline passes: the forcing Gram,
+        # every component's representer at t* and at a knot, and ||kappa||^2
+        for D in (5, 10, 20, 40, 80):
+            ts = sample_grid(T_STAR, DT, D)
+            for M in range(2, 9):
+                cases = [(ts, M - 1, ts[:, None], M - 1)]
+                for n in range(M):
+                    cases += [(ts, M - 1, t, n) for t in (T_STAR, float(ts[1]))]
+                    cases.append((T_STAR, n, T_STAR, n))
+                for a, p, b, q in cases:
+                    got, ref = _overlap(a, p, b, q), overlap_reference(a, p, b, q)
+                    assert got.shape == ref.shape
+                    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
 
 class TestModel:
@@ -317,12 +307,19 @@ def _overlap_cases():
 OVERLAP_CASES = _overlap_cases()
 
 
+def certificate_overlaps(model, ts, t, component):
+    """The cached overlaps w, called with the arguments error_certificate
+    passes."""
+    return _kernel_overlaps(np.asarray(ts, dtype=float), model.M, float(t),
+                            model.M - 1 - component)
+
+
 def _cached_and_fresh(args):
     if len(args) == 2:
         model, ts = args
         return forcing_gram(model, ts), fresh_gram(model, np.asarray(ts))
     model, ts, t, component = args
-    return (_representer(model, ts, t, component),
+    return (certificate_overlaps(model, ts, t, component),
             fresh_representer(model, np.asarray(ts), t, component))
 
 
@@ -351,7 +348,7 @@ class TestGramCache:
 
 class TestRepresenterCache:
     def test_result_is_read_only(self):
-        w = _representer(toy_model(), toy_grid(15), T_STAR, 0)
+        w = certificate_overlaps(toy_model(), toy_grid(15), T_STAR, 0)
         with pytest.raises(ValueError):
             w[0] = 1.0
 
