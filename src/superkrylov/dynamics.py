@@ -25,12 +25,13 @@ eigenspace.  ``spectral_measure(spec, v)`` merges degenerate eigenvalues
 into these levels; the experiment runners work on them, so a sweep of
 the SU(2)-symmetric six-site Heisenberg chain sums 20 terms, not 64.
 
-Every oracle evaluates one private kernel, ``_amplitudes(spec, w, s,
-order)``: f_0..f_order at the scaled times s, of shape (order + 1,) +
-shape(s) with s at least 1-D.  It contracts the phases exp(-i s lam_p)
-with one coefficient row w (-i lam)^n per order in one pass, so it holds
+Every value of F comes from one function, ``_F(lam, w, s, order)``:
+F^(0..order) at the scaled times s, R clipped to [0, 1] in row 0, so
+``recovery_probability`` is the order-0 ``recovery_derivative``.  A
+diagonal entry (j == k) is exactly 1 and its derivatives exactly 0.
+``_F`` reads f_0..f_order from one kernel, ``_amplitudes``, which holds
 the size(s) x N phase array and one product of that size (16 MB per
-120 times at N = 4096), and scalar and array calls agree bit for bit.
+120 times at N = 4096); scalar and array calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ def spectral_measure(spec: SpectralDecomposition, v: np.ndarray
             np.sqrt(np.add.reduceat(w, starts)))
 
 
-def _amplitudes(spec, w, s, order):
-    """Amplitudes f_0..f_order of F at the scaled times s, for the weights w.
+def _amplitudes(lam, w, s, order):
+    """Amplitudes f_0..f_order at the scaled times s of levels lam, weights w.
 
     The result has the shape (order + 1,) + shape(atleast_1d(s)); every s
     must be finite.  f_n(s) = sum_p (w_p z_p^n) exp(s z_p) with z_p =
@@ -210,7 +211,7 @@ def _amplitudes(spec, w, s, order):
     shift of H, so lam is centred first to keep lam^n small.
     """
     _check_times(s)
-    lam = np.asarray(spec.eigenvalues, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     z = 1j * -(lam - 0.5 * (lam[0] + lam[-1]))
     coef = np.asarray(w, dtype=float) * z ** np.arange(order + 1)[:, None]
     phases = np.multiply.outer(np.atleast_1d(np.asarray(s, dtype=float)), z)
@@ -218,38 +219,34 @@ def _amplitudes(spec, w, s, order):
     return np.stack([(phases * row).sum(axis=-1) for row in coef])
 
 
-def _probability(f):
-    """R = |f_0|^2, clipped to its physical range [0, 1]."""
-    return np.clip(np.abs(f[0]) ** 2, 0.0, 1.0)
-
-
-def _derivative(f, order: int):
-    """F^(order) = sum_n C(order, n) f_n conj(f_{order-n})."""
-    return sum(comb(order, n) * f[n] * np.conj(f[order - n])
-               for n in range(order + 1)).real
-
-
-def _like_t(t, values):
-    """A float for a scalar t, else the array of values over t."""
-    return float(values[0]) if np.ndim(t) == 0 else values
+def _F(lam, w, s, order):
+    """F^(0..order) at the scaled times s, one row per order: row 0 is
+    R = |f_0|^2 clipped to its physical range [0, 1], and row n >= 1 is
+    F^(n) = sum_i C(n, i) f_i conj(f_{n-i})."""
+    f = _amplitudes(lam, w, s, order)
+    return np.stack([np.clip(np.abs(f[0]) ** 2, 0.0, 1.0)] + [
+        sum(comb(n, i) * f[i] * np.conj(f[n - i]) for i in range(n + 1)).real
+        for n in range(1, order + 1)])
 
 
 def recovery_probability(spec, v, j: int, k: int, t):
-    """R_jk(t) = F((k-j) t) at a scalar t or an array of t."""
-    if _check_entry(spec, v, j, k, t):  # a diagonal entry is exactly 1
-        return _like_t(t, np.ones_like(np.atleast_1d(t), dtype=float))
-    f = _amplitudes(spec, eigenbasis_weights(spec, v),
-                    (k - j) * np.asarray(t, dtype=float), 0)
-    return _like_t(t, _probability(f))
+    """R_jk(t) = F((k-j) t), t scalar or array: the order-0 derivative."""
+    return recovery_derivative(spec, v, j, k, t, 0)
 
 
 def recovery_derivative(spec, v, j: int, k: int, t, order: int):
-    """R_jk^(order)(t) = (k-j)^order F^(order)((k-j) t), t scalar or array."""
-    _check_entry(spec, v, j, k, t)
+    """R_jk^(order)(t) = (k-j)^order F^(order)((k-j) t), a float for a scalar
+    t, else an array over t; a diagonal entry is exactly 1 at order 0 and
+    +0.0 above it, with no kernel call."""
+    diagonal = _check_entry(spec, v, j, k, t)
     _check_natural("derivative orders", order)
-    f = _amplitudes(spec, eigenbasis_weights(spec, v),
-                    (k - j) * np.asarray(t, dtype=float), order)
-    return _like_t(t, (k - j) ** order * _derivative(f, order))
+    s = (k - j) * np.atleast_1d(np.asarray(t, dtype=float))
+    if diagonal:
+        values = np.full(s.shape, float(order == 0))
+    else:
+        w = eigenbasis_weights(spec, v)
+        values = (k - j) ** order * _F(spec.eigenvalues, w, s, order)[order]
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def exact_J_entry(spec, v, j: int, k: int, t: float) -> complex:

@@ -44,8 +44,7 @@ import numpy as np
 
 from .dynamics import (
     SpectralDecomposition,
-    _amplitudes,
-    _derivative,
+    _F,
     _is_integer,
     build_initial_state,
     eigenbasis_weights,
@@ -63,6 +62,7 @@ from .measurement import (
     sample_grid,
 )
 from .minimax import (
+    MAX_CHAIN_ORDER,
     EstimatorModel,
     error_certificate,
     evaluate_x0,
@@ -148,7 +148,8 @@ class ExperimentConfig:
     theta_values: list[float] = _setting([0.0], REALS, *_at_least(0))
     D: int = _setting(15, INTEGER, *_at_least(2))
     d_values: list[int] = _setting([5, 10, 20, 40], INTEGERS, *_at_least(2))
-    M: int = _setting(3, INTEGER, *_at_least(2))
+    M: int = _setting(3, INTEGER, lambda x: 2 <= x <= MAX_CHAIN_ORDER,
+                      f"lie in [2, {MAX_CHAIN_ORDER}]")
     delta_t_fraction: float = _setting(0.15, REAL, lambda x: 0.0 < x < 1.0,
                                        "lie in (0, 1)")
     # m-theta gives the same threshold as auto on every config validate
@@ -323,12 +324,12 @@ _ExactData = collections.namedtuple("_ExactData", "grid gaps values x_in")
 
 
 def _initial_condition(ctx: PipelineContext, config: ExperimentConfig):
-    """x_in of gap 1, R_01^(p)(0) for p < M, from one kernel call at 0 that
-    every grid and gap shares; R is even, so its odd derivatives vanish."""
-    f = _amplitudes(ctx.spec, eigenbasis_weights(ctx.spec, ctx.v), 0.0,
-                    config.M - 1)
-    return np.array([1.0] + [0.0 if p % 2 else _derivative(f, p)[0]
-                             for p in range(1, config.M)])
+    """x_in of gap 1, R_01^(p)(0) for p < M, from one call of F at 0 that
+    every grid and gap shares; R(0) = 1 and, as R is even, R^(odd)(0) = 0."""
+    x_in = _F(ctx.spec.eigenvalues, eigenbasis_weights(ctx.spec, ctx.v), 0.0,
+              config.M - 1)[:, 0]
+    x_in[0], x_in[1::2] = 1.0, 0.0
+    return x_in
 
 
 def _exact_data(ctx: PipelineContext, grid: np.ndarray, gaps,
@@ -487,12 +488,13 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
         ctx, config, exact, theta,
         [(3, _theta_key(theta), 0, gap)], [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
-    exact_r = recovery_probability(ctx.spec, ctx.v, 0, gap, dense)
-    exact_dr = recovery_derivative(ctx.spec, ctx.v, 0, gap, dense, 1)
+    # R_0g(t) = F(g t) and R_0g'(t) = g F'(g t), from one call of F
+    exact_r, exact_f1 = _F(ctx.spec.eigenvalues,
+                           eigenbasis_weights(ctx.spec, ctx.v), gap * dense, 1)
     rows = []
-    for t, r, dr in zip(dense.tolist(), exact_r.tolist(), exact_dr.tolist()):
+    for t, r, f1 in zip(dense.tolist(), exact_r.tolist(), exact_f1.tolist()):
         rows.append((
-            t, r, dr,
+            t, r, gap * f1,
             evaluate_x0(fit_low, t),
             evaluate_x0(fit0, t),
             evaluate_x0(fit_high, t),

@@ -20,10 +20,9 @@ import numpy as np
 from ._cache import content_cache
 from .dynamics import (
     SpectralDecomposition,
-    _amplitudes,
+    _F,
     _check_entry,
     _check_natural,
-    _derivative,
     _is_integer,
     eigenbasis_weights,
     recovery_derivative,
@@ -181,13 +180,12 @@ _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 def _panel_table(lam, w, h, order, count):
     """Running integrals of F^(order)^2 over [0, (i + 1) h], i < count.
 
-    Panel i is summed on its own row of nodes and the running sum is
-    sequential, so entry i is the same bit for bit in a table of any
-    length.
+    F^(order) comes from ``dynamics._F``, like every value of F.  Panel i
+    is summed on its own row of nodes and the running sum is sequential,
+    so entry i is the same bit for bit in a table of any length.
     """
     nodes = h * np.arange(count)[:, None] + 0.5 * h * (_GL_NODES + 1.0)
-    f = _amplitudes(SpectralDecomposition(lam, None), w, nodes, order)
-    panels = 0.5 * h * _GL_WEIGHTS * _derivative(f, order) ** 2
+    panels = 0.5 * h * _GL_WEIGHTS * _F(lam, w, nodes, order)[order] ** 2
     return np.cumsum(panels.sum(axis=-1))
 
 
@@ -207,7 +205,7 @@ def forcing_norm_sq(
     on panels of width tau / P, P = ceil(tau W / PANEL_PHASE) (1 whenever
     delta_t < t*).  A table's length is rounded up to a power of two, so
     the gaps up to g share ceil(log2 g) + 1 tables with every theta and
-    trial.  A diagonal entry (g = 0) is tau F(0)^2 for order 0, else 0.
+    trial.  A diagonal entry (g = 0) is exactly tau for order 0, else 0.
     """
     if not 0 < tau < np.inf:  # a NaN fails this too
         raise ValueError("tau must be positive and finite")

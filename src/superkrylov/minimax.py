@@ -73,6 +73,10 @@ from .dynamics import _is_integer
 from .errors import BadHorizon, OutOfHorizon, SingularSystem
 from .measurement import MeasurementSeries, NoiseBudget
 
+# the largest M whose ((M-1)!)^2, a forcing-Gram denominator, fits a float: 99
+MAX_CHAIN_ORDER = next(M for M in range(1, 171)
+                       if factorial(M) ** 2 > float(np.finfo(float).max))
+
 
 def _overlap(a, p: int, b, q: int) -> np.ndarray:
     """int_0^min(a,b) (a-s)^p (b-s)^q ds for integer powers p, q >= 0,
@@ -94,8 +98,8 @@ def _overlap(a, p: int, b, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorModel:
-    """Initial condition x_in (its length is the chain order M), horizon
-    tau, and budget."""
+    """Initial condition x_in (its length is the chain order M, 2 to
+    MAX_CHAIN_ORDER), horizon tau, and budget."""
 
     x_in: np.ndarray
     tau: float
@@ -103,8 +107,10 @@ class EstimatorModel:
 
     def __post_init__(self):
         x_in = np.asarray(self.x_in, dtype=float)
-        if x_in.ndim != 1 or x_in.size < 2 or not np.all(np.isfinite(x_in)):
-            raise ValueError("x_in must be a 1-D array of M >= 2 finite values")
+        if (x_in.ndim != 1 or not 2 <= x_in.size <= MAX_CHAIN_ORDER
+                or not np.all(np.isfinite(x_in))):
+            raise ValueError("x_in must be a 1-D array of 2 to "
+                             f"{MAX_CHAIN_ORDER} finite values")
         if not 0 < self.tau < np.inf:
             raise BadHorizon("horizon tau must be positive and finite")
         object.__setattr__(self, "x_in", x_in)

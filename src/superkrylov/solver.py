@@ -28,10 +28,8 @@ import numpy as np
 
 from .dynamics import (
     SpectralDecomposition,
-    _amplitudes,
-    _derivative,
+    _F,
     _is_integer,
-    _probability,
     eigenbasis_weights,
 )
 from .errors import (
@@ -120,17 +118,16 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
                         t_star: float) -> KrylovPair:
     """Exact (J_hat, R_hat) from the spectral oracles at timestep t_star.
 
-    Entries depend only on the gap g = k - j, so the m - 1 distinct values
-    come from one weight vector and one amplitude call at the times g t_star:
-    R_0g = F(g t_star) as in recovery_probability and J_0g = R_0g'/(-ig)
-    = i F'(g t_star) as in exact_J_entry, so a_g = F'(g t_star).
+    Entries depend only on the gap g = k - j: one call of ``dynamics._F``,
+    the source of every value of F, at the times g t_star gives R_0g =
+    F(g t_star) and a_g = F'(g t_star), as J_0g = R_0g'/(-ig) = i a_g; the
+    diagonal is exactly R = 1 and a = 0.
     """
     if not (_is_integer(m) and m >= 2):
         raise ValueError("Krylov dimension m must be an integer >= 2")
     times = np.arange(1, m) * t_star
-    f = _amplitudes(spec, eigenbasis_weights(spec, v), times, 1)
-    return KrylovPair(r=np.r_[1.0, _probability(f)],
-                      a=np.r_[0.0, _derivative(f, 1)])
+    r, a = _F(spec.eigenvalues, eigenbasis_weights(spec, v), times, 1)
+    return KrylovPair(r=np.r_[1.0, r], a=np.r_[0.0, a])
 
 
 def assemble_pair_minimax(fits, t_star: float) -> KrylovPair:

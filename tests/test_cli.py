@@ -82,6 +82,11 @@ class TestConfigParsing:
         assert main(["gram", "--config", str(path)]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_largest_chain_order_validates(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(_config_text("M = 99\n"))
+        assert parse_config(str(path)).M == 99
+
     def test_repeated_key(self, tmp_path):
         # the second value used to override the first without a word
         path = tmp_path / "cfg.txt"
@@ -147,6 +152,17 @@ class TestExitCodes:
         path = tmp_path / "cfg.txt"
         path.write_text(_config_text(f"out = {tmp_path / 'out'}\n{line}\n"))
         assert main(command.split() + ["--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["convergence", "deriv-scaling",
+                                         "minimax-demo", "gram"])
+    def test_chain_order_past_the_limit_is_config_error(self, tmp_path, capsys,
+                                                        command):
+        # ((M-1)!)^2 overflows float64 at M = 100 (minimax.MAX_CHAIN_ORDER)
+        path = tmp_path / "cfg.txt"
+        path.write_text(_config_text(f"out = {tmp_path / 'out'}\nM = 100\n"))
+        assert main([command, "--config", str(path)]) == 2
+        assert "M must lie in [2, 99], not 100" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ from superkrylov import (
     build_initial_state,
     eigendecompose,
     exact_J_entry,
+    forcing_norm_sq,
     heisenberg_chain,
     recovery_derivative,
     recovery_probability,
@@ -162,9 +163,11 @@ class TestRealEigendecomposition:
 
 
 class TestRecoveryProbability:
-    def test_diagonal_is_one(self, toy):
-        spec, v = toy
-        assert recovery_probability(spec, v, 3, 3, 0.8) == 1.0
+    def test_diagonal_is_one(self, toy, shifted):
+        for spec, v in (toy, shifted[1:]):
+            assert recovery_probability(spec, v, 3, 3, 0.8) == 1.0
+            # so the norm of R_jj over [0, tau] is tau, exactly
+            assert forcing_norm_sq(spec, v, 3, 3, 0.7, 0) == 0.7
 
     def test_zero_time_is_one(self, toy):
         spec, v = toy
@@ -309,7 +312,7 @@ def test_kernel_values_and_shapes(s, shape):
     spec = eigendecompose(random_hermitian(rng, 8))
     w = eigenbasis_weights(spec, random_state(rng, 8))
     for order in range(4):
-        got = _amplitudes(spec, w, s, order)
+        got = _amplitudes(spec.eigenvalues, w, s, order)
         ref = fresh_amplitudes(spec, w, s, order)
         assert got.shape == ref.shape == (order + 1,) + shape
         assert got.tobytes() == ref.tobytes()
@@ -335,13 +338,12 @@ def test_kernel_peak_memory_is_about_two_phase_arrays():
     # never a (times, order + 1, N) temporary
     rng = np.random.default_rng(4)
     n, nodes = 4096, 120
-    spec = SpectralDecomposition(eigenvalues=np.sort(rng.normal(size=n)),
-                                 eigenvectors=None)
+    lam = np.sort(rng.normal(size=n))
     w = np.full(n, 1.0 / n)
     s = np.linspace(0.0, 1.0, nodes)
     tracemalloc.start()
     try:
-        _amplitudes(spec, w, s, 3)
+        _amplitudes(lam, w, s, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -377,8 +379,8 @@ class TestSpectralMeasure:
         delta = (lam[11] - lam[10]) / 2
         assert delta <= tol / 2
         s = np.linspace(-50.0, 50.0, 40)  # not 0, where rounding is all
-        full = _amplitudes(spec, w, s, 0)[0]
-        merged = _amplitudes(levels, amp ** 2, s, 0)[0]
+        full = _amplitudes(lam, w, s, 0)[0]
+        merged = _amplitudes(levels.eigenvalues, amp ** 2, s, 0)[0]
         assert np.all(np.abs(full - merged) <= np.abs(s) * delta)
         assert np.max(np.abs(full - merged)) > 0.1 * 50.0 * delta
 
@@ -402,9 +404,14 @@ class TestSpectralMeasure:
 
 
 class TestSecondDerivative:
-    def test_diagonal_zero(self, toy):
-        spec, v = toy
-        assert recovery_derivative(spec, v, 2, 2, 0.5, 2) == 0
+    def test_diagonal_zero(self, toy, shifted):
+        # exactly +0.0 at every order above 0, for scalar and array t,
+        # whatever F^(n)(0) rounds to
+        for spec, v in (toy, shifted[1:]):
+            for order in range(1, 5):
+                for t in (0.5, np.linspace(0.0, 1.0, 3)):
+                    got = recovery_derivative(spec, v, 2, 2, t, order)
+                    assert _bits(got) == _bits(np.zeros_like(t)), order
 
     def test_toy_closed_form(self, toy):
         spec, v = toy
@@ -517,8 +524,13 @@ class TestScaledTimeIdentity:
         h, spec, v = shifted
         for j, k in self.PAIRS:
             got = recovery_derivative(spec, v, j, k, t, order)
-            want = (k - j) ** order * recovery_derivative(
-                spec, v, 0, 1, (k - j) * np.asarray(t), order)
+            if j == k:
+                # exactly 1 at order 0 and +0.0 above it, where the scaled
+                # side reads (k - j)^n F^(n)(0), e.g. 0 F''(0) = -0.0
+                want = np.full_like(t, float(order == 0))
+            else:
+                want = (k - j) ** order * recovery_derivative(
+                    spec, v, 0, 1, (k - j) * np.asarray(t), order)
             assert _bits(got) == _bits(want), (j, k)
             ref = np.array([recovery_reference(h, v, j, k, ti, order)
                             for ti in np.atleast_1d(t)])
@@ -530,6 +542,8 @@ class TestScaledTimeIdentity:
         h, spec, v = shifted
         for j, k in self.PAIRS:
             got = recovery_probability(spec, v, j, k, t)
+            # R is its own order-0 derivative, bit for bit
+            assert _bits(recovery_derivative(spec, v, j, k, t, 0)) == _bits(got)
             want = recovery_probability(spec, v, 0, 1, (k - j) * np.asarray(t))
             if j == k:
                 # a diagonal entry is exactly 1; R_01(0) = ||v||^4 is 1 to

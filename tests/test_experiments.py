@@ -128,7 +128,7 @@ def test_context_matches_eigenvector_reference(cfg):
 def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
     # every scaled time a noisy sweep evaluates -- the series grids, the
     # forcing-norm panel nodes and g t* -- recorded at the amplitude kernel,
-    # wherever a module bound it
+    # which only the oracle behind every value of F calls
     cfg = ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25,
                            theta_values=[1e-3], d_values=[5, 15, 40])
     ctx = build_context(cfg)
@@ -139,15 +139,13 @@ def test_levels_reproduce_the_full_spectrum_at_every_pipeline_time(monkeypatch):
     assert (ctx.spec.dim, full.dim) == (20, 64)
     times = []
 
-    def recorder(kernel):
-        def record(spec, w, s, order):
-            times.append(np.atleast_1d(np.asarray(s, dtype=float)).ravel())
-            return kernel(spec, w, s, order)
-        return record
+    kernel = dynamics._amplitudes
 
-    amplitudes = recorder(dynamics._amplitudes)
-    for module in (dynamics, experiments, solver, measurement):
-        monkeypatch.setattr(module, "_amplitudes", amplitudes)
+    def record(lam, w, s, order):
+        times.append(np.atleast_1d(np.asarray(s, dtype=float)).ravel())
+        return kernel(lam, w, s, order)
+
+    monkeypatch.setattr(dynamics, "_amplitudes", record)
     measurement._panel_table.cache_clear()
     experiments._convergence(ctx, cfg)
     experiments._derivative_scaling(ctx, cfg)
@@ -233,17 +231,17 @@ def test_caches_never_leak_between_configs(tmp_path):
 
 
 def _record_kernel_calls(monkeypatch) -> collections.Counter:
-    """Count the amplitude kernel's evaluations by the module that made
-    them: the oracles (dynamics), the initial conditions (experiments),
-    the exact pair (solver) and the forcing-norm panel tables
-    (measurement)."""
+    """Count the evaluations of F (``dynamics._F``) by the module that made
+    them: the oracles (dynamics), the initial conditions and the demo's
+    exact traces (experiments), the exact pair (solver) and the
+    forcing-norm panel tables (measurement)."""
     calls = collections.Counter()
-    kernel = dynamics._amplitudes
+    oracle = dynamics._F
     for module in (dynamics, experiments, solver, measurement):
         def record(*args, _name=module.__name__.rsplit(".", 1)[-1]):
             calls[_name] += 1
-            return kernel(*args)
-        monkeypatch.setattr(module, "_amplitudes", record)
+            return oracle(*args)
+        monkeypatch.setattr(module, "_F", record)
     return calls
 
 
@@ -274,13 +272,16 @@ def test_convergence_reuses_amplitudes_across_theta(M, tmp_path, monkeypatch):
     ("convergence", dict(theta_values=[0.0], trials=2)),
     ("deriv-scaling", dict(theta_values=[1e-3], trials=1)),
     ("deriv-scaling", dict(d_values=[5, 9, 12], trials=3, M=6)),
+    ("minimax-demo", dict(theta_values=[1e-3], M=6)),
 ], ids=["noisy-one-cell", "noisy-nine-cells", "noise-free", "scaling-one-cell",
-        "scaling-many-cells"])
+        "scaling-many-cells", "demo"])
 def test_kernel_evaluations_per_sweep(command, overrides, tmp_path, monkeypatch):
     # outside the panel tables, a sweep evaluates F a number of times that
     # no theta, trial or M changes: the exact pair, and with noise the
     # series and the x_in derivatives once; deriv-scaling the true F'(t*)
-    # and the x_in derivatives once, and the series once per D
+    # and the x_in derivatives once, and the series once per D;
+    # minimax-demo the series, the x_in derivatives and, in one call, the
+    # exact R and R' traces
     cfg = _noisy4(out=str(tmp_path), **overrides)
     if command == "deriv-scaling":
         want = 2 + len(cfg.d_values)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from math import factorial
 
 import numpy as np
@@ -21,6 +22,7 @@ from superkrylov import (
 )
 
 from superkrylov.minimax import (
+    MAX_CHAIN_ORDER,
     MinimaxFit,
     _kernel_overlaps,
     _overlap,
@@ -100,11 +102,23 @@ class TestModel:
         assert toy_model().M == 3
         assert EstimatorModel(np.zeros(5), TAU, toy_model().budget).M == 5
 
-    @pytest.mark.parametrize("x_in", [[[1.0, 0.0], [0.0, -2.0]], [1.0], []],
-                             ids=["2-D", "length 1", "empty"])
+    @pytest.mark.parametrize("x_in", [[[1.0, 0.0], [0.0, -2.0]], [1.0], [],
+                                      np.zeros(MAX_CHAIN_ORDER + 1)],
+                             ids=["2-D", "length 1", "empty", "too long"])
     def test_x_in_must_be_1d_of_length_two_or_more(self, x_in):
         with pytest.raises(ValueError):
             EstimatorModel(x_in, TAU, toy_model().budget)
+
+    def test_chain_order_limit_is_the_last_finite_gram_denominator(self):
+        # ((M-1)!)^2 divides every forcing-Gram entry, so it must be a
+        # finite float64; past the limit it is not even convertible
+        M = MAX_CHAIN_ORDER
+        assert M == 99
+        assert factorial(M - 1) ** 2 <= sys.float_info.max < factorial(M) ** 2
+        with pytest.raises(OverflowError):
+            float(factorial(M) ** 2)
+        model = EstimatorModel(np.zeros(M), TAU, toy_model().budget)
+        assert np.all(np.isfinite(forcing_gram(model, [0.1, 0.2, 0.4])))
 
 
 class TestKernelMatrix:
