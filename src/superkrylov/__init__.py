@@ -10,23 +10,11 @@ certificates for the derivative values feeding the projected problem.
 
 from .errors import (
     AllModesThresholded,
-    BadHorizon,
-    BadWindow,
     ConfigParse,
     ConvergenceFailure,
-    DimensionCap,
-    DimensionMismatch,
-    IndexOutOfRange,
-    MissingTopEnergy,
-    NegativeCoupling,
-    NonBipartiteEdge,
-    NonPositiveBound,
-    NotHermitian,
-    OutOfHorizon,
-    OverlapOutOfRange,
+    InvalidInput,
     SingularSystem,
     SuperKrylovError,
-    ZeroWidth,
 )
 from .pauli import (
     HamiltonianClass,

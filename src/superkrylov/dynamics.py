@@ -42,12 +42,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    NotHermitian,
-    OverlapOutOfRange,
-)
+from .errors import ConvergenceFailure, InvalidInput
 
 HERMITICITY_TOL = 1e-10
 # rows per strip of the Hermiticity check, so that it holds no N x N
@@ -78,14 +73,14 @@ class SpectralDecomposition:
 
 def _entry_scale_and_asymmetry(h: np.ndarray) -> tuple[float, float]:
     """max |h| and max |h - h^dag|, one strip of rows and columns at a time;
-    a non-finite entry raises NotHermitian (Python's max would drop a NaN)."""
+    a non-finite entry raises InvalidInput (Python's max would drop a NaN)."""
     scale = asymmetry = 0.0
     for i in range(0, h.shape[0], _STRIP_ROWS):
         rows = h[i:i + _STRIP_ROWS]
         top = float(np.max(np.abs(rows)))  # NaN or inf if any entry is
         if not np.isfinite(top):
             bad = np.argwhere(~np.isfinite(rows))[:4] + (i, 0)
-            raise NotHermitian(f"non-finite entries at {bad.tolist()}")
+            raise InvalidInput(f"matrix has non-finite entries at {bad.tolist()}")
         scale = max(scale, top)
         asymmetry = max(asymmetry, float(np.max(
             np.abs(rows - h[:, i:i + _STRIP_ROWS].conj().T))))
@@ -105,16 +100,17 @@ def eigendecompose(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition
     and the result is in H's eigenbasis (``eigenvectors=None``), which is
     all the recovery-probability oracles need.  A matrix that is not
     Hermitian to the tolerance, or has a non-finite entry, raises
-    ``NotHermitian``.
+    ``InvalidInput``.
     """
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
-        raise DimensionMismatch("expected a nonempty square matrix")
+        raise InvalidInput(f"matrix of shape {h.shape} must be nonempty and square")
     scale, asymmetry = _entry_scale_and_asymmetry(h)
     # relative to the entry scale, so a rescaled Hamiltonian passes alike
     tol = HERMITICITY_TOL * max(1.0, scale)
     if asymmetry > tol:
-        raise NotHermitian(f"asymmetry {asymmetry:.3e} exceeds {tol:.3e}")
+        raise InvalidInput(f"matrix is not Hermitian: asymmetry {asymmetry:.3e} "
+                           f"exceeds {tol:.3e}")
     try:
         if not vectors:
             return SpectralDecomposition(eigenvalues=np.linalg.eigvalsh(h),
@@ -131,16 +127,21 @@ def eigendecompose(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition
 
 
 def _check_state(spec: SpectralDecomposition, v) -> np.ndarray:
+    """A state of dimension N with finite entries and unit norm, to 4 N eps
+    (the rounding of a sum of N squares), so R = |f_0|^2 lies in [0, 1]."""
     v = np.asarray(v)
     if v.shape != (spec.dim,):
-        raise DimensionMismatch("state dimension does not match decomposition")
+        raise InvalidInput(f"state of shape {v.shape} must be ({spec.dim},)")
+    norm_sq = np.vdot(v, v).real
+    if not abs(norm_sq - 1.0) <= 4 * spec.dim * np.finfo(float).eps:
+        raise InvalidInput(f"state must be finite with |v|^2 = 1, not {norm_sq}")
     return v
 
 
 def _check_times(t):
     # a negative t is valid, since R is even in t
     if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
+        raise InvalidInput("times must be finite")
 
 
 def _is_integer(x) -> bool:
@@ -151,7 +152,7 @@ def _is_integer(x) -> bool:
 def _check_natural(what: str, *values):
     """Reject values that are not nonnegative integers (``_is_integer``)."""
     if not all(_is_integer(x) and x >= 0 for x in values):
-        raise ValueError(f"{what} must be nonnegative integers")
+        raise InvalidInput(f"{what} must be nonnegative integers")
 
 
 def _check_entry(spec, v, j: int, k: int, t) -> bool:
@@ -272,14 +273,14 @@ def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarra
     amplitude vector itself.
     """
     if not 0.0 < gamma0 <= 0.5:
-        raise OverlapOutOfRange(f"gamma0 = {gamma0} outside (0, 0.5]")
+        raise InvalidInput(f"gamma0 = {gamma0} must lie in (0, 0.5]")
     n = spec.dim
     amp = np.zeros(n)
     amp[0] = amp[-1] = np.sqrt(gamma0)
     rest = 1.0 - 2.0 * gamma0
     if rest > 0:
         if n < 3:
-            raise OverlapOutOfRange(
+            raise InvalidInput(
                 "gamma0 < 0.5 needs interior eigenvectors to carry the rest"
             )
         amp[1:-1] = np.sqrt(rest / (n - 2))

@@ -1,56 +1,28 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Every error the package raises on purpose is a `SuperKrylovError` of one of
+three kinds:
+
+- a config error (`ConfigParse`): the experiment configuration could not be
+  read or breaks a rule, and the CLI exits 2;
+- invalid input (`InvalidInput`): an argument breaks a precondition, and the
+  message names the argument and the rule;
+- a numerical failure (`SingularSystem`, `AllModesThresholded`,
+  `ConvergenceFailure`): valid input on which a computation could not finish,
+  and the CLI exits 3.
+"""
 
 
 class SuperKrylovError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NegativeCoupling(SuperKrylovError, ValueError):
-    """Heisenberg coupling J_jk must be nonnegative."""
+class ConfigParse(SuperKrylovError, ValueError):
+    """Experiment configuration file could not be parsed."""
 
 
-class IndexOutOfRange(SuperKrylovError, IndexError):
-    """Qubit or vertex index outside the valid range."""
-
-
-class NonBipartiteEdge(SuperKrylovError, ValueError):
-    """Edge connects two vertices on the same side of the bipartition."""
-
-
-class DimensionCap(SuperKrylovError, ValueError):
-    """Requested dense object exceeds the desk-scale size limit."""
-
-
-class DimensionMismatch(SuperKrylovError, ValueError):
-    """Operands have incompatible dimensions."""
-
-
-class NotHermitian(SuperKrylovError, ValueError):
-    """Matrix fails the Hermiticity tolerance."""
-
-
-class ConvergenceFailure(SuperKrylovError, RuntimeError):
-    """An iterative numerical routine failed to converge."""
-
-
-class OverlapOutOfRange(SuperKrylovError, ValueError):
-    """Requested ground/top overlap is outside (0, 0.5]."""
-
-
-class BadWindow(SuperKrylovError, ValueError):
-    """Measurement window is invalid (touches t=0 or is empty)."""
-
-
-class NonPositiveBound(SuperKrylovError, ValueError):
-    """Ellipsoid norm bound must be positive."""
-
-
-class BadHorizon(SuperKrylovError, ValueError):
-    """Estimator horizon must exceed the last measurement time."""
-
-
-class OutOfHorizon(SuperKrylovError, ValueError):
-    """Evaluation time lies outside [0, tau]."""
+class InvalidInput(SuperKrylovError, ValueError):
+    """An argument breaks a precondition; the message says which and why."""
 
 
 class SingularSystem(SuperKrylovError, RuntimeError):
@@ -63,13 +35,5 @@ class AllModesThresholded(SuperKrylovError, RuntimeError):
     """Threshold removed every eigenmode of the Gram matrix."""
 
 
-class MissingTopEnergy(SuperKrylovError, ValueError):
-    """Class-1 post-processing needs the known top energy."""
-
-
-class ZeroWidth(SuperKrylovError, ValueError):
-    """Spectral width is zero; timestep selection is degenerate."""
-
-
-class ConfigParse(SuperKrylovError, ValueError):
-    """Experiment configuration file could not be parsed."""
+class ConvergenceFailure(SuperKrylovError, RuntimeError):
+    """An iterative numerical routine failed to converge."""

@@ -358,7 +358,8 @@ def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
     noise, and either the gaps or the bounds are one.  Returns the noisy
     series, one row per gap, and the fits, where ``fits[i][b]`` fits gap
     ``exact.gaps[i]`` under ``eta_bounds[b]``.  The gaps' forcing norms
-    read shared panel tables.
+    read shared panel tables; an error from a gap's norm, budget or model
+    names the gap and M.
     """
     values = exact.values
     if theta > 0:
@@ -366,10 +367,12 @@ def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
             np.random.default_rng(_cell_seed(config.master_seed, *parts))
             .normal(0.0, theta, size=exact.grid.size) for parts in seeds])
     series = MeasurementSeries(timepoints=exact.grid, values=values)
-    f_norms = [forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=config.M)
-               for g in exact.gaps]
-    models = [EstimatorModel(x, ctx.tau, NoiseBudget(f_norm, eta))
-              for x, f_norm in zip(exact.x_in, f_norms) for eta in eta_bounds]
+    models = []
+    for g, x in zip(exact.gaps, exact.x_in):
+        with _cell(f"gap={g} M={config.M}"):
+            f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=config.M)
+            models += [EstimatorModel(x, ctx.tau, NoiseBudget(f_norm, eta))
+                       for eta in eta_bounds]
     fits = fit_batch(models, series)
     k = len(eta_bounds)
     return series, [fits[i:i + k] for i in range(0, len(fits), k)]

@@ -28,7 +28,7 @@ from .dynamics import (
     recovery_derivative,
     recovery_probability,
 )
-from .errors import BadWindow, NonPositiveBound
+from .errors import InvalidInput
 
 # With zero noise the budget r diverges; cap it so the fit system stays
 # solvable in floating point.
@@ -58,12 +58,12 @@ class MeasurementSeries:
         ys = np.asarray(self.values, dtype=float)
         if (ts.ndim != 1 or ys.ndim not in (1, 2) or ys.shape[-1] != ts.size
                 or ys.size == 0 or ts.size < 2):
-            raise ValueError("need a 1-D grid with D >= 2 and values of "
-                             "shape (D,) or (k, D)")
+            raise InvalidInput("need a 1-D grid with D >= 2 and values of "
+                               "shape (D,) or (k, D)")
         if not np.all(np.diff(ts) > 0):  # a NaN fails this too
-            raise ValueError("timepoints must be strictly increasing")
+            raise InvalidInput("timepoints must be strictly increasing")
         if not np.all(np.isfinite(ys)):
-            raise ValueError("measurement values must be finite")
+            raise InvalidInput("measurement values must be finite")
         object.__setattr__(self, "timepoints", ts)
         object.__setattr__(self, "values", ys)
 
@@ -86,8 +86,8 @@ class NoiseBudget:
     def __post_init__(self):
         f, eta = self.f_norm_sq_bound, self.eta_norm_sq_bound
         if not (0 < f < np.inf and 0 <= eta < np.inf):  # a NaN fails this too
-            raise NonPositiveBound(f"bounds ({f}, {eta}) must be finite, the "
-                                   "first positive and the second nonnegative")
+            raise InvalidInput(f"bounds ({f}, {eta}) must be finite, the "
+                               "first positive and the second nonnegative")
         # Python floats over- and underflow without a warning
         q = 1.0 / (2.0 * float(f))
         r = 1.0 / (2.0 * float(eta)) if eta > 0 else ZERO_NOISE_R_FACTOR * q
@@ -95,7 +95,8 @@ class NoiseBudget:
         # float range makes it subnormal, too coarse to keep q * f <= 1/2
         normal = np.finfo(float).tiny
         if not (normal <= q < np.inf and normal <= r < np.inf):
-            raise NonPositiveBound(f"bounds ({f}, {eta}) give q = {q}, r = {r}")
+            raise InvalidInput(f"bounds ({f}, {eta}) give q = {q}, r = {r}, "
+                               "which must be normal floats")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
 
@@ -107,12 +108,12 @@ def sample_grid(t_star: float, delta_t: float, D: int) -> np.ndarray:
     inside the window and contains t* whenever D is odd.
     """
     if not (_is_integer(D) and D >= 2):
-        raise ValueError("the number D of timepoints must be an integer >= 2")
+        raise InvalidInput(f"timepoint count D = {D!r} must be an integer >= 2")
     if not 0 < delta_t < np.inf:  # a NaN fails this too
-        raise ValueError("delta_t must be positive and finite")
+        raise InvalidInput(f"delta_t = {delta_t} must be positive and finite")
     if not 0 < t_star - delta_t < np.inf:
-        raise BadWindow(f"window ({t_star - delta_t}, {t_star + delta_t}) "
-                        "must be finite and lie in t > 0")
+        raise InvalidInput(f"window ({t_star - delta_t}, {t_star + delta_t}) "
+                           "must be finite and lie in t > 0")
     h = 2.0 * delta_t / D
     return t_star - delta_t + h / 2 + h * np.arange(D)
 
@@ -131,7 +132,7 @@ def measure_series(
     theta = 0 returns exact values; a fixed seed is fully reproducible.
     """
     if not 0 <= theta < np.inf:  # a NaN fails this too
-        raise ValueError("theta must be nonnegative and finite")
+        raise InvalidInput(f"theta = {theta} must be nonnegative and finite")
     grid = np.asarray(grid, dtype=float)
     values = recovery_probability(spec, v, j, k, grid)
     if theta > 0:
@@ -151,9 +152,9 @@ def estimated_eta_norm_sq(D: int, theta: float) -> float:
     premise fails in more than 5% of trials.
     """
     if not (_is_integer(D) and D >= 1):
-        raise ValueError("D must be a positive integer")
+        raise InvalidInput(f"D = {D!r} must be a positive integer")
     if not 0 <= theta < np.inf:  # a NaN fails this too
-        raise ValueError("theta must be nonnegative and finite")
+        raise InvalidInput(f"theta = {theta} must be nonnegative and finite")
     return 2.0 * D * theta**2
 
 
@@ -206,9 +207,10 @@ def forcing_norm_sq(
     delta_t < t*).  A table's length is rounded up to a power of two, so
     the gaps up to g share ceil(log2 g) + 1 tables with every theta and
     trial.  A diagonal entry (g = 0) is exactly tau for order 0, else 0.
+    A norm beyond the float range raises InvalidInput.
     """
     if not 0 < tau < np.inf:  # a NaN fails this too
-        raise ValueError("tau must be positive and finite")
+        raise InvalidInput(f"tau = {tau} must be positive and finite")
     if _check_entry(spec, v, j, k, tau):
         return tau * recovery_derivative(spec, v, j, k, 0.0, order) ** 2
     _check_natural("derivative orders", order)
@@ -218,4 +220,11 @@ def forcing_norm_sq(
     sums = _panel_table(np.asarray(spec.eigenvalues, dtype=float),
                         np.asarray(eigenbasis_weights(spec, v), dtype=float),
                         tau / per_unit, order, 1 << (count - 1).bit_length())
-    return g ** (2 * order - 1) * float(sums[count - 1])
+    try:  # the int g^(2 order - 1) itself may exceed the float range
+        norm_sq = g ** (2 * order - 1) * float(sums[count - 1])
+    except OverflowError:
+        norm_sq = math.inf
+    if not norm_sq < math.inf:
+        raise InvalidInput(f"forcing norm at j={j} k={k} order={order} is "
+                           f"{norm_sq}, beyond the float range")
+    return norm_sq

@@ -70,7 +70,7 @@ import numpy as np
 
 from ._cache import content_cache
 from .dynamics import _is_integer
-from .errors import BadHorizon, OutOfHorizon, SingularSystem
+from .errors import InvalidInput, SingularSystem
 from .measurement import MeasurementSeries, NoiseBudget
 
 # the largest M whose ((M-1)!)^2, a forcing-Gram denominator, fits a float: 99
@@ -109,10 +109,10 @@ class EstimatorModel:
         x_in = np.asarray(self.x_in, dtype=float)
         if (x_in.ndim != 1 or not 2 <= x_in.size <= MAX_CHAIN_ORDER
                 or not np.all(np.isfinite(x_in))):
-            raise ValueError("x_in must be a 1-D array of 2 to "
-                             f"{MAX_CHAIN_ORDER} finite values")
+            raise InvalidInput("x_in must be a 1-D array of 2 to "
+                               f"{MAX_CHAIN_ORDER} finite values")
         if not 0 < self.tau < np.inf:
-            raise BadHorizon("horizon tau must be positive and finite")
+            raise InvalidInput(f"tau = {self.tau} must be positive and finite")
         object.__setattr__(self, "x_in", x_in)
         # Python floats: at a scalar t the drift then multiplies floats,
         # not numpy scalars, in the same IEEE operations
@@ -162,13 +162,13 @@ def _check_grid(model: EstimatorModel, ts: np.ndarray) -> np.ndarray:
     # every comparison is written so that a NaN fails it
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("timepoints must be a nonempty 1-D array")
+        raise InvalidInput("timepoints must be a nonempty 1-D array")
     if not np.all(np.diff(ts) > 0):
-        raise ValueError("timepoints must be strictly increasing")
+        raise InvalidInput("timepoints must be strictly increasing")
     if not ts[-1] < model.tau:
-        raise BadHorizon("timepoints must lie strictly inside [0, tau)")
+        raise InvalidInput(f"timepoints must lie below tau = {model.tau}")
     if not ts[0] >= 0:
-        raise OutOfHorizon("timepoints must be nonnegative")
+        raise InvalidInput("timepoints must be nonnegative")
     return ts
 
 
@@ -219,9 +219,10 @@ def _check_evaluation(model: EstimatorModel, t: float, component: int):
     # the type test is the fast path; _is_integer admits numpy integers
     if not ((type(component) is int or _is_integer(component))
             and 0 <= component < model.M):
-        raise ValueError("component must be an integer in [0, M)")
+        raise InvalidInput(f"component {component!r} must be an integer in "
+                           f"[0, {model.M})")
     if not 0 <= t <= model.tau:
-        raise OutOfHorizon(f"t = {t} outside [0, {model.tau}]")
+        raise InvalidInput(f"t = {t} must lie in [0, {model.tau}]")
 
 
 @content_cache
@@ -244,14 +245,15 @@ def fit_batch(models, series: MeasurementSeries) -> list[MinimaxFit]:
     """
     models = list(models)
     if not models:
-        raise ValueError("a batch needs at least one model")
+        raise InvalidInput("a batch needs at least one model")
     if any(model.M != models[0].M for model in models):
-        raise ValueError("the models of a batch must share the order M")
+        raise InvalidInput("the models of a batch must share the order M")
     # the grid check against the shortest horizon covers every model
     ts = _check_grid(min(models, key=lambda model: model.tau),
                      series.timepoints)
-    # one row per model, or one row for all: other row counts do not
-    # broadcast and raise ValueError
+    if series.values.ndim == 2 and len(series.values) not in (1, len(models)):
+        raise InvalidInput(f"{len(series.values)} data rows for {len(models)} "
+                           "models: need one row per model, or one for all")
     drift = np.array([model.homogeneous(ts) for model in models])
     y_tilde = series.values - drift
     betas = _ridge_solve(models, ts, y_tilde)

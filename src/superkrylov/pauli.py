@@ -36,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionCap,
-    IndexOutOfRange,
-    NegativeCoupling,
-    NonBipartiteEdge,
-    NotHermitian,
-)
+from .errors import InvalidInput
 
 MAX_QUBITS_DENSE = 12  # N = 4096, the desk-scale cap for dense assembly
 
@@ -71,14 +65,14 @@ class PauliString:
 
     def __post_init__(self):
         if not self.label or any(c not in PAULI_MATRICES for c in self.label):
-            raise ValueError(f"invalid Pauli label {self.label!r}")
+            raise InvalidInput(f"Pauli label {self.label!r} must be a word over IXYZ")
         if np.iscomplexobj(self.coefficient):
-            raise NotHermitian(
+            raise InvalidInput(
                 f"coefficient {self.coefficient!r} is complex; a Pauli sum "
                 "is Hermitian only with real weights"
             )
         if not np.isfinite(self.coefficient):
-            raise ValueError("coefficient must be finite")
+            raise InvalidInput(f"coefficient {self.coefficient!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -92,10 +86,10 @@ class PauliHamiltonian:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+            raise InvalidInput(f"n_qubits = {self.n_qubits} must be positive")
         for t in self.terms:
             if len(t.label) != self.n_qubits:
-                raise ValueError(
+                raise InvalidInput(
                     f"label {t.label!r} does not match n_qubits={self.n_qubits}"
                 )
 
@@ -114,14 +108,14 @@ def build_heisenberg(n: int, couplings: dict[tuple[int, int], float]) -> PauliHa
     state, so the result carries the class-1 tag.
     """
     if n < 2:
-        raise ValueError("need at least two qubits")
+        raise InvalidInput(f"n = {n} qubits must be at least 2")
     terms = []
     top = 0.0
     for (j, k), coeff in sorted(couplings.items()):
         if not (0 <= j < k <= n - 1):
-            raise IndexOutOfRange(f"coupling key ({j},{k}) out of range for n={n}")
+            raise InvalidInput(f"coupling key ({j},{k}) out of range for n={n}")
         if coeff < 0:
-            raise NegativeCoupling(f"J_{j}{k} = {coeff} < 0")
+            raise InvalidInput(f"coupling J_{j}{k} = {coeff} must be nonnegative")
         top += coeff
         if coeff == 0:
             continue
@@ -155,14 +149,15 @@ def build_bipartite(
     the spectrum to be symmetric about zero.
     """
     if n_per_side < 1:
-        raise ValueError("n_per_side must be positive")
+        raise InvalidInput(f"n_per_side = {n_per_side} must be positive")
     n = 2 * n_per_side
 
     def check_edge(j, k):
         if not (0 <= j < n and 0 <= k < n):
-            raise IndexOutOfRange(f"edge vertex out of range: ({j},{k})")
+            raise InvalidInput(f"edge vertex out of range: ({j},{k})")
         if (j < n_per_side) == (k < n_per_side):
-            raise NonBipartiteEdge(f"edge ({j},{k}) stays on one side")
+            raise InvalidInput(f"edge ({j},{k}) stays on one side of the "
+                               "bipartition")
 
     terms = []
     for (j, k), coeff in sorted(Jy.items()):
@@ -175,7 +170,7 @@ def build_bipartite(
             terms.append(PauliString(_single_site_label(n, {j: "Z", k: "Z"}), coeff))
     for l, coeff in sorted(h.items()):
         if not 0 <= l < n:
-            raise IndexOutOfRange(f"field vertex {l} out of range")
+            raise InvalidInput(f"field vertex {l} out of range")
         if coeff != 0:
             terms.append(PauliString(_single_site_label(n, {l: "X"}), coeff))
     return PauliHamiltonian(
@@ -202,7 +197,7 @@ def assemble_dense(ham: PauliHamiltonian) -> np.ndarray:
     number of Y factors and complex128 otherwise.
     """
     if ham.n_qubits > MAX_QUBITS_DENSE:
-        raise DimensionCap(
+        raise InvalidInput(
             f"n_qubits={ham.n_qubits} exceeds dense cap {MAX_QUBITS_DENSE}"
         )
     n = ham.n_qubits

@@ -32,13 +32,7 @@ from .dynamics import (
     _is_integer,
     eigenbasis_weights,
 )
-from .errors import (
-    AllModesThresholded,
-    DimensionMismatch,
-    MissingTopEnergy,
-    SingularSystem,
-    ZeroWidth,
-)
+from .errors import AllModesThresholded, InvalidInput, SingularSystem
 from .minimax import evaluate_x0, evaluate_x1
 from .pauli import HamiltonianClass
 
@@ -69,12 +63,12 @@ class KrylovPair:
     def __post_init__(self):
         r, a = np.array(self.r, dtype=float), np.array(self.a, dtype=float)
         if r.ndim != 1 or r.size == 0 or a.shape != r.shape:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 "pair rows must be 1-D, nonempty and of one length")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(a))):
             raise SingularSystem("projected pair has non-finite entries")
         if a[0] != 0:
-            raise ValueError("a[0] must be 0: J_hat has a zero diagonal")
+            raise InvalidInput(f"a[0] = {a[0]} must be 0: J_hat has a zero diagonal")
         r.flags.writeable = a.flags.writeable = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", a)
@@ -87,7 +81,7 @@ class KrylovPair:
     def leading(self, m: int) -> "KrylovPair":
         """The m-pair: the leading m x m blocks, with rows r[:m], a[:m]."""
         if not (_is_integer(m) and 1 <= m <= self.m):
-            raise ValueError(f"m must be an integer in [1, {self.m}]")
+            raise InvalidInput(f"m = {m!r} must be an integer in [1, {self.m}]")
         return KrylovPair(r=self.r[:m], a=self.a[:m])
 
     @property
@@ -124,7 +118,7 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
     diagonal is exactly R = 1 and a = 0.
     """
     if not (_is_integer(m) and m >= 2):
-        raise ValueError("Krylov dimension m must be an integer >= 2")
+        raise InvalidInput(f"Krylov dimension m = {m!r} must be an integer >= 2")
     times = np.arange(1, m) * t_star
     r, a = _F(spec.eigenvalues, eigenbasis_weights(spec, v), times, 1)
     return KrylovPair(r=np.r_[1.0, r], a=np.r_[0.0, a])
@@ -141,7 +135,7 @@ def assemble_pair_minimax(fits, t_star: float) -> KrylovPair:
     with a_g = x_hat_1 / g.
     """
     if not fits:
-        raise ValueError("need a fit for at least gap 1 (Krylov dimension 2)")
+        raise InvalidInput("need a fit for at least gap 1 (Krylov dimension 2)")
     r, a = [1.0], [0.0]
     for g, f in enumerate(fits, 1):
         r.append(min(max(evaluate_x0(f, t_star), 0.0), 1.0))
@@ -159,7 +153,7 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
     R_hat, the reduced J_hat is i B, B = W^T A_hat W real antisymmetric.
     """
     if not eps >= 0:  # a NaN fails this too
-        raise ValueError("threshold eps must be nonnegative")
+        raise InvalidInput(f"threshold eps = {eps} must be nonnegative")
     sig, V = np.linalg.eigh(pair.R_hat)
     keep = sig > eps
     if not keep.any():
@@ -182,12 +176,13 @@ def ground_energy(result: RitzResult, class_tag: HamiltonianClass,
     """
     d0 = result.ground_gap
     if class_tag is HamiltonianClass.CLASS1_KNOWN_TOP:
-        if top_energy is None:
-            raise MissingTopEnergy("known-top post-processing needs top_energy")
+        if top_energy is None or not np.isfinite(top_energy):
+            raise InvalidInput("known-top post-processing needs a finite "
+                               f"top_energy, not {top_energy}")
         return d0 + top_energy
     if class_tag is HamiltonianClass.CLASS2_SYMMETRIC:
         return d0 / 2.0
-    raise ValueError("no ground-energy rule for generic Hamiltonians")
+    raise InvalidInput("no ground-energy rule for generic Hamiltonians")
 
 
 def choose_timestep(spectral_width: float) -> float:
@@ -197,8 +192,8 @@ def choose_timestep(spectral_width: float) -> float:
     so pass spectral_width = 2 (lam_max - lam_min).
     """
     if not 0 < spectral_width < np.inf:
-        raise ZeroWidth(f"commutator spectrum width {spectral_width} "
-                        "must be positive and finite")
+        raise InvalidInput(f"commutator spectrum width {spectral_width} "
+                           "must be positive and finite")
     return float(np.pi / spectral_width)
 
 
@@ -216,9 +211,11 @@ def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
     largest eigenvalue of dA^T dA.
     """
     if pair_estimated.m != pair_exact.m:
-        raise DimensionMismatch("pairs have different Krylov dimensions")
+        raise InvalidInput(f"pairs of Krylov dimensions {pair_estimated.m} and "
+                           f"{pair_exact.m} must match")
     if not 0 < j_spectral_norm < np.inf:
-        raise ValueError("j_spectral_norm must be positive and finite")
+        raise InvalidInput(f"j_spectral_norm = {j_spectral_norm} must be "
+                           "positive and finite")
     dR = np.linalg.eigvalsh(_toeplitz(pair_estimated.r - pair_exact.r))
     dA = _toeplitz(pair_estimated.a - pair_exact.a, antisymmetric=True)
     dJ_sq = np.linalg.eigvalsh(dA.T @ dA)[-1]

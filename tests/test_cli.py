@@ -119,6 +119,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: theta=0.001 trial=0 m=2: eps = " in err
 
+    @pytest.mark.parametrize("M, message", [
+        # gap 23's forcing bound 2.6e307 makes the budget weight q subnormal
+        (70, "gap=23 M=70: bounds (2.6"),
+        # gap 13's forcing norm g^(2M-1) int F^(M)^2 overflows
+        (80, "gap=13 M=80: forcing norm at j=0 k=13 order=80 is inf"),
+    ])
+    def test_large_chain_order_names_the_gap(self, tmp_path, capsys, M, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"model = heisenberg\nn = 4\ntheta_values = 0.001\n"
+                        f"D = 15\nM = {M}\nout = {tmp_path}\n")
+        assert main(["convergence", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: theta=0.001 trial=0: {message}" in err
+
     @pytest.mark.parametrize("line, command", [
         ("m_values = 1,2,4", "convergence"),
         ("d_values = 1,5", "deriv-scaling"),

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from superkrylov import (
-    DimensionMismatch,
-    NotHermitian,
-    OverlapOutOfRange,
+    InvalidInput,
     assemble_dense,
     assemble_pair_exact,
     build_initial_state,
@@ -65,7 +63,7 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("vectors", [True, False])
     def test_not_hermitian_rejected(self, vectors):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidInput, match="matrix is not Hermitian: asymmetry"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=vectors)
 
     @pytest.mark.parametrize("vectors", [True, False])
@@ -76,12 +74,12 @@ class TestEigendecompose:
         # inf into NaN eigenvalues: neither may reach a spectrum
         h = np.diag([0.0, 1.0]).astype(dtype)
         h[1, 1] = bad
-        with pytest.raises(NotHermitian, match=r"non-finite .* \[\[1, 1\]\]$"):
+        with pytest.raises(InvalidInput, match=r"non-finite .* \[\[1, 1\]\]$"):
             eigendecompose(h, vectors=vectors)
         # an entry past the first strip is named by its row in h
         h = np.eye(100, dtype=dtype)
         h[70, 3] = h[3, 70] = bad
-        with pytest.raises(NotHermitian, match=r"\[\[3, 70\]\]$"):
+        with pytest.raises(InvalidInput, match=r"non-finite .* \[\[3, 70\]\]$"):
             eigendecompose(h, vectors=vectors)
 
     @pytest.mark.parametrize("vectors", [True, False])
@@ -97,12 +95,12 @@ class TestEigendecompose:
             spec.eigenvalues, np.linalg.eigvalsh((h + h.conj().T) / 2), atol=1e-6)
         bad = h.copy()
         bad[0, 1] += 1e-6 * np.max(np.abs(h))
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidInput, match="matrix is not Hermitian: asymmetry"):
             eigendecompose(bad, vectors=vectors)
 
     @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
     def test_non_square_or_empty_rejected(self, shape):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="must be nonempty and square"):
             eigendecompose(np.zeros(shape))
 
     def test_strip_check_equals_dense_check(self):
@@ -245,7 +243,7 @@ class TestNegativeIndices:
     @pytest.mark.parametrize("j, k", [(-1, 0), (0, -1), (-2, -2)])
     def test_rejected(self, toy, oracle, j, k):
         spec, v = toy
-        with pytest.raises(ValueError, match="Krylov indices must be nonnegative"):
+        with pytest.raises(InvalidInput, match="Krylov indices must be nonnegative"):
             oracle(spec, v, j, k)
 
 
@@ -270,7 +268,7 @@ class TestNonFiniteTime:
                              ids=["nan", "inf", "array with nan"])
     def test_rejected(self, toy, oracle, t):
         spec, v = toy
-        with pytest.raises(ValueError, match="times must be finite"):
+        with pytest.raises(InvalidInput, match="times must be finite"):
             ORACLES[oracle](spec, v, t)
 
     def test_negative_time_is_valid(self, toy):
@@ -287,7 +285,7 @@ class TestStateShape:
     def test_rejected(self, toy, oracle, shape):
         spec, v = toy
         bad = np.resize(v, shape)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match=r"state of shape .* must be \(2,\)"):
             ORACLES[oracle](spec, bad, 0.3)
 
 
@@ -322,14 +320,14 @@ def test_checks_run_on_a_cached_amplitude_key(toy):
     # each oracle checks its times, state, indices and order before it
     # evaluates the kernel
     spec, v = toy
-    with pytest.raises(ValueError, match="times must be finite"):
+    with pytest.raises(InvalidInput, match="times must be finite"):
         recovery_probability(spec, v, 0, 1, np.nan)
     # a row vector holds the same weights as v
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInput, match=r"state of shape \(1, 2\)"):
         recovery_probability(spec, v[None, :], 0, 1, 0.3)
-    with pytest.raises(ValueError, match="Krylov indices"):
+    with pytest.raises(InvalidInput, match="Krylov indices"):
         recovery_probability(spec, v, -1, 0, 0.3)
-    with pytest.raises(ValueError, match="nonnegative integer"):
+    with pytest.raises(InvalidInput, match="nonnegative integer"):
         recovery_derivative(spec, v, 0, 1, 0.3, 1.0)
 
 
@@ -593,7 +591,7 @@ class TestInitialState:
     def test_out_of_range_rejected(self):
         spec = eigendecompose(np.diag([1.0, -1.0, 0.0]))
         for bad in (0.0, 0.51, -0.1):
-            with pytest.raises(OverlapOutOfRange):
+            with pytest.raises(InvalidInput, match=r"gamma0 = .* must lie in \(0, 0.5\]"):
                 build_initial_state(spec, bad)
 
 

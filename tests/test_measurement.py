@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkrylov import (
-    BadWindow,
+    InvalidInput,
     NoiseBudget,
-    NonPositiveBound,
     assemble_dense,
     build_initial_state,
     choose_timestep,
@@ -48,7 +47,7 @@ class TestSampleGrid:
         assert np.min(np.abs(g - 0.5)) < 1e-15
 
     def test_window_touching_zero_rejected(self):
-        with pytest.raises(BadWindow):
+        with pytest.raises(InvalidInput, match="must be finite and lie in t > 0"):
             sample_grid(0.1, 0.1, 5)
 
     def test_numpy_integer_size_accepted(self):
@@ -59,13 +58,13 @@ class TestSampleGrid:
     @pytest.mark.parametrize("D", [True, False, 5.0])
     def test_bool_or_float_size_rejected(self, D):
         # Python counts a bool as an Integral: True would read as D = 1
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(InvalidInput, match="positive integer"):
             estimated_eta_norm_sq(D, 0.1)
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="count D = 1 must be an integer >= 2"):
             sample_grid(0.5, 0.1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="delta_t = -0.1 must be positive"):
             sample_grid(0.5, -0.1, 5)
 
 
@@ -111,9 +110,9 @@ class TestBudget:
         assert b.r == pytest.approx(1e12 * b.q)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveBound):
+        with pytest.raises(InvalidInput, match="the first positive"):
             NoiseBudget(0.0, 1.0)
-        with pytest.raises(NonPositiveBound):
+        with pytest.raises(InvalidInput, match="the second nonnegative"):
             NoiseBudget(1.0, -1.0)
 
     def test_weights_are_derived_not_passed(self):
@@ -132,7 +131,7 @@ class TestBudget:
         # every budget that can be built lies inside the ellipsoid premise
         try:
             b = NoiseBudget(f, eta)
-        except NonPositiveBound:
+        except InvalidInput:
             return
         assert 0 < b.q < np.inf and 0 < b.r < np.inf
         assert b.q * f <= 0.5 and b.r * eta <= 0.5
@@ -160,8 +159,17 @@ class TestForcingNorm:
 
     def test_negative_index_rejected(self, toy):
         spec, v = toy
-        with pytest.raises(ValueError, match="Krylov indices must be nonnegative"):
+        with pytest.raises(InvalidInput, match="Krylov indices must be nonnegative"):
             forcing_norm_sq(spec, v, -1, 0, 0.5, order=3)
+
+    @pytest.mark.parametrize("k", [7, 40])
+    def test_norm_past_the_float_range_raises(self, k):
+        # on the n=4 chain at order 99, g^(2 order - 1) times the integral of
+        # F^(order)^2 overflows to inf at gap 7; at gap 40 the integer
+        # 40^197 is itself past the float range
+        ctx = build_context(ExperimentConfig(n=4))
+        with pytest.raises(InvalidInput, match=f"j=0 k={k} order=99 is inf, beyond"):
+            forcing_norm_sq(ctx.spec, ctx.v, 0, k, ctx.tau, order=99)
 
     def test_tabulated_rule(self, toy):
         x, w = measurement._GL_NODES, measurement._GL_WEIGHTS

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from superkrylov import (
-    BadHorizon,
     EstimatorModel,
+    InvalidInput,
     MeasurementSeries,
     NoiseBudget,
-    NonPositiveBound,
-    OutOfHorizon,
     error_certificate,
     evaluate_component,
     evaluate_x0,
@@ -106,7 +104,7 @@ class TestModel:
                                       np.zeros(MAX_CHAIN_ORDER + 1)],
                              ids=["2-D", "length 1", "empty", "too long"])
     def test_x_in_must_be_1d_of_length_two_or_more(self, x_in):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="x_in must be a 1-D array of 2 to 99"):
             EstimatorModel(x_in, TAU, toy_model().budget)
 
     def test_chain_order_limit_is_the_last_finite_gram_denominator(self):
@@ -150,7 +148,7 @@ class TestKernelMatrix:
 
     def test_horizon_enforced(self):
         model = toy_model()
-        with pytest.raises(BadHorizon):
+        with pytest.raises(InvalidInput, match="must lie below tau"):
             kernel_matrix(model, np.array([0.5, 1.5]))
 
 
@@ -215,9 +213,9 @@ class TestEvaluation:
             assert abs(fd - evaluate_x1(f, t)) < 1e-8
 
     def test_out_of_horizon(self, fitted):
-        with pytest.raises(OutOfHorizon):
+        with pytest.raises(InvalidInput, match=r"t = 1.1 must lie in \[0, 1.0\]"):
             evaluate_x0(fitted, TAU + 0.1)
-        with pytest.raises(OutOfHorizon):
+        with pytest.raises(InvalidInput, match=r"t = -0.1 must lie in \[0, 1.0\]"):
             evaluate_x1(fitted, -0.1)
 
 
@@ -393,12 +391,12 @@ def test_grid_checks_run_on_a_cached_key():
     model, ts = toy_model(), toy_grid(6)
     forcing_gram(model, ts)  # fills the cache
     # the same bytes as a 2-D grid, and a horizon the grid overruns
-    with pytest.raises(ValueError, match="nonempty 1-D"):
+    with pytest.raises(InvalidInput, match="nonempty 1-D"):
         forcing_gram(model, ts.reshape(2, 3))
     short = EstimatorModel(X_IN, 0.5 * TAU, model.budget)
-    with pytest.raises(BadHorizon):
+    with pytest.raises(InvalidInput, match="must lie below tau = 0.5"):
         forcing_gram(short, ts)
-    with pytest.raises(BadHorizon):
+    with pytest.raises(InvalidInput, match="must lie below tau = 0.5"):
         fit(short, toy_series(6))
 
 
@@ -409,47 +407,61 @@ def test_grid_checks_run_on_a_cached_key():
     lambda grid: error_certificate(toy_model(), grid, T_STAR, 1),
 ], ids=["forcing_gram", "error_certificate"])
 def test_grid_must_be_nonempty_1d(call, grid):
-    with pytest.raises(ValueError, match="nonempty 1-D"):
+    with pytest.raises(InvalidInput, match="nonempty 1-D"):
         call(grid)
 
 
 NAN = float("nan")
+# case -> (error, the rule its message must state, call)
 NON_FINITE_CASES = {
-    "evaluate at t = nan": (OutOfHorizon, lambda: evaluate_x0(
-        fit(toy_model(), toy_series(10)), NAN)),
-    "certificate at t = nan": (OutOfHorizon, lambda: error_certificate(
-        toy_model(), toy_grid(10), NAN, 1)),
-    "certificate on a grid with nan": (ValueError, lambda: error_certificate(
-        toy_model(), np.array([0.3, NAN, 0.6]), T_STAR, 1)),
-    "series with a nan timepoint": (ValueError, lambda: MeasurementSeries(
-        timepoints=[0.1, NAN, 0.3], values=[1.0, 1.0, 1.0])),
-    "model with tau = nan": (BadHorizon, lambda: EstimatorModel(
-        X_IN, NAN, toy_model().budget)),
-    "model with tau = inf": (BadHorizon, lambda: EstimatorModel(
-        X_IN, np.inf, toy_model().budget)),
-    "model with nan x_in": (ValueError, lambda: EstimatorModel(
-        [1.0, NAN, 0.0], TAU, toy_model().budget)),
+    "evaluate at t = nan": (
+        InvalidInput, r"t = nan must lie in \[0,",
+        lambda: evaluate_x0(fit(toy_model(), toy_series(10)), NAN)),
+    "certificate at t = nan": (
+        InvalidInput, r"t = nan must lie in \[0,",
+        lambda: error_certificate(toy_model(), toy_grid(10), NAN, 1)),
+    "certificate on a grid with nan": (
+        InvalidInput, "strictly increasing",
+        lambda: error_certificate(toy_model(), np.array([0.3, NAN, 0.6]), T_STAR, 1)),
+    "series with a nan timepoint": (
+        InvalidInput, "strictly increasing",
+        lambda: MeasurementSeries(timepoints=[0.1, NAN, 0.3], values=[1.0, 1.0, 1.0])),
+    "model with tau = nan": (
+        InvalidInput, "tau = nan must be positive and finite",
+        lambda: EstimatorModel(X_IN, NAN, toy_model().budget)),
+    "model with tau = inf": (
+        InvalidInput, "tau = inf must be positive and finite",
+        lambda: EstimatorModel(X_IN, np.inf, toy_model().budget)),
+    "model with nan x_in": (
+        InvalidInput, "finite values",
+        lambda: EstimatorModel([1.0, NAN, 0.0], TAU, toy_model().budget)),
     # q and r are derived from the bounds, so these cover a nan q or an inf r
-    "budget with a nan bound": (NonPositiveBound, lambda: NoiseBudget(NAN, 0.1)),
-    # nor can a nan q be put into a built budget
-    "budget with q = nan": (ValueError, lambda: dataclasses.replace(
-        toy_model().budget, q=NAN)),
+    "budget with a nan bound": (
+        InvalidInput, r"bounds \(nan, 0.1\) must be finite",
+        lambda: NoiseBudget(NAN, 0.1)),
+    # nor can a nan q be put into a built budget (dataclasses refuses it)
+    "budget with q = nan": (
+        ValueError, "init=False",
+        lambda: dataclasses.replace(toy_model().budget, q=NAN)),
     # the weight choice select_qr made now lives in NoiseBudget; exact data
     # takes the r = ZERO_NOISE_R_FACTOR * q branch, which a nan f must not reach
-    "select_qr with f_norm_sq = nan": (NonPositiveBound,
-                                       lambda: NoiseBudget(NAN, 0.0)),
-    "budget with a nan noise bound": (NonPositiveBound,
-                                      lambda: NoiseBudget(1.0, NAN)),
+    "select_qr with f_norm_sq = nan": (
+        InvalidInput, r"bounds \(nan, 0.0\) must be finite",
+        lambda: NoiseBudget(NAN, 0.0)),
+    "budget with a nan noise bound": (
+        InvalidInput, r"bounds \(1.0, nan\) must be finite",
+        lambda: NoiseBudget(1.0, NAN)),
     # 1/(2 * 5e-324) overflows to r = inf
-    "budget with a subnormal noise bound": (NonPositiveBound,
-                                            lambda: NoiseBudget(0.1, 5e-324)),
+    "budget with a subnormal noise bound": (
+        InvalidInput, "r = inf, which must be normal",
+        lambda: NoiseBudget(0.1, 5e-324)),
 }
 
 
 @pytest.mark.parametrize("case", NON_FINITE_CASES)
 def test_non_finite_input_rejected(case):
-    error, call = NON_FINITE_CASES[case]
-    with pytest.raises(error):
+    error, rule, call = NON_FINITE_CASES[case]
+    with pytest.raises(error, match=rule):
         call()
 
 
@@ -515,20 +527,20 @@ class TestFitBatch:
     def test_models_must_share_the_order(self):
         series = toy_series(10)
         order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, toy_model().budget)
-        with pytest.raises(ValueError, match="order M"):
+        with pytest.raises(InvalidInput, match="order M"):
             fit_batch([toy_model(), order4], series)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="at least one model"):
             fit_batch([], series)
 
     def test_grid_checked_against_every_horizon(self):
         short = EstimatorModel(X_IN, 0.5 * TAU, toy_model().budget)
-        with pytest.raises(BadHorizon):
+        with pytest.raises(InvalidInput, match="must lie below tau = 0.5"):
             fit_batch([toy_model(), short], toy_series(6))
 
     def test_rows_must_match_the_models(self):
         ts = toy_grid(6)
         rows = np.ones((3, ts.size))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="3 data rows for 2 models"):
             fit_batch([toy_model(), toy_model()],
                       MeasurementSeries(timepoints=ts, values=rows))
 
@@ -561,12 +573,12 @@ class TestEvaluationMemo:
 
     def test_checks_run_before_the_lookup(self, fitted):
         evaluate_component(fitted, T_STAR, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="component 1.0 must be an integer"):
             evaluate_component(fitted, T_STAR, 1.0)
         evaluate_x0(fitted, TAU)
-        with pytest.raises(OutOfHorizon):
+        with pytest.raises(InvalidInput, match="t = nan must lie in"):
             evaluate_x0(fitted, NAN)
-        with pytest.raises(OutOfHorizon):
+        with pytest.raises(InvalidInput, match="must lie in"):
             evaluate_x0(fitted, np.nextafter(TAU, np.inf))
 
     def test_beta_and_timepoints_are_read_only_copies(self):

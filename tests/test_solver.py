@@ -3,15 +3,14 @@ import pytest
 
 from superkrylov import (
     AllModesThresholded,
-    BadWindow,
-    DimensionMismatch,
     EstimatorModel,
     HamiltonianClass,
+    InvalidInput,
     KrylovPair,
-    MissingTopEnergy,
+    MeasurementSeries,
     NoiseBudget,
+    PauliString,
     SingularSystem,
-    ZeroWidth,
     assemble_dense,
     assemble_pair_exact,
     assemble_pair_minimax,
@@ -169,7 +168,7 @@ class TestToeplitzPair:
             assert full.leading(m).r.tobytes() == full.r[:m].tobytes()
 
     def test_nonzero_diagonal_of_J_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match=r"a\[0\] = 0.1 must be 0"):
             KrylovPair(r=[1.0, 0.5], a=[0.1, 0.2])
 
 
@@ -195,7 +194,7 @@ class TestMinimaxAssembly:
     def test_no_fits_rejected(self, chain):
         # dimension len(fits) + 1 = 1 is rejected, as m < 2 is for the exact pair
         for fits in ([], ()):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidInput, match="need a fit for at least gap 1"):
                 assemble_pair_minimax(fits, chain[3])
 
     def test_gram_entries_clipped(self, chain):
@@ -285,7 +284,7 @@ class TestGroundEnergy:
         assert ground_energy(res, HamiltonianClass.CLASS2_SYMMETRIC) == -1.5
 
     def test_missing_top_energy(self):
-        with pytest.raises(MissingTopEnergy):
+        with pytest.raises(InvalidInput, match="needs a finite top_energy, not None"):
             ground_energy(_result([-1.0]), HamiltonianClass.CLASS1_KNOWN_TOP)
 
     def test_two_qubit_chain_exact(self):
@@ -314,7 +313,7 @@ class TestTimestepAndNoiseRate:
         assert choose_timestep(2 * np.pi) == 0.5
 
     def test_zero_width(self):
-        with pytest.raises(ZeroWidth):
+        with pytest.raises(InvalidInput, match="width 0.0 must be positive and finite"):
             choose_timestep(0.0)
 
     def test_identical_pairs_zero_rate(self, chain):
@@ -337,7 +336,7 @@ class TestTimestepAndNoiseRate:
         _, spec, v, t_star = chain
         a = assemble_pair_exact(spec, v, 3, t_star)
         b = assemble_pair_exact(spec, v, 4, t_star)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="Krylov dimensions 3 and 4 must match"):
             noise_rate(a, b, 1.0)
 
 
@@ -382,122 +381,200 @@ def _pair(spec, v, t_star):
     return assemble_pair_exact(spec, v, 3, t_star)
 
 
-# (error, call on (spec, v, t_star)) for each rejected scalar or shape; every
-# comparison is written so that a NaN fails it
+# case -> (the rule its message must state, call on (spec, v, t_star)) for
+# each rejected scalar or shape, all raising InvalidInput; every comparison
+# is written so that a NaN fails it
 BAD_INPUT_CASES = {
     "sample_grid with t_star = nan": (
-        BadWindow, lambda s, v, t: sample_grid(NAN, 0.1, 5)),
+        "must be finite and lie in t > 0",
+        lambda s, v, t: sample_grid(NAN, 0.1, 5)),
     "sample_grid with delta_t = nan": (
-        ValueError, lambda s, v, t: sample_grid(1.0, NAN, 5)),
+        "delta_t = nan must be positive and finite",
+        lambda s, v, t: sample_grid(1.0, NAN, 5)),
     "sample_grid with D = 2.5": (
-        ValueError, lambda s, v, t: sample_grid(1.0, 0.1, 2.5)),
+        "count D = 2.5 must be an integer >= 2",
+        lambda s, v, t: sample_grid(1.0, 0.1, 2.5)),
     "sample_grid with D = nan": (
-        ValueError, lambda s, v, t: sample_grid(1.0, 0.1, NAN)),
+        "count D = nan must be an integer >= 2",
+        lambda s, v, t: sample_grid(1.0, 0.1, NAN)),
     "measure_series with theta = nan": (
-        ValueError, lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], NAN)),
+        "theta = nan must be nonnegative and finite",
+        lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], NAN)),
     "measure_series with theta < 0": (
-        ValueError, lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], -1e-3)),
+        "theta = -0.001 must be nonnegative",
+        lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], -1e-3)),
     "estimated_eta_norm_sq with theta = nan": (
-        ValueError, lambda s, v, t: estimated_eta_norm_sq(5, NAN)),
+        "theta = nan must be nonnegative and finite",
+        lambda s, v, t: estimated_eta_norm_sq(5, NAN)),
     "estimated_eta_norm_sq with theta < 0": (
-        ValueError, lambda s, v, t: estimated_eta_norm_sq(5, -1e-3)),
+        "theta = -0.001 must be nonnegative",
+        lambda s, v, t: estimated_eta_norm_sq(5, -1e-3)),
     "estimated_eta_norm_sq with D = 0": (
-        ValueError, lambda s, v, t: estimated_eta_norm_sq(0, 1e-3)),
+        "D = 0 must be a positive integer",
+        lambda s, v, t: estimated_eta_norm_sq(0, 1e-3)),
     "estimated_eta_norm_sq with D = nan": (
-        ValueError, lambda s, v, t: estimated_eta_norm_sq(NAN, 1e-3)),
+        "D = nan must be a positive integer",
+        lambda s, v, t: estimated_eta_norm_sq(NAN, 1e-3)),
     "estimated_eta_norm_sq with D = 2.5": (
-        ValueError, lambda s, v, t: estimated_eta_norm_sq(2.5, 1e-3)),
+        "D = 2.5 must be a positive integer",
+        lambda s, v, t: estimated_eta_norm_sq(2.5, 1e-3)),
     "forcing_norm_sq with tau = nan": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, NAN, order=3)),
+        "tau = nan must be positive and finite",
+        lambda s, v, t: forcing_norm_sq(s, v, 0, 1, NAN, order=3)),
     "forcing_norm_sq with tau = inf": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, np.inf, order=3)),
+        "tau = inf must be positive and finite",
+        lambda s, v, t: forcing_norm_sq(s, v, 0, 1, np.inf, order=3)),
     "forcing_norm_sq with tau = 0": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.0, order=3)),
+        "tau = 0.0 must be positive and finite",
+        lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.0, order=3)),
     "recovery_derivative with order = 1.5": (
-        ValueError, lambda s, v, t: recovery_derivative(s, v, 0, 1, 0.3, 1.5)),
+        "derivative orders must be nonnegative integers",
+        lambda s, v, t: recovery_derivative(s, v, 0, 1, 0.3, 1.5)),
     # 2.0 and 2 are one cache key
     "recovery_derivative with order = 2.0": (
-        ValueError, lambda s, v, t: [recovery_derivative(s, v, 0, 1, 0.3, order)
-                                     for order in (2, 2.0)]),
+        "derivative orders must be nonnegative integers",
+        lambda s, v, t: [recovery_derivative(s, v, 0, 1, 0.3, order)
+                         for order in (2, 2.0)]),
     "forcing_norm_sq with order = 1.5": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=1.5)),
+        "derivative orders must be nonnegative integers",
+        lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=1.5)),
     "forcing_norm_sq with order = 3.0": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=3.0)),
+        "derivative orders must be nonnegative integers",
+        lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=3.0)),
     # a bool is an Integral to Python, but not a derivative order or an index
     "forcing_norm_sq with order = True": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=True)),
+        "derivative orders must be nonnegative integers",
+        lambda s, v, t: forcing_norm_sq(s, v, 0, 1, 0.5, order=True)),
     "recovery_derivative with order = True": (
-        ValueError, lambda s, v, t: recovery_derivative(s, v, 0, 1, 0.3, True)),
+        "derivative orders must be nonnegative integers",
+        lambda s, v, t: recovery_derivative(s, v, 0, 1, 0.3, True)),
     # a fractional index would be a fractional gap
     "recovery_probability with k = 1.5": (
-        ValueError, lambda s, v, t: recovery_probability(s, v, 0, 1.5, 0.3)),
+        "Krylov indices must be nonnegative integers",
+        lambda s, v, t: recovery_probability(s, v, 0, 1.5, 0.3)),
     "recovery_probability with j = 0.0": (
-        ValueError, lambda s, v, t: recovery_probability(s, v, 0.0, 1, 0.3)),
+        "Krylov indices must be nonnegative integers",
+        lambda s, v, t: recovery_probability(s, v, 0.0, 1, 0.3)),
     "recovery_probability with k = True": (
-        ValueError, lambda s, v, t: recovery_probability(s, v, 0, True, 0.3)),
+        "Krylov indices must be nonnegative integers",
+        lambda s, v, t: recovery_probability(s, v, 0, True, 0.3)),
     "recovery_derivative with k = 2.0": (
-        ValueError, lambda s, v, t: recovery_derivative(s, v, 0, 2.0, 0.3, 1)),
+        "Krylov indices must be nonnegative integers",
+        lambda s, v, t: recovery_derivative(s, v, 0, 2.0, 0.3, 1)),
     "exact_J_entry with j = 0.5": (
-        ValueError, lambda s, v, t: exact_J_entry(s, v, 0.5, 2, 0.3)),
+        "Krylov indices must be nonnegative integers",
+        lambda s, v, t: exact_J_entry(s, v, 0.5, 2, 0.3)),
     "forcing_norm_sq with k = 2.0": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 0, 2.0, 0.5, order=3)),
+        "Krylov indices must be nonnegative integers",
+        lambda s, v, t: forcing_norm_sq(s, v, 0, 2.0, 0.5, order=3)),
     "forcing_norm_sq with j = k = 1.0": (
-        ValueError, lambda s, v, t: forcing_norm_sq(s, v, 1.0, 1.0, 0.5, order=0)),
+        "Krylov indices must be nonnegative integers",
+        lambda s, v, t: forcing_norm_sq(s, v, 1.0, 1.0, 0.5, order=0)),
     "evaluate_component with component = 0.5": (
-        ValueError, lambda s, v, t: evaluate_component(
+        "component 0.5 must be an integer",
+        lambda s, v, t: evaluate_component(
             _fit_for_gap(s, v, 1, t, D=10), t, 0.5)),
     # 1.0 and 1 are one cache key
     "evaluate_component with component = 1.0": (
-        ValueError, lambda s, v, t: [evaluate_component(f, t, component)
-                                     for f in [_fit_for_gap(s, v, 1, t, D=10)]
-                                     for component in (1, 1.0)]),
+        "component 1.0 must be an integer",
+        lambda s, v, t: [evaluate_component(f, t, component)
+                         for f in [_fit_for_gap(s, v, 1, t, D=10)]
+                         for component in (1, 1.0)]),
     "error_certificate with component = 1.0": (
-        ValueError, lambda s, v, t: [error_certificate(f.model, f.timepoints, t, c)
-                                     for f in [_fit_for_gap(s, v, 1, t, D=10)]
-                                     for c in (1, 1.0)]),
+        "component 1.0 must be an integer",
+        lambda s, v, t: [error_certificate(f.model, f.timepoints, t, c)
+                         for f in [_fit_for_gap(s, v, 1, t, D=10)]
+                         for c in (1, 1.0)]),
     "choose_timestep with width = nan": (
-        ZeroWidth, lambda s, v, t: choose_timestep(NAN)),
+        "width nan must be positive and finite",
+        lambda s, v, t: choose_timestep(NAN)),
     "noise_rate with norm = nan": (
-        ValueError, lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), NAN)),
+        "j_spectral_norm = nan must be positive",
+        lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), NAN)),
     "noise_rate with norm = 0": (
-        ValueError, lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), 0.0)),
+        "j_spectral_norm = 0.0 must be positive",
+        lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), 0.0)),
     "threshold_solve with eps = nan": (
-        ValueError, lambda s, v, t: threshold_solve(_pair(s, v, t), NAN)),
+        "eps = nan must be nonnegative",
+        lambda s, v, t: threshold_solve(_pair(s, v, t), NAN)),
     "threshold_solve with eps < 0": (
-        ValueError, lambda s, v, t: threshold_solve(_pair(s, v, t), -1.0)),
+        "eps = -1.0 must be nonnegative",
+        lambda s, v, t: threshold_solve(_pair(s, v, t), -1.0)),
     "KrylovPair with 2-D rows": (
-        DimensionMismatch, lambda s, v, t: KrylovPair(
+        "pair rows must be 1-D, nonempty and of one length",
+        lambda s, v, t: KrylovPair(
             r=np.ones((2, 3)), a=np.zeros((2, 3)))),
     "KrylovPair with empty rows": (
-        DimensionMismatch, lambda s, v, t: KrylovPair(r=[], a=[])),
+        "pair rows must be 1-D, nonempty and of one length",
+        lambda s, v, t: KrylovPair(r=[], a=[])),
     "KrylovPair with mismatched matrices": (
-        DimensionMismatch, lambda s, v, t: KrylovPair(
+        "pair rows must be 1-D, nonempty and of one length",
+        lambda s, v, t: KrylovPair(
             r=np.ones(3), a=np.zeros(2))),
     # a leading block lies inside the pair and has at least one row
     "KrylovPair.leading with m > pair.m": (
-        ValueError, lambda s, v, t: _pair(s, v, t).leading(50)),
+        r"m = 50 must be an integer in \[1, 3\]",
+        lambda s, v, t: _pair(s, v, t).leading(50)),
     "KrylovPair.leading with m = -1": (
-        ValueError, lambda s, v, t: _pair(s, v, t).leading(-1)),
+        r"m = -1 must be an integer in \[1, 3\]",
+        lambda s, v, t: _pair(s, v, t).leading(-1)),
     "KrylovPair.leading with m = 2.0": (
-        ValueError, lambda s, v, t: _pair(s, v, t).leading(2.0)),
+        r"m = 2.0 must be an integer in \[1, 3\]",
+        lambda s, v, t: _pair(s, v, t).leading(2.0)),
     "KrylovPair.leading with m = True": (
-        ValueError, lambda s, v, t: _pair(s, v, t).leading(True)),
+        r"m = True must be an integer in \[1, 3\]",
+        lambda s, v, t: _pair(s, v, t).leading(True)),
     "assemble_pair_exact with m = 3.5": (
-        ValueError, lambda s, v, t: assemble_pair_exact(s, v, 3.5, t)),
+        "Krylov dimension m = 3.5 must be an integer >= 2",
+        lambda s, v, t: assemble_pair_exact(s, v, 3.5, t)),
     "assemble_pair_exact with m = float64(4.0)": (
-        ValueError, lambda s, v, t: assemble_pair_exact(s, v, np.float64(4.0), t)),
+        "Krylov dimension m = .*4.0.* must be an integer",
+        lambda s, v, t: assemble_pair_exact(s, v, np.float64(4.0), t)),
     "evaluate_component with component = True": (
-        ValueError, lambda s, v, t: evaluate_component(
+        "component True must be an integer",
+        lambda s, v, t: evaluate_component(
             _fit_for_gap(s, v, 1, t, D=10), t, True)),
     "error_certificate with component = True": (
-        ValueError, lambda s, v, t: [error_certificate(f.model, f.timepoints, t, True)
-                                     for f in [_fit_for_gap(s, v, 1, t, D=10)]]),
+        "component True must be an integer",
+        lambda s, v, t: [error_certificate(f.model, f.timepoints, t, True)
+                         for f in [_fit_for_gap(s, v, 1, t, D=10)]]),
+    "MeasurementSeries on a decreasing grid": (
+        "strictly increasing",
+        lambda s, v, t: MeasurementSeries(timepoints=[0.3, 0.2], values=[1.0, 1.0])),
+    "ground_energy of a generic Hamiltonian": (
+        "no ground-energy rule for generic",
+        lambda s, v, t: ground_energy(_result([-1.0]), HamiltonianClass.GENERIC)),
+    "PauliString with label XQ": (
+        "Pauli label 'XQ' must be a word over IXYZ",
+        lambda s, v, t: PauliString("XQ", 1.0)),
+    # R = |f_0|^2 of a state off the unit sphere is no probability, and a
+    # NaN amplitude would give a NaN R
+    "recovery_probability with a nan entry": (
+        r"\|v\|\^2 = 1, not nan",
+        lambda s, v, t: recovery_probability(s, np.r_[NAN, v[1:]], 0, 1, 0.3)),
+    "recovery_probability with an inf entry": (
+        r"\|v\|\^2 = 1, not inf",
+        lambda s, v, t: recovery_probability(s, np.r_[np.inf, v[1:]], 0, 1, 0.3)),
+    "assemble_pair_exact with |v|^2 = 9": (
+        r"\|v\|\^2 = 1, not (9\.0|8\.99)",
+        lambda s, v, t: assemble_pair_exact(s, 3 * v, 3, t)),
+    "forcing_norm_sq with |v|^2 = 1 + 1e-9": (
+        r"\|v\|\^2 = 1, not 1.00000000",
+        lambda s, v, t: forcing_norm_sq(s, v * (1 + 5e-10), 0, 1, 0.5, order=3)),
+    "ground_energy with top_energy = nan": (
+        "needs a finite top_energy, not nan",
+        lambda s, v, t: ground_energy(
+            _result([-1.0]), HamiltonianClass.CLASS1_KNOWN_TOP, NAN)),
+    "ground_energy with top_energy = inf": (
+        "needs a finite top_energy, not inf",
+        lambda s, v, t: ground_energy(
+            _result([-1.0]), HamiltonianClass.CLASS1_KNOWN_TOP, np.inf)),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUT_CASES)
 def test_bad_input_rejected(case, chain):
-    error, call = BAD_INPUT_CASES[case]
+    rule, call = BAD_INPUT_CASES[case]
     _, spec, v, t_star = chain
-    with pytest.raises(error):
+    with pytest.raises(InvalidInput, match=rule):
         call(spec, v, t_star)
