@@ -3,7 +3,8 @@
 COMMAND, a key of ``experiments.COMMANDS``, may also follow the options.
 Each config key's kind and range are declared once, on its field of
 ``experiments.ExperimentConfig``.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+error (stderr ``config error:``), 3 invalid input met inside a sweep
+(``invalid input:``) or a numerical failure (``numerical failure:``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigParse, SuperKrylovError
+from .errors import ConfigParse, InvalidInput, SuperKrylovError
 from .experiments import COMMANDS, parse_config, run
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
@@ -47,6 +48,9 @@ def main(argv=None) -> int:
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InvalidInput as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except SuperKrylovError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -6,7 +6,8 @@ three kinds:
 - a config error (`ConfigParse`): the experiment configuration could not be
   read or breaks a rule, and the CLI exits 2;
 - invalid input (`InvalidInput`): an argument breaks a precondition, and the
-  message names the argument and the rule;
+  message names the argument and the rule; met inside a sweep, the CLI
+  exits 3;
 - a numerical failure (`SingularSystem`, `AllModesThresholded`,
   `ConvergenceFailure`): valid input on which a computation could not finish,
   and the CLI exits 3.

@@ -408,11 +408,13 @@ def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig,
 def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
     """Ground-energy error versus Krylov dimension m, per noise level.
 
-    The exact m_max pair, and with noise the exact data of every gap, are
-    evaluated once, before the theta and trial loops.
+    The exact m-pairs, leading blocks of the m_max pair, and with noise the
+    exact data of every gap, are evaluated once, before the theta and
+    trial loops.
     """
     exact_full = assemble_pair_exact(ctx.spec, ctx.v, max(config.m_values),
                                      ctx.t_star)
+    exact_pairs = {m: exact_full.leading(m) for m in config.m_values}
     exact = _every_gap(ctx, config) if max(config.theta_values) > 0 else None
     j_norm = 2.0 * ctx.spec.spectral_width
     rows = []
@@ -423,12 +425,10 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
                         else _fit_gaps(ctx, config, exact, theta, trial))
             for m in sorted(config.m_values):
                 with _cell(f"theta={theta} trial={trial} m={m}"):
-                    # a leading principal submatrix of the m_max pair
-                    exact_m = exact_full.leading(m)
-                    pair, omega = exact_m, 0.0
+                    pair, omega = exact_pairs[m], 0.0
                     if theta > 0.0:
                         pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
-                        omega = noise_rate(pair, exact_m, j_norm)
+                        omega = noise_rate(pair, exact_pairs[m], j_norm)
                     result = threshold_solve(pair, _eps(config, m, theta))
                     estimate = ground_energy(result, ctx.class_tag,
                                              top_energy=ctx.top_energy)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _is_integer
 from .errors import InvalidInput
 
 MAX_QUBITS_DENSE = 12  # N = 4096, the desk-scale cap for dense assembly
@@ -46,6 +47,12 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _check_qubits(name: str, n, least: int) -> None:
+    """Reject a qubit count that is not an integer (``_is_integer``) >= least."""
+    if not (_is_integer(n) and n >= least):
+        raise InvalidInput(f"{name} = {n!r} must be an integer >= {least}")
 
 
 class HamiltonianClass(enum.Enum):
@@ -85,8 +92,7 @@ class PauliHamiltonian:
     top_energy: float | None = None
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise InvalidInput(f"n_qubits = {self.n_qubits} must be positive")
+        _check_qubits("n_qubits", self.n_qubits, 1)
         for t in self.terms:
             if len(t.label) != self.n_qubits:
                 raise InvalidInput(
@@ -107,8 +113,7 @@ def build_heisenberg(n: int, couplings: dict[tuple[int, int], float]) -> PauliHa
     The top energy is sum_{j<k} J_jk, attained by the fully polarized
     state, so the result carries the class-1 tag.
     """
-    if n < 2:
-        raise InvalidInput(f"n = {n} qubits must be at least 2")
+    _check_qubits("n", n, 2)
     terms = []
     top = 0.0
     for (j, k), coeff in sorted(couplings.items()):
@@ -131,6 +136,7 @@ def build_heisenberg(n: int, couplings: dict[tuple[int, int], float]) -> PauliHa
 
 def heisenberg_chain(n: int, seed: int | None = None) -> PauliHamiltonian:
     """Nearest-neighbour chain with J_{b,b+1} drawn uniformly from (0, 1)."""
+    _check_qubits("n", n, 2)
     rng = np.random.default_rng(seed)
     couplings = {(b, b + 1): float(rng.uniform(0.0, 1.0)) for b in range(n - 1)}
     return build_heisenberg(n, couplings)
@@ -148,8 +154,7 @@ def build_bipartite(
     W = prod_{V1} Y prod_{V2} Z then anticommutes with all terms, forcing
     the spectrum to be symmetric about zero.
     """
-    if n_per_side < 1:
-        raise InvalidInput(f"n_per_side = {n_per_side} must be positive")
+    _check_qubits("n_per_side", n_per_side, 1)
     n = 2 * n_per_side
 
     def check_edge(j, k):

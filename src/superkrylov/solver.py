@@ -13,8 +13,8 @@ only on the index gap k - j and are Hermitian, so each is fixed by its
 first row, one value per gap, and the m-pair is the leading block of
 every larger one.  R_hat is real and J_hat = i A_hat with A_hat real,
 for exact and estimated pairs alike, so a ``KrylovPair`` holds two real
-rows, gives R_hat and A_hat, and is solved in real arithmetic; the Ritz
-spectrum is antisymmetric.
+rows and the R_hat and A_hat they fix, and is solved in real arithmetic;
+the Ritz spectrum is antisymmetric.
 The Gram matrix is nearly singular by design (that is what convergence
 looks like), so the solve first discards Gram eigendirections below a
 threshold eps and whitens the rest.
@@ -22,7 +22,7 @@ threshold eps and whitens the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,15 +50,18 @@ def _toeplitz(row: np.ndarray, antisymmetric: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrylovPair:
-    """The pair (J_hat, R_hat), held as two finite real first rows r and a.
+    """The pair (J_hat, R_hat), given by two finite real first rows r and a.
 
     R_hat is real symmetric Toeplitz with R_jk = r[|k - j|], r[0] = 1,
     and J_hat = i A_hat with A_hat real antisymmetric Toeplitz, A_jk =
-    a[k - j] for k >= j, a[0] = 0.  The rows are read-only copies.
+    a[k - j] for k >= j, a[0] = 0.  The rows are read-only copies, and
+    R_hat and A_hat are read-only matrices built from them once.
     """
 
     r: np.ndarray
     a: np.ndarray
+    R_hat: np.ndarray = field(init=False, repr=False, compare=False)
+    A_hat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r, a = np.array(self.r, dtype=float), np.array(self.a, dtype=float)
@@ -69,9 +72,11 @@ class KrylovPair:
             raise SingularSystem("projected pair has non-finite entries")
         if a[0] != 0:
             raise InvalidInput(f"a[0] = {a[0]} must be 0: J_hat has a zero diagonal")
-        r.flags.writeable = a.flags.writeable = False
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
+        arrays = {"r": r, "a": a, "R_hat": _toeplitz(r),
+                  "A_hat": _toeplitz(a, antisymmetric=True)}
+        for name, x in arrays.items():
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
     @property
     def m(self) -> int:
@@ -83,16 +88,6 @@ class KrylovPair:
         if not (_is_integer(m) and 1 <= m <= self.m):
             raise InvalidInput(f"m = {m!r} must be an integer in [1, {self.m}]")
         return KrylovPair(r=self.r[:m], a=self.a[:m])
-
-    @property
-    def R_hat(self) -> np.ndarray:
-        """R_hat as a real symmetric matrix."""
-        return _toeplitz(self.r)
-
-    @property
-    def A_hat(self) -> np.ndarray:
-        """A_hat = J_hat / i as a real antisymmetric matrix."""
-        return _toeplitz(self.a, antisymmetric=True)
 
 
 @dataclass(frozen=True)
@@ -205,10 +200,10 @@ def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
     commutator norm ||J||_2 = 2 (lam_max - lam_min) is supplied by the
     caller (the simulator knows it exactly).  Both norms are found in real
     arithmetic by eigvalsh, without the SVD that norm(ord=2) runs: the
-    difference of R is real symmetric Toeplitz, with row r_hat - r, so its
-    norm is its largest |eigenvalue|; the difference of J is i dA with dA
-    real antisymmetric, so its norm is that of dA, the square root of the
-    largest eigenvalue of dA^T dA.
+    difference of R is real symmetric, so its norm is its largest
+    |eigenvalue|; the difference of J is i dA with dA real antisymmetric,
+    so its norm is that of dA, the square root of the largest eigenvalue
+    of dA^T dA.
     """
     if pair_estimated.m != pair_exact.m:
         raise InvalidInput(f"pairs of Krylov dimensions {pair_estimated.m} and "
@@ -216,7 +211,7 @@ def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
     if not 0 < j_spectral_norm < np.inf:
         raise InvalidInput(f"j_spectral_norm = {j_spectral_norm} must be "
                            "positive and finite")
-    dR = np.linalg.eigvalsh(_toeplitz(pair_estimated.r - pair_exact.r))
-    dA = _toeplitz(pair_estimated.a - pair_exact.a, antisymmetric=True)
+    dR = np.linalg.eigvalsh(pair_estimated.R_hat - pair_exact.R_hat)
+    dA = pair_estimated.A_hat - pair_exact.A_hat
     dJ_sq = np.linalg.eigvalsh(dA.T @ dA)[-1]
     return float(np.max(np.abs(dR)) + np.sqrt(dJ_sq) / j_spectral_norm)

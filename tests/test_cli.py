@@ -131,7 +131,8 @@ class TestExitCodes:
                         f"D = 15\nM = {M}\nout = {tmp_path}\n")
         assert main(["convergence", "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert f"numerical failure: theta=0.001 trial=0: {message}" in err
+        # the forcing norm's checks raise InvalidInput: exit 3, its own label
+        assert f"invalid input: theta=0.001 trial=0: {message}" in err
 
     @pytest.mark.parametrize("line, command", [
         ("m_values = 1,2,4", "convergence"),

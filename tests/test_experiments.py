@@ -266,6 +266,23 @@ def test_convergence_reuses_amplitudes_across_theta(M, tmp_path, monkeypatch):
     assert (info.misses, info.hits) == (tables, gaps * cells - tables)
 
 
+def test_convergence_takes_each_exact_pair_once(tmp_path, monkeypatch):
+    # the exact m-pairs are leading blocks of the m_max pair, taken before
+    # the theta and trial loops rather than once per cell
+    cfg = _noisy4(out=str(tmp_path))
+    assert len(cfg.theta_values) == cfg.trials == 2
+    calls = collections.Counter()
+    leading = solver.KrylovPair.leading
+
+    def record(pair, m):
+        calls[m] += 1
+        return leading(pair, m)
+
+    monkeypatch.setattr(solver.KrylovPair, "leading", record)
+    experiments._convergence(build_context(cfg), cfg)
+    assert calls == {m: 1 for m in cfg.m_values}
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("convergence", dict(theta_values=[1e-3], trials=1)),
     ("convergence", dict(theta_values=[0.0, 1e-3, 1e-2], trials=3, M=6)),

@@ -9,11 +9,14 @@ from superkrylov import (
     KrylovPair,
     MeasurementSeries,
     NoiseBudget,
+    PauliHamiltonian,
     PauliString,
     SingularSystem,
     assemble_dense,
     assemble_pair_exact,
     assemble_pair_minimax,
+    build_bipartite,
+    build_heisenberg,
     build_initial_state,
     choose_timestep,
     eigendecompose,
@@ -153,6 +156,13 @@ class TestToeplitzPair:
         with pytest.raises(ValueError):
             pair.r[1] = 0.0
 
+    def test_matrices_are_built_once_and_read_only(self):
+        pair = KrylovPair(r=[1.0, 0.5], a=[0.0, 0.25])
+        assert pair.R_hat is pair.R_hat and pair.A_hat is pair.A_hat
+        for X in (pair.R_hat, pair.A_hat):
+            with pytest.raises(ValueError):
+                X[0, 1] = 0.0
+
     def test_leading_is_the_leading_block(self, chain):
         _, spec, v, t_star = chain
         full = assemble_pair_exact(spec, v, 6, t_star)
@@ -289,8 +299,6 @@ class TestGroundEnergy:
 
     def test_two_qubit_chain_exact(self):
         # spectrum {-3, 1, 1, 1}: gap -4, top 1, ground -3
-        from superkrylov import build_heisenberg
-
         ham = build_heisenberg(2, {(0, 1): 1.0})
         spec = eigendecompose(assemble_dense(ham))
         v = build_initial_state(spec, 0.5)
@@ -547,6 +555,25 @@ BAD_INPUT_CASES = {
     "PauliString with label XQ": (
         "Pauli label 'XQ' must be a word over IXYZ",
         lambda s, v, t: PauliString("XQ", 1.0)),
+    # a qubit count is an integer, as an index is; a bool is not one
+    "PauliHamiltonian with n_qubits = 2.5": (
+        "n_qubits = 2.5 must be an integer >= 1",
+        lambda s, v, t: PauliHamiltonian(2.5, ())),
+    "PauliHamiltonian with n_qubits = True": (
+        "n_qubits = True must be an integer >= 1",
+        lambda s, v, t: PauliHamiltonian(True, ())),
+    "build_bipartite with n_per_side = 1.5": (
+        "n_per_side = 1.5 must be an integer >= 1",
+        lambda s, v, t: build_bipartite(1.5, {}, {}, {})),
+    "build_bipartite with n_per_side = 1.0": (
+        "n_per_side = 1.0 must be an integer >= 1",
+        lambda s, v, t: build_bipartite(1.0, {(0, 1): 1.0}, {}, {})),
+    "build_heisenberg with n = 2.0": (
+        "n = 2.0 must be an integer >= 2",
+        lambda s, v, t: build_heisenberg(2.0, {(0, 1): 1.0})),
+    "heisenberg_chain with n = 2.0": (
+        "n = 2.0 must be an integer >= 2",
+        lambda s, v, t: heisenberg_chain(2.0)),
     # R = |f_0|^2 of a state off the unit sphere is no probability, and a
     # NaN amplitude would give a NaN R
     "recovery_probability with a nan entry": (
