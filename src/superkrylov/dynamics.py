@@ -15,23 +15,23 @@ F^(n) = sum_m C(n, m) f_m conj(f_{n-m}); these closed forms are the exact
 oracles used to calibrate the noisy-measurement estimators.
 
 So the oracles need the eigenvalues and the weights, never the
-eigenvectors themselves.  ``eigendecompose(h)`` keeps the eigenvectors U
-and states are vectors in the computational basis; with
-``vectors=False`` it keeps only the eigenvalues, and states are then
-amplitude vectors <u_p|v> over the eigenvectors (H's own eigenbasis, in
-which U is the identity).  In fact they need only the spectral measure
-of v: one atom per distinct eigenvalue, carrying v's population of that
-eigenspace.  ``spectral_measure(spec, v)`` merges degenerate eigenvalues
-into these levels; the experiment runners work on them, so a sweep of
-the SU(2)-symmetric six-site Heisenberg chain sums 20 terms, not 64.
+eigenvectors themselves: ``eigendecompose(h)`` keeps only the
+eigenvalues, and a state is its amplitude vector <u_p|v> over H's
+eigenbasis (a caller with a state v in the computational basis passes
+U^dag v).  In fact they need only the spectral measure of v: one atom
+per distinct eigenvalue, carrying v's population of that eigenspace.
+``spectral_measure(spec, v)`` merges degenerate eigenvalues into these
+levels; the experiment runners work on them, so a sweep of the
+SU(2)-symmetric six-site Heisenberg chain sums 20 terms, not 64.
 
-Every value of F comes from one function, ``_F(lam, w, s, order)``:
-F^(0..order) at the scaled times s, R clipped to [0, 1] in row 0, so
-``recovery_probability`` is the order-0 ``recovery_derivative``.  A
-diagonal entry (j == k) is exactly 1 and its derivatives exactly 0.
-``_F`` reads f_0..f_order from one kernel, ``_amplitudes``, which holds
-the size(s) x N phase array and one product of that size (16 MB per
-120 times at N = 4096); scalar and array calls agree bit for bit.
+Every value of F comes from one function, ``_F(lam, w, s, orders)``:
+F^(n) at the scaled times s for each n in orders, R clipped to [0, 1]
+at order 0, so ``recovery_probability`` is the order-0
+``recovery_derivative``.  A diagonal entry (j == k) is exactly 1 and its
+derivatives exactly 0.  ``_F`` reads f_0..f_max(orders) from one
+kernel, ``_amplitudes``, which holds the size(s) x N phase array and one
+product of that size (16 MB per 120 times at N = 4096); scalar and array
+calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -50,17 +50,12 @@ HERMITICITY_TOL = 1e-10
 _STRIP_ROWS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and, optionally, eigenvectors of a Hermitian H.
-
-    With ``eigenvectors=None`` the decomposition is in H's own eigenbasis:
-    the eigenvector matrix is the identity, so it is not stored, and
-    states are amplitude vectors over the eigenvectors.
-    """
+    """Ascending eigenvalues of a Hermitian H.  A state is its amplitude
+    vector over H's eigenbasis, so no eigenvectors are stored."""
 
     eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray | None  # unitary, columns are eigenvectors
 
     @property
     def dim(self) -> int:
@@ -87,21 +82,12 @@ def _entry_scale_and_asymmetry(h: np.ndarray) -> tuple[float, float]:
     return scale, asymmetry
 
 
-def eigendecompose(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
-    """Hermitian eigendecomposition with a deterministic phase convention.
-
-    The dtype follows the input: a real symmetric matrix is diagonalized
-    in float64 with real eigenvectors, a complex one in complex128.  Each
-    eigenvector is rotated so its largest-magnitude component is real
-    and positive (for real vectors, a choice of sign), making results
-    reproducible across LAPACK builds.
-
-    With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``)
-    and the result is in H's eigenbasis (``eigenvectors=None``), which is
-    all the recovery-probability oracles need.  A matrix that is not
-    Hermitian to the tolerance, or has a non-finite entry, raises
-    ``InvalidInput``.
-    """
+def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
+    """The ascending eigenvalues (``eigvalsh``) of a Hermitian matrix, all
+    the oracles need, as a state is its amplitude vector over H's
+    eigenbasis.  A real matrix is diagonalized in float64, a complex one
+    in complex128.  A matrix that is not Hermitian to the tolerance, or
+    has a non-finite entry, raises ``InvalidInput``."""
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise InvalidInput(f"matrix of shape {h.shape} must be nonempty and square")
@@ -112,18 +98,9 @@ def eigendecompose(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition
         raise InvalidInput(f"matrix is not Hermitian: asymmetry {asymmetry:.3e} "
                            f"exceeds {tol:.3e}")
     try:
-        if not vectors:
-            return SpectralDecomposition(eigenvalues=np.linalg.eigvalsh(h),
-                                         eigenvectors=None)
-        lam, u = np.linalg.eigh(h)
+        return SpectralDecomposition(eigenvalues=np.linalg.eigvalsh(h))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
-    # fix eigenvector phases
-    idx = np.argmax(np.abs(u), axis=0)
-    phases = u[idx, np.arange(u.shape[1])]
-    phases = phases / np.abs(phases)
-    u = u / phases[np.newaxis, :]
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
 
 
 def _check_state(spec: SpectralDecomposition, v) -> np.ndarray:
@@ -167,10 +144,8 @@ def _check_entry(spec, v, j: int, k: int, t) -> bool:
 
 
 def eigenbasis_weights(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
-    """Populations w_p = |<u_p|v>|^2 of the state in the eigenbasis."""
-    v = _check_state(spec, v)
-    c = v if spec.eigenvectors is None else spec.eigenvectors.conj().T @ v
-    return np.abs(c) ** 2
+    """Populations w_p = |v_p|^2 of the amplitude vector v."""
+    return np.abs(_check_state(spec, v)) ** 2
 
 
 def spectral_measure(spec: SpectralDecomposition, v: np.ndarray
@@ -181,11 +156,11 @@ def spectral_measure(spec: SpectralDecomposition, v: np.ndarray
     level, a bound below eigvalsh's own backward error (Golub & Van Loan,
     *Matrix Computations*, section 8.1), so it is derived, not tuned.  A
     level sits at the mean of its eigenvalues and carries the sum of their
-    weights.  Returns the levels, without eigenvectors, and the square
-    roots of their weights: the amplitude vector of a state whose oracles
-    are those of v, up to moving each eigenvalue by at most its distance
-    delta from its level's mean, which moves each f_0 by at most
-    |s| delta.  A spectrum without a merged level comes back with its
+    weights.  v is an amplitude vector over H's eigenbasis.  Returns the
+    levels and the square roots of their weights: the amplitude vector of
+    a state whose oracles are those of v, up to moving each eigenvalue by
+    at most its distance delta from its level's mean, which moves each
+    f_0 by at most |s| delta.  A spectrum without a merged level comes back with its
     eigenvalues and weights bit for bit, as sqrt(x * x) == |x| in IEEE
     arithmetic.
     """
@@ -195,7 +170,7 @@ def spectral_measure(spec: SpectralDecomposition, v: np.ndarray
     starts = np.flatnonzero(np.r_[True, np.diff(lam) > tol])
     counts = np.diff(np.r_[starts, lam.size])
     levels = np.add.reduceat(lam, starts) / counts
-    return (SpectralDecomposition(eigenvalues=levels, eigenvectors=None),
+    return (SpectralDecomposition(eigenvalues=levels),
             np.sqrt(np.add.reduceat(w, starts)))
 
 
@@ -220,14 +195,16 @@ def _amplitudes(lam, w, s, order):
     return np.stack([(phases * row).sum(axis=-1) for row in coef])
 
 
-def _F(lam, w, s, order):
-    """F^(0..order) at the scaled times s, one row per order: row 0 is
-    R = |f_0|^2 clipped to its physical range [0, 1], and row n >= 1 is
-    F^(n) = sum_i C(n, i) f_i conj(f_{n-i})."""
-    f = _amplitudes(lam, w, s, order)
-    return np.stack([np.clip(np.abs(f[0]) ** 2, 0.0, 1.0)] + [
+def _F(lam, w, s, orders):
+    """F^(n) at the scaled times s, one row per n in orders: order 0 is
+    R = |f_0|^2 clipped to its physical range [0, 1], and order n >= 1 is
+    F^(n) = sum_i C(n, i) f_i conj(f_{n-i}), so a row costs O(n), whatever
+    other orders are asked for."""
+    f = _amplitudes(lam, w, s, max(orders))
+    return np.stack([
+        np.clip(np.abs(f[0]) ** 2, 0.0, 1.0) if n == 0 else
         sum(comb(n, i) * f[i] * np.conj(f[n - i]) for i in range(n + 1)).real
-        for n in range(1, order + 1)])
+        for n in orders])
 
 
 def recovery_probability(spec, v, j: int, k: int, t):
@@ -246,7 +223,7 @@ def recovery_derivative(spec, v, j: int, k: int, t, order: int):
         values = np.full(s.shape, float(order == 0))
     else:
         w = eigenbasis_weights(spec, v)
-        values = (k - j) ** order * _F(spec.eigenvalues, w, s, order)[order]
+        values = (k - j) ** order * _F(spec.eigenvalues, w, s, (order,))[0]
     return float(values[0]) if np.ndim(t) == 0 else values
 
 
@@ -269,8 +246,8 @@ def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarra
     leftover weight 1 - 2*gamma0 is spread uniformly over the interior
     eigenvectors (they do not affect the overlap with the extremal
     commutator eigenvector).  gamma0 = 0.5 is the largest value reachable
-    by a vectorized pure state.  Without eigenvectors the state is the
-    amplitude vector itself.
+    by a vectorized pure state.  The state is returned as its normalized
+    amplitude vector over H's eigenbasis.
     """
     if not 0.0 < gamma0 <= 0.5:
         raise InvalidInput(f"gamma0 = {gamma0} must lie in (0, 0.5]")
@@ -280,9 +257,7 @@ def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarra
     rest = 1.0 - 2.0 * gamma0
     if rest > 0:
         if n < 3:
-            raise InvalidInput(
-                "gamma0 < 0.5 needs interior eigenvectors to carry the rest"
-            )
+            raise InvalidInput("gamma0 < 0.5 needs interior eigenvectors "
+                               "to carry the rest")
         amp[1:-1] = np.sqrt(rest / (n - 2))
-    v = amp if spec.eigenvectors is None else spec.eigenvectors @ amp
-    return v / np.linalg.norm(v)
+    return amp / np.linalg.norm(amp)

@@ -228,17 +228,17 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg.validate()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineContext:
     """Diagonalized model plus reference quantities shared by all cells.
 
     ``spec`` and ``v`` are the levels of the initial state's spectral
     measure (``dynamics.spectral_measure``): ``spec`` holds one eigenvalue
-    per distinct level of H and no eigenvectors, and ``v`` the square
-    roots of the state's weight on each level, so ``spec.dim`` counts
-    levels, not states.  ``lam0`` is the lowest eigenvalue of H itself.
-    ``factor_qubits`` is the qubit count of each qubit-disjoint factor H
-    was diagonalized by, in order.
+    per distinct level of H, and ``v``, the state's amplitude vector over
+    that eigenbasis, the square roots of its weight on each level, so
+    ``spec.dim`` counts levels, not states.  ``lam0`` is the lowest
+    eigenvalue of H itself.  ``factor_qubits`` is the qubit count of each
+    qubit-disjoint factor H was diagonalized by, in order.
     """
 
     spec: SpectralDecomposition
@@ -268,7 +268,7 @@ def _factored_spectrum(factors: tuple[PauliHamiltonian, ...]) -> np.ndarray:
     """Ascending spectrum of a sum of qubit-disjoint factors: every sum of
     one eigenvalue per factor.  Each factor is assembled and checked for
     Hermiticity on its own; a single factor's spectrum comes back as is."""
-    spectra = [eigendecompose(assemble_dense(part), vectors=False).eigenvalues
+    spectra = [eigendecompose(assemble_dense(part)).eigenvalues
                for part in factors]
     return np.sort(functools.reduce(
         lambda a, b: np.add.outer(a, b).ravel(), spectra))
@@ -277,17 +277,14 @@ def _factored_spectrum(factors: tuple[PauliHamiltonian, ...]) -> np.ndarray:
 def build_context(config: ExperimentConfig) -> PipelineContext:
     """Assemble, diagonalize, and fix the timestep and measurement window.
 
-    The oracles need only the eigenvalues and the initial state's weights,
-    so H is diagonalized without eigenvectors and the state is built in
-    its eigenbasis.  Each qubit-disjoint factor of H is assembled and
-    diagonalized on its own, and H's spectrum is the sorted Kronecker sum
-    of theirs; a connected model is one factor, H itself.  The context
-    then keeps only the levels of the state's spectral measure.
+    Each qubit-disjoint factor of H is assembled and diagonalized on its
+    own, and H's spectrum is the sorted Kronecker sum of theirs; a
+    connected model is one factor, H itself.  The context then keeps only
+    the levels of the state's spectral measure.
     """
     ham = _hamiltonian(config)
     factors = qubit_factors(ham)
-    spec = SpectralDecomposition(eigenvalues=_factored_spectrum(factors),
-                                 eigenvectors=None)
+    spec = SpectralDecomposition(eigenvalues=_factored_spectrum(factors))
     lam0 = float(spec.eigenvalues[0])
     spec, v = spectral_measure(spec, build_initial_state(spec, config.gamma0))
     width_j = 2.0 * spec.spectral_width
@@ -327,7 +324,7 @@ def _initial_condition(ctx: PipelineContext, config: ExperimentConfig):
     """x_in of gap 1, R_01^(p)(0) for p < M, from one call of F at 0 that
     every grid and gap shares; R(0) = 1 and, as R is even, R^(odd)(0) = 0."""
     x_in = _F(ctx.spec.eigenvalues, eigenbasis_weights(ctx.spec, ctx.v), 0.0,
-              config.M - 1)[:, 0]
+              range(config.M))[:, 0]
     x_in[0], x_in[1::2] = 1.0, 0.0
     return x_in
 
@@ -492,8 +489,8 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
         [(3, _theta_key(theta), 0, gap)], [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
     # R_0g(t) = F(g t) and R_0g'(t) = g F'(g t), from one call of F
-    exact_r, exact_f1 = _F(ctx.spec.eigenvalues,
-                           eigenbasis_weights(ctx.spec, ctx.v), gap * dense, 1)
+    w = eigenbasis_weights(ctx.spec, ctx.v)
+    exact_r, exact_f1 = _F(ctx.spec.eigenvalues, w, gap * dense, (0, 1))
     rows = []
     for t, r, f1 in zip(dense.tolist(), exact_r.tolist(), exact_f1.tolist()):
         rows.append((

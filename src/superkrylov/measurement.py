@@ -42,7 +42,7 @@ QUADRATURE_NODES = 16
 PANEL_PHASE = 1.5 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSeries:
     """Noisy samples y_s = R_jk(t_s) + eta_s on a strictly increasing grid.
 
@@ -186,7 +186,7 @@ def _panel_table(lam, w, h, order, count):
     so entry i is the same bit for bit in a table of any length.
     """
     nodes = h * np.arange(count)[:, None] + 0.5 * h * (_GL_NODES + 1.0)
-    panels = 0.5 * h * _GL_WEIGHTS * _F(lam, w, nodes, order)[order] ** 2
+    panels = 0.5 * h * _GL_WEIGHTS * _F(lam, w, nodes, (order,))[0] ** 2
     return np.cumsum(panels.sum(axis=-1))
 
 

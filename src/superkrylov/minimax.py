@@ -96,7 +96,7 @@ def _overlap(a, p: int, b, q: int) -> np.ndarray:
                                                 expand(p, q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorModel:
     """Initial condition x_in (its length is the chain order M, 2 to
     MAX_CHAIN_ORDER), horizon tau, and budget."""
@@ -136,7 +136,7 @@ class EstimatorModel:
         return drift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimaxFit:
     """Fitted kernel weights beta plus everything needed to re-evaluate.
 

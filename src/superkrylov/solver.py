@@ -48,7 +48,7 @@ def _toeplitz(row: np.ndarray, antisymmetric: bool = False) -> np.ndarray:
     return full[m - 1 + i - i[:, None]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrylovPair:
     """The pair (J_hat, R_hat), given by two finite real first rows r and a.
 
@@ -60,8 +60,8 @@ class KrylovPair:
 
     r: np.ndarray
     a: np.ndarray
-    R_hat: np.ndarray = field(init=False, repr=False, compare=False)
-    A_hat: np.ndarray = field(init=False, repr=False, compare=False)
+    R_hat: np.ndarray = field(init=False, repr=False)
+    A_hat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r, a = np.array(self.r, dtype=float), np.array(self.a, dtype=float)
@@ -90,7 +90,7 @@ class KrylovPair:
         return KrylovPair(r=self.r[:m], a=self.a[:m])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RitzResult:
     """Ascending real Ritz values of the thresholded projected problem."""
 
@@ -115,7 +115,7 @@ def assemble_pair_exact(spec: SpectralDecomposition, v: np.ndarray, m: int,
     if not (_is_integer(m) and m >= 2):
         raise InvalidInput(f"Krylov dimension m = {m!r} must be an integer >= 2")
     times = np.arange(1, m) * t_star
-    r, a = _F(spec.eigenvalues, eigenbasis_weights(spec, v), times, 1)
+    r, a = _F(spec.eigenvalues, eigenbasis_weights(spec, v), times, (0, 1))
     return KrylovPair(r=np.r_[1.0, r], a=np.r_[0.0, a])
 
 

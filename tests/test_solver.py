@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from superkrylov import (
     InvalidInput,
     KrylovPair,
     MeasurementSeries,
+    MinimaxFit,
     NoiseBudget,
     PauliHamiltonian,
     PauliString,
+    RitzResult,
     SingularSystem,
+    SpectralDecomposition,
     assemble_dense,
     assemble_pair_exact,
     assemble_pair_minimax,
@@ -34,6 +39,7 @@ from superkrylov import (
 from superkrylov.dynamics import exact_J_entry, recovery_derivative, recovery_probability
 from superkrylov.experiments import (
     ExperimentConfig,
+    PipelineContext,
     _every_gap,
     _fit_gaps,
     build_context,
@@ -605,3 +611,29 @@ def test_bad_input_rejected(case, chain):
     _, spec, v, t_star = chain
     with pytest.raises(InvalidInput, match=rule):
         call(spec, v, t_star)
+
+
+def _model():
+    return EstimatorModel(x_in=[1.0, 0.0], tau=1.0, budget=NoiseBudget(1.0, 1.0))
+
+
+# every frozen record that holds an array
+ARRAY_RECORDS = {
+    SpectralDecomposition: lambda: SpectralDecomposition(np.array([-1.0, 1.0])),
+    MeasurementSeries: lambda: MeasurementSeries([0.1, 0.2], [0.5, 0.4]),
+    EstimatorModel: _model,
+    MinimaxFit: lambda: MinimaxFit([0.1, 0.2], _model(), [0.1, 0.2]),
+    KrylovPair: lambda: KrylovPair(r=[1.0, 0.5], a=[0.0, 0.2]),
+    RitzResult: lambda: _result([-1.0]),
+    PipelineContext: lambda: build_context(ExperimentConfig(model="heisenberg", n=2)),
+}
+
+
+@pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda r: r.__name__)
+def test_array_records_compare_and_hash_by_identity(record):
+    # comparing their arrays would raise numpy's ambiguous-truth ValueError
+    x = ARRAY_RECORDS[record]()
+    assert type(x) is record
+    assert isinstance(hash(x), int)
+    assert x == x
+    assert x != copy.copy(x)
