@@ -15,13 +15,13 @@ for one family of sweeps, the ``COMMANDS`` entry of that name:
 * ``gram``: dump of the exact (and, with noise, estimated) projected
   matrices.
 
-Every runner measures and fits a list of gaps on one grid in two parts:
-``_exact_data``, once per grid, evaluates what no noise level or trial
-changes, and ``_fit_noisy``, once per cell, adds the seeded noise and
-fits every gap in one stacked ridge solve (``minimax.fit_batch``).
-``convergence`` and ``gram`` pass the gaps 1..m_max - 1,
-``deriv-scaling`` gap 1 on one grid per D, and ``minimax-demo`` gap 1
-with its three budgets.
+Every runner measures and fits a list of gaps in two parts:
+``_exact_data``, once per D, builds the D-point grid and evaluates what
+no noise level or trial changes, and ``_fit_noisy``, once per cell, adds
+the seeded noise (``measurement._noisy_series``) and fits every gap in
+one stacked ridge solve (``minimax.fit_batch``), its fits flat.
+``convergence`` and ``gram`` pass the gaps 1..m_max - 1, ``deriv-scaling``
+gap 1 on one grid per D, and ``minimax-demo`` gap 1 with three budgets.
 
 All floating output is formatted with 17 significant digits so reruns
 with identical config and seed are byte-identical.
@@ -55,8 +55,8 @@ from .dynamics import (
 )
 from .errors import ConfigParse, SuperKrylovError
 from .measurement import (
-    MeasurementSeries,
     NoiseBudget,
+    _noisy_series,
     estimated_eta_norm_sq,
     forcing_norm_sq,
     sample_grid,
@@ -329,14 +329,14 @@ def _initial_condition(ctx: PipelineContext, config: ExperimentConfig):
     return x_in
 
 
-def _exact_data(ctx: PipelineContext, grid: np.ndarray, gaps,
+def _exact_data(ctx: PipelineContext, D: int, gaps,
                 x_in_1: np.ndarray) -> _ExactData:
-    """The exact series of R_0g on the grid and the initial condition
-    x_in, one row each per gap g, which no noise level or trial changes.
-
-    The series of every gap is one oracle call, R_0g(t) = R_01(g t), and
-    x_in[p] = g^p R_01^(p)(0) scales ``x_in_1`` (``_initial_condition``).
-    """
+    """The D-point grid around t*, and on it the exact series of R_0g and
+    the initial condition x_in, one row each per gap g, which no noise
+    level or trial changes.  The series of every gap is one oracle call,
+    R_0g(t) = R_01(g t), and x_in[p] = g^p R_01^(p)(0) scales ``x_in_1``
+    (``_initial_condition``)."""
+    grid = sample_grid(ctx.t_star, ctx.delta_t, D)
     gaps = list(gaps)
     values = recovery_probability(ctx.spec, ctx.v, 0, 1,
                                   np.multiply.outer(gaps, grid))
@@ -347,39 +347,25 @@ def _exact_data(ctx: PipelineContext, grid: np.ndarray, gaps,
 
 def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
                exact: _ExactData, theta: float, seeds, eta_bounds) -> tuple:
-    """Add seeded noise to each gap's exact series, into a new array as
-    every cell shares ``exact``, and fit each noisy series once per noise
-    bound ||eta||^2, all in one batch.
+    """Add seeded noise to each gap's exact series (``_noisy_series``) and
+    fit each noisy series once per noise bound ||eta||^2, in one batch.
 
     ``seeds[i]`` holds the ``_cell_seed`` parts of gap ``exact.gaps[i]``'s
     noise, and either the gaps or the bounds are one.  Returns the noisy
-    series, one row per gap, and the fits, where ``fits[i][b]`` fits gap
-    ``exact.gaps[i]`` under ``eta_bounds[b]``.  The gaps' forcing norms
-    read shared panel tables; an error from a gap's norm, budget or model
-    names the gap and M.
+    series and the fits, flat: gap by gap and, within a gap, bound by
+    bound.  The gaps' forcing norms read shared panel tables; an error from
+    a gap's norm, budget or model names the gap and M.
     """
-    values = exact.values
-    if theta > 0:
-        values = values + np.array([
-            np.random.default_rng(_cell_seed(config.master_seed, *parts))
-            .normal(0.0, theta, size=exact.grid.size) for parts in seeds])
-    series = MeasurementSeries(timepoints=exact.grid, values=values)
+    series = _noisy_series(exact.grid, exact.values, theta,
+                           [_cell_seed(config.master_seed, *parts)
+                            for parts in seeds])
     models = []
     for g, x in zip(exact.gaps, exact.x_in):
         with _cell(f"gap={g} M={config.M}"):
             f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=config.M)
             models += [EstimatorModel(x, ctx.tau, NoiseBudget(f_norm, eta))
                        for eta in eta_bounds]
-    fits = fit_batch(models, series)
-    k = len(eta_bounds)
-    return series, [fits[i:i + k] for i in range(0, len(fits), k)]
-
-
-def _every_gap(ctx: PipelineContext, config: ExperimentConfig) -> _ExactData:
-    """The exact data of every gap 1..max(m_values) - 1 on config.D points."""
-    grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
-    return _exact_data(ctx, grid, range(1, max(config.m_values)),
-                       _initial_condition(ctx, config))
+    return series, fit_batch(models, series)
 
 
 @contextlib.contextmanager
@@ -394,12 +380,11 @@ def _cell(name: str):
 
 def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig,
               exact: _ExactData, theta: float, trial: int) -> list:
-    """One minimax fit per gap of ``_every_gap``, each on a freshly sampled
-    noisy series; fits[g - 1] is the fit for gap g."""
+    """One minimax fit per gap of ``exact``, the gaps 1..max(m_values) - 1,
+    each on a freshly sampled noisy series; fits[g - 1] is the fit for gap g."""
     seeds = [(1, _theta_key(theta), trial, g) for g in exact.gaps]
-    _, fits = _fit_noisy(ctx, config, exact, theta, seeds,
-                         [estimated_eta_norm_sq(config.D, theta)])
-    return [f for [f] in fits]
+    return _fit_noisy(ctx, config, exact, theta, seeds,
+                      [estimated_eta_norm_sq(config.D, theta)])[1]
 
 
 def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
@@ -409,10 +394,11 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
     exact data of every gap, are evaluated once, before the theta and
     trial loops.
     """
-    exact_full = assemble_pair_exact(ctx.spec, ctx.v, max(config.m_values),
-                                     ctx.t_star)
+    m_max = max(config.m_values)
+    exact_full = assemble_pair_exact(ctx.spec, ctx.v, m_max, ctx.t_star)
     exact_pairs = {m: exact_full.leading(m) for m in config.m_values}
-    exact = _every_gap(ctx, config) if max(config.theta_values) > 0 else None
+    exact = (_exact_data(ctx, config.D, range(1, m_max), _initial_condition(ctx, config))
+             if max(config.theta_values) > 0 else None)
     j_norm = 2.0 * ctx.spec.spectral_width
     rows = []
     for theta in config.theta_values:
@@ -446,26 +432,23 @@ def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
     """
     truth = recovery_derivative(ctx.spec, ctx.v, 0, 1, ctx.t_star, 1)
     x_in_1 = _initial_condition(ctx, config)
-    rows = []
+    rows, summary = [], []
     for D in config.d_values:
-        grid = sample_grid(ctx.t_star, ctx.delta_t, D)
-        exact = _exact_data(ctx, grid, [1], x_in_1)
+        exact = _exact_data(ctx, D, [1], x_in_1)
         for theta in config.theta_values:
+            cell = []
             for trial in range(config.trials):
                 with _cell(f"D={D} theta={theta} trial={trial}"):
-                    _, [[f]] = _fit_noisy(ctx, config, exact, theta,
-                                          [(2, _theta_key(theta), trial, D)],
-                                          [estimated_eta_norm_sq(D, theta)])
+                    _, [f] = _fit_noisy(ctx, config, exact, theta,
+                                        [(2, _theta_key(theta), trial, D)],
+                                        [estimated_eta_norm_sq(D, theta)])
                     error = abs(evaluate_x1(f, ctx.t_star) - truth)
-                    sigma = error_certificate(f.model, grid, ctx.t_star, 1)
-                rows.append((D, theta, trial, error, sigma))
-    summary = []
-    for D in config.d_values:
-        for theta in config.theta_values:
-            sel = [r for r in rows if r[0] == D and r[1] == theta]
+                    sigma = error_certificate(f.model, exact.grid, ctx.t_star, 1)
+                cell.append((D, theta, trial, error, sigma))
+            rows += cell
             summary.append((D, theta, -1,
-                            float(np.mean([r[3] for r in sel])),
-                            float(np.mean([r[4] for r in sel]))))
+                            float(np.mean([r[3] for r in cell])),
+                            float(np.mean([r[4] for r in cell]))))
     header = ["D", "theta", "trial", "abs_error", "sigma_certificate"]
     return [("deriv_scaling.csv", header, rows + summary)]
 
@@ -480,11 +463,10 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
     """
     gap = 1
     theta = max(config.theta_values)
-    grid = sample_grid(ctx.t_star, ctx.delta_t, config.D)
     eta0 = estimated_eta_norm_sq(config.D, theta)
-    exact = _exact_data(ctx, grid, [gap], _initial_condition(ctx, config))
+    exact = _exact_data(ctx, config.D, [gap], _initial_condition(ctx, config))
     # the r variants come from scaled noise bounds so each budget stays valid
-    series, [[fit_low, fit0, fit_high]] = _fit_noisy(
+    series, [fit_low, fit0, fit_high] = _fit_noisy(
         ctx, config, exact, theta,
         [(3, _theta_key(theta), 0, gap)], [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
@@ -499,11 +481,11 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
             evaluate_x0(fit0, t),
             evaluate_x0(fit_high, t),
             evaluate_x1(fit0, t),
-            error_certificate(fit0.model, grid, t, 1),
+            error_certificate(fit0.model, exact.grid, t, 1),
         ))
     header = ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
               "xhat0_rhigh", "xhat1", "sigma"]
-    points = [(float(t), float(y)) for t, y in zip(grid, series.values[0])]
+    points = [(float(t), float(y)) for t, y in zip(exact.grid, series.values[0])]
     return [("minimax_demo.csv", header, rows),
             ("minimax_demo_points.csv", ["t", "y"], points)]
 
@@ -517,9 +499,9 @@ def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
     pairs = {"exact": assemble_pair_exact(ctx.spec, ctx.v, m, ctx.t_star)}
     theta = max(config.theta_values)
     if theta > 0:
+        exact = _exact_data(ctx, config.D, range(1, m), _initial_condition(ctx, config))
         pairs["minimax"] = assemble_pair_minimax(
-            _fit_gaps(ctx, config, _every_gap(ctx, config), theta, 0),
-            ctx.t_star)
+            _fit_gaps(ctx, config, exact, theta, 0), ctx.t_star)
     # R_hat is real and J_hat = i A_hat imaginary: one column each
     rows = [(source, j, k, R[j][k], A[j][k])
             for source, pair in pairs.items()
@@ -593,6 +575,9 @@ def run(command: str, config: ExperimentConfig) -> str:
                     "blas": _blas()},
                 "factor_qubits": list(ctx.factor_qubits),
                 "spectral_atoms": ctx.spec.dim,
+                # more than gamma0 where an extremal level is degenerate
+                "extremal_level_weights": [float(ctx.v[0] ** 2),
+                                           float(ctx.v[-1] ** 2)],
                 "n_records": len(tables[0][2]),
                 "stage_s": {"build_context": round(built - start, 3),
                             "cells": round(computed - built, 3),

@@ -30,9 +30,6 @@ from .dynamics import (
 )
 from .errors import InvalidInput
 
-# With zero noise the budget r diverges; cap it so the fit system stays
-# solvable in floating point.
-ZERO_NOISE_R_FACTOR = 1e12
 # Gauss-Legendre nodes of the forcing-norm quadrature, per panel.  The rule
 # is tabulated below from leggauss, so no sweep builds it; changing this
 # number means regenerating the table (see _HALF_NODES).
@@ -74,8 +71,8 @@ class NoiseBudget:
 
     Derived from the bounds, never passed, so the minimax certificate's
     ellipsoid premise q * f_norm_sq_bound <= 1/2, r * eta_norm_sq_bound
-    <= 1/2 holds by construction.  A zero noise bound (exact data) would
-    send r to infinity; r is then ZERO_NOISE_R_FACTOR * q.
+    <= 1/2 holds by construction.  A zero noise bound (exact data) gives
+    r = inf, so the noise term vanishes (see ``minimax._ridge_solve``).
     """
 
     f_norm_sq_bound: float
@@ -90,11 +87,11 @@ class NoiseBudget:
                                "first positive and the second nonnegative")
         # Python floats over- and underflow without a warning
         q = 1.0 / (2.0 * float(f))
-        r = 1.0 / (2.0 * float(eta)) if eta > 0 else ZERO_NOISE_R_FACTOR * q
+        r = 1.0 / (2.0 * float(eta)) if eta > 0 else math.inf
         # a subnormal bound sends q or r to inf; a bound near the top of the
         # float range makes it subnormal, too coarse to keep q * f <= 1/2
         normal = np.finfo(float).tiny
-        if not (normal <= q < np.inf and normal <= r < np.inf):
+        if not (normal <= q < np.inf and (eta == 0 or normal <= r < np.inf)):
             raise InvalidInput(f"bounds ({f}, {eta}) give q = {q}, r = {r}, "
                                "which must be normal floats")
         object.__setattr__(self, "q", q)
@@ -134,10 +131,18 @@ def measure_series(
     if not 0 <= theta < np.inf:  # a NaN fails this too
         raise InvalidInput(f"theta = {theta} must be nonnegative and finite")
     grid = np.asarray(grid, dtype=float)
-    values = recovery_probability(spec, v, j, k, grid)
+    return _noisy_series(grid, recovery_probability(spec, v, j, k, grid), theta, [seed])
+
+
+def _noisy_series(grid: np.ndarray, values: np.ndarray, theta: float,
+                  seeds) -> MeasurementSeries:
+    """y = values + eta on the grid, row i's noise D draws of N(0, theta^2)
+    from ``default_rng(seeds[i])`` (one seed for 1-D values), into a new
+    array, so a shared ``values`` is never written; theta = 0 draws nothing."""
     if theta > 0:
-        rng = np.random.default_rng(seed)
-        values = values + rng.normal(0.0, theta, size=grid.size)
+        noise = np.array([np.random.default_rng(seed).normal(0.0, theta, grid.size)
+                          for seed in seeds])
+        values = values + noise.reshape(np.shape(values))
     return MeasurementSeries(timepoints=grid, values=values)
 
 

@@ -76,6 +76,9 @@ from .measurement import MeasurementSeries, NoiseBudget
 # the largest M whose ((M-1)!)^2, a forcing-Gram denominator, fits a float: 99
 MAX_CHAIN_ORDER = next(M for M in range(1, 171)
                        if factorial(M) ** 2 > float(np.finfo(float).max))
+# The ridge ratio of exact data (q/r = 0) relative to G's mean diagonal: G has
+# units of time^(2M-1), so a bare ratio would depend on the energy unit.
+ZERO_NOISE_RIDGE = 1e-12
 
 
 def _overlap(a, p: int, b, q: int) -> np.ndarray:
@@ -196,15 +199,19 @@ def forcing_gram(model: EstimatorModel, timepoints) -> np.ndarray:
 
 
 def _ridge_solve(models, ts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (q_i/r_i I + G) x_i = rhs_i on the grid ts for every model i.
+    """Solve (q_i/r_i I + G) x_i = rhs_i on the grid ts for every model i;
+    a q/r of 0 (exact data, r = inf) is ZERO_NOISE_RIDGE trace(G) / D.
 
     rhs has one row per model.  The systems share G, one forcing_gram
     call, and are solved in one stacked call; the explicit trailing axis
     of rhs makes every numpy read it as a stack of vectors.
     """
-    ratios = np.array([model.budget.q / model.budget.r for model in models])
-    systems = (ratios[:, None, None] * np.eye(ts.size)
-               + forcing_gram(models[0], ts))
+    gram = forcing_gram(models[0], ts)
+    ratios = [model.budget.q / model.budget.r for model in models]
+    if 0.0 in ratios:
+        ridge = ZERO_NOISE_RIDGE * float(np.trace(gram)) / ts.size
+        ratios = [ratio or ridge for ratio in ratios]
+    systems = np.array(ratios)[:, None, None] * np.eye(ts.size) + gram
     try:
         x = np.linalg.solve(systems, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

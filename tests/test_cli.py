@@ -309,6 +309,24 @@ class TestOutputs:
         manifest = json.loads((out / "convergence_manifest.json").read_text())
         assert manifest["spectral_atoms"] == atoms
 
+    @pytest.mark.parametrize("model, weights", [
+        # distinct extremal eigenvalues carry gamma0 = 0.25 each
+        ("model = bipartite\nn = 3", [0.25, 0.25]),
+        # the top level is the spin-2 quintet: sqrt(gamma0) sits on one of
+        # its eigenvectors, and each of the other four carries the interior
+        # weight 0.5 / 14
+        ("model = heisenberg", [0.25, 0.25 + 4 * 0.5 / 14]),
+    ])
+    def test_manifest_records_extremal_level_weights(self, tmp_path, model,
+                                                     weights):
+        path = tmp_path / "cfg.txt"
+        out = tmp_path / "out"
+        path.write_text(_config_text(f"theta_values = 0\nout = {out}\n{model}\n"))
+        assert main(["convergence", "--config", str(path)]) == 0
+        manifest = json.loads((out / "convergence_manifest.json").read_text())
+        assert manifest["extremal_level_weights"] == pytest.approx(weights,
+                                                                   rel=1e-14)
+
     def test_manifest_times_each_stage(self, config_file, tmp_path):
         out = str(tmp_path / "o6")
         assert main(["convergence", "--config", config_file, "--out", out]) == 0

@@ -48,6 +48,17 @@ def test_certificate_holds_with_high_order_initial_condition(M, theta):
     assert abs_error <= sigma
 
 
+def test_noise_free_fit_follows_its_data_at_high_order():
+    # at M = 6 the forcing Gram's mean diagonal is about 1e-13, so a bare
+    # ridge ratio of 1e-12 outweighed it and the fit ignored its exact data
+    # (abs_error 0.081); a ridge relative to trace(G) / D keeps the data
+    cfg = ExperimentConfig(model="heisenberg", n=6, model_seed=42, gamma0=0.25,
+                           d_values=[15], M=6, theta_values=[0.0], master_seed=0)
+    [(_, _, [row, _])] = experiments._derivative_scaling(build_context(cfg), cfg)
+    *_, abs_error, sigma = row
+    assert abs_error < 1e-6 and abs_error <= sigma
+
+
 def test_ill_conditioned_certificate_raises():
     # the noisy-convergence sweep at M = 6: at gap 15 the ridge system is so
     # ill-conditioned that rounding drives the certificate variance negative,
@@ -57,13 +68,12 @@ def test_ill_conditioned_certificate_raises():
                            D=15, M=6, theta_values=[theta], eps_rule="m-theta",
                            master_seed=0)
     ctx = build_context(cfg)
-    grid = sample_grid(ctx.t_star, ctx.delta_t, cfg.D)
-    exact = _exact_data(ctx, grid, [gap], _initial_condition(ctx, cfg))
-    _, [[f]] = _fit_noisy(ctx, cfg, exact, theta,
-                          [(1, _theta_key(theta), 0, gap)],
-                          [estimated_eta_norm_sq(cfg.D, theta)])
+    exact = _exact_data(ctx, cfg.D, [gap], _initial_condition(ctx, cfg))
+    _, [f] = _fit_noisy(ctx, cfg, exact, theta,
+                        [(1, _theta_key(theta), 0, gap)],
+                        [estimated_eta_norm_sq(cfg.D, theta)])
     with pytest.raises(SingularSystem, match="component 1"):
-        error_certificate(f.model, grid, ctx.t_star, 1)
+        error_certificate(f.model, exact.grid, ctx.t_star, 1)
 
 
 @pytest.mark.parametrize("command, name, cell", [

@@ -88,6 +88,26 @@ class TestMeasureSeries:
         b = measure_series(spec, v, 0, 1, g, 1e-2, seed=123)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_noisy_series_is_the_one_noise_model(self, toy):
+        # row i is values[i] plus default_rng(seeds[i]).normal(0, theta, D),
+        # byte for byte; measure_series draws through it, and theta = 0
+        # keeps the values
+        spec, v = toy
+        g = sample_grid(0.5, 0.15, 7)
+        theta, seeds = 1e-2, [11, 12, 13]
+        rows = np.array([recovery_derivative(spec, v, 0, 1, g, p)
+                         for p in range(3)])
+        series = measurement._noisy_series(g, rows, theta, seeds)
+        for row, value, seed in zip(series.values, rows, seeds):
+            want = value + np.random.default_rng(seed).normal(0, theta, g.size)
+            assert row.tobytes() == want.tobytes()
+        assert series.values.tobytes() != rows.tobytes()
+        exact = measurement._noisy_series(g, rows, 0.0, seeds)
+        assert exact.values.tobytes() == rows.tobytes()
+        measured = measure_series(spec, v, 0, 1, g, theta, seed=5)
+        one = measurement._noisy_series(g, rows[0], theta, [5])
+        assert measured.values.tobytes() == one.values.tobytes()
+
 
 # any float, plus the edges: zero, subnormals (1/(2 b) overflows), a bound
 # whose q is subnormal and would give q * b > 1/2, and one where 2 b overflows
@@ -106,8 +126,10 @@ class TestBudget:
         assert b2.r == 2 * b1.r and b2.q == b1.q
 
     def test_zero_noise_caps_r(self):
+        # exact data: the noise term of the premise vanishes, and the fit
+        # keeps a ridge relative to its Gram matrix instead
         b = NoiseBudget(4.0, 0.0)
-        assert b.r == pytest.approx(1e12 * b.q)
+        assert b.r == np.inf and b.q == 0.125
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidInput, match="the first positive"):
@@ -133,8 +155,11 @@ class TestBudget:
             b = NoiseBudget(f, eta)
         except InvalidInput:
             return
-        assert 0 < b.q < np.inf and 0 < b.r < np.inf
-        assert b.q * f <= 0.5 and b.r * eta <= 0.5
+        assert 0 < b.q < np.inf and b.q * f <= 0.5
+        if eta == 0:
+            assert b.r == np.inf  # the noise term of the premise vanishes
+        else:
+            assert 0 < b.r < np.inf and b.r * eta <= 0.5
 
     def test_estimated_eta_bound_covers_realized_noise(self):
         # chi-square two-sigma construction: bound holds in >= 95% of draws

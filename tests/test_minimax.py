@@ -444,7 +444,7 @@ NON_FINITE_CASES = {
         ValueError, "init=False",
         lambda: dataclasses.replace(toy_model().budget, q=NAN)),
     # the weight choice select_qr made now lives in NoiseBudget; exact data
-    # takes the r = ZERO_NOISE_R_FACTOR * q branch, which a nan f must not reach
+    # takes the r = inf branch, which a nan f must not reach
     "select_qr with f_norm_sq = nan": (
         InvalidInput, r"bounds \(nan, 0.0\) must be finite",
         lambda: NoiseBudget(NAN, 0.0)),

@@ -40,8 +40,9 @@ from superkrylov.dynamics import exact_J_entry, recovery_derivative, recovery_pr
 from superkrylov.experiments import (
     ExperimentConfig,
     PipelineContext,
-    _every_gap,
+    _exact_data,
     _fit_gaps,
+    _initial_condition,
     build_context,
 )
 from superkrylov.measurement import forcing_norm_sq
@@ -379,7 +380,9 @@ def test_noise_rate_matches_svd_norms_on_random_pairs(m):
 def test_noise_rate_matches_svd_norms_on_a_minimax_pair():
     cfg = ExperimentConfig(n=4, m_values=list(range(2, 13)), theta_values=[1e-3])
     ctx = build_context(cfg)
-    fits = _fit_gaps(ctx, cfg, _every_gap(ctx, cfg), 1e-3, 0)
+    exact = _exact_data(ctx, cfg.D, range(1, max(cfg.m_values)),
+                        _initial_condition(ctx, cfg))
+    fits = _fit_gaps(ctx, cfg, exact, 1e-3, 0)
     est = assemble_pair_minimax(fits, ctx.t_star)
     exact = assemble_pair_exact(ctx.spec, ctx.v, est.m, ctx.t_star)
     j_norm = 2.0 * ctx.spec.spectral_width
