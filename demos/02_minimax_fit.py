@@ -17,7 +17,7 @@ spec = sk.eigendecompose(np.diag([1.0, -1.0]))
 v = np.ones(2) / np.sqrt(2)
 
 grid = sk.sample_grid(T_STAR, DELTA_T, D)
-series = sk.measure_series(spec, v, 0, 1, grid, THETA, seed=7)
+y = sk.measure_series(spec, v, 0, 1, grid, THETA, seed=7)
 
 x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, 1, 0.0, 2)])
 f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TAU, order=3)
@@ -34,16 +34,16 @@ for tag, eta_scale in (("under-fit (r0/10)", 10.0),
                        ("over-fit  (10r0)", 0.1)):
     budget = sk.NoiseBudget(f_norm, eta0 * eta_scale)
     model = sk.EstimatorModel(x_in, TAU, budget)
-    fitted = sk.fit(model, series)
+    fitted = sk.fit(model, grid, y)
     x1 = sk.evaluate_x1(fitted, T_STAR)
     x0 = np.array([sk.evaluate_x0(fitted, t) for t in grid])
-    misfit = np.sum((series.values - x0) ** 2)
+    misfit = np.sum((y - x0) ** 2)
     print(f"{tag}: x1(t*) = {x1:+.5f}  (truth {truth:+.5f})  "
           f"data misfit = {misfit:.2e}")
 
 budget = sk.NoiseBudget(f_norm, eta0)
 model = sk.EstimatorModel(x_in, TAU, budget)
-fitted = sk.fit(model, series)
+fitted = sk.fit(model, grid, y)
 sigma = sk.error_certificate(model, grid, T_STAR, 1)
 err = abs(sk.evaluate_x1(fitted, T_STAR) - truth)
 print()

@@ -24,14 +24,14 @@ grid = sk.sample_grid(t_star, delta_t, D)
 
 fits = []  # fits[g - 1] is the fit for gap g
 for gap in range(1, M_MAX):
-    series = sk.measure_series(spec, v, 0, gap, grid, THETA, seed=1000 + gap)
+    y = sk.measure_series(spec, v, 0, gap, grid, THETA, seed=1000 + gap)
     x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, gap, 0.0, 2)])
     budget = sk.NoiseBudget(
         sk.forcing_norm_sq(spec, v, 0, gap, tau, order=3),
         sk.estimated_eta_norm_sq(D, THETA),
     )
     model = sk.EstimatorModel(x_in, tau, budget)
-    fits.append(sk.fit(model, series))
+    fits.append(sk.fit(model, grid, y))
 
 j_norm = 2 * spec.spectral_width
 print(f"theta = {THETA}, D = {D}, gamma0 = {GAMMA0}")

@@ -37,7 +37,6 @@ from .dynamics import (
     recovery_probability,
 )
 from .measurement import (
-    MeasurementSeries,
     NoiseBudget,
     estimated_eta_norm_sq,
     forcing_norm_sq,

@@ -352,11 +352,12 @@ def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
 
     ``seeds[i]`` holds the ``_cell_seed`` parts of gap ``exact.gaps[i]``'s
     noise, and either the gaps or the bounds are one.  Returns the noisy
-    series and the fits, flat: gap by gap and, within a gap, bound by
-    bound.  The gaps' forcing norms read shared panel tables; an error from
-    a gap's norm, budget or model names the gap and M.
+    values, one row per gap on ``exact.grid``, and the fits, flat: gap by
+    gap and, within a gap, bound by bound.  The gaps' forcing norms read
+    shared panel tables; an error from a gap's norm, budget or model names
+    the gap and M.
     """
-    series = _noisy_series(exact.grid, exact.values, theta,
+    values = _noisy_series(exact.values, theta,
                            [_cell_seed(config.master_seed, *parts)
                             for parts in seeds])
     models = []
@@ -365,7 +366,7 @@ def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
             f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=config.M)
             models += [EstimatorModel(x, ctx.tau, NoiseBudget(f_norm, eta))
                        for eta in eta_bounds]
-    return series, fit_batch(models, series)
+    return values, fit_batch(models, exact.grid, values)
 
 
 @contextlib.contextmanager
@@ -392,7 +393,8 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
 
     The exact m-pairs, leading blocks of the m_max pair, and with noise the
     exact data of every gap, are evaluated once, before the theta and
-    trial loops.
+    trial loops; a noise-free m-pair is solved once and its row repeated
+    for every trial.
     """
     m_max = max(config.m_values)
     exact_full = assemble_pair_exact(ctx.spec, ctx.v, m_max, ctx.t_star)
@@ -400,24 +402,30 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
     exact = (_exact_data(ctx, config.D, range(1, m_max), _initial_condition(ctx, config))
              if max(config.theta_values) > 0 else None)
     j_norm = 2.0 * ctx.spec.spectral_width
+    m_values = sorted(config.m_values)
     rows = []
     for theta in config.theta_values:
         for trial in range(config.trials):
-            with _cell(f"theta={theta} trial={trial}"):
-                fits = (None if theta == 0.0
-                        else _fit_gaps(ctx, config, exact, theta, trial))
-            for m in sorted(config.m_values):
-                with _cell(f"theta={theta} trial={trial} m={m}"):
-                    pair, omega = exact_pairs[m], 0.0
-                    if theta > 0.0:
-                        pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
-                        omega = noise_rate(pair, exact_pairs[m], j_norm)
-                    result = threshold_solve(pair, _eps(config, m, theta))
-                    estimate = ground_energy(result, ctx.class_tag,
-                                             top_energy=ctx.top_energy)
-                rel_error = abs(estimate - ctx.lam0) / abs(ctx.lam0)
-                rows.append((m, theta, config.gamma0, trial, result.ground_gap,
-                             estimate, rel_error, omega, result.kept_dim))
+            # a noise-free cell draws nothing: trial 0's results serve them all
+            if theta > 0.0 or trial == 0:
+                with _cell(f"theta={theta} trial={trial}"):
+                    fits = (None if theta == 0.0
+                            else _fit_gaps(ctx, config, exact, theta, trial))
+                solved = []
+                for m in m_values:
+                    with _cell(f"theta={theta} trial={trial} m={m}"):
+                        pair, omega = exact_pairs[m], 0.0
+                        if theta > 0.0:
+                            pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
+                            omega = noise_rate(pair, exact_pairs[m], j_norm)
+                        result = threshold_solve(pair, _eps(config, m, theta))
+                        estimate = ground_energy(result, ctx.class_tag,
+                                                 top_energy=ctx.top_energy)
+                    rel_error = abs(estimate - ctx.lam0) / abs(ctx.lam0)
+                    solved.append((result.ground_gap, estimate, rel_error,
+                                   omega, result.kept_dim))
+            rows += [(m, theta, config.gamma0, trial, *cells)
+                     for m, cells in zip(m_values, solved)]
     header = ["m", "theta", "gamma0", "trial", "delta0_prime", "estimate",
               "rel_error", "omega", "kept_dim"]
     return [("convergence.csv", header, rows)]
@@ -428,7 +436,8 @@ def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
 
     Per-trial rows are followed by summary rows (trial = -1) holding the
     trial-averaged error and certificate for each (D, theta).  The true
-    derivative of gap 1 at t* and x_in are found once, its series once per D.
+    derivative of gap 1 at t* and x_in are found once, its series once per D,
+    and a noise-free cell's fit and certificate once for every trial.
     """
     truth = recovery_derivative(ctx.spec, ctx.v, 0, 1, ctx.t_star, 1)
     x_in_1 = _initial_condition(ctx, config)
@@ -438,12 +447,15 @@ def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
         for theta in config.theta_values:
             cell = []
             for trial in range(config.trials):
-                with _cell(f"D={D} theta={theta} trial={trial}"):
-                    _, [f] = _fit_noisy(ctx, config, exact, theta,
-                                        [(2, _theta_key(theta), trial, D)],
-                                        [estimated_eta_norm_sq(D, theta)])
-                    error = abs(evaluate_x1(f, ctx.t_star) - truth)
-                    sigma = error_certificate(f.model, exact.grid, ctx.t_star, 1)
+                # a noise-free cell draws nothing: trial 0's fit serves them all
+                if theta > 0.0 or trial == 0:
+                    with _cell(f"D={D} theta={theta} trial={trial}"):
+                        _, [f] = _fit_noisy(ctx, config, exact, theta,
+                                            [(2, _theta_key(theta), trial, D)],
+                                            [estimated_eta_norm_sq(D, theta)])
+                        error = abs(evaluate_x1(f, ctx.t_star) - truth)
+                        sigma = error_certificate(f.model, exact.grid,
+                                                  ctx.t_star, 1)
                 cell.append((D, theta, trial, error, sigma))
             rows += cell
             summary.append((D, theta, -1,
@@ -466,7 +478,7 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
     eta0 = estimated_eta_norm_sq(config.D, theta)
     exact = _exact_data(ctx, config.D, [gap], _initial_condition(ctx, config))
     # the r variants come from scaled noise bounds so each budget stays valid
-    series, [fit_low, fit0, fit_high] = _fit_noisy(
+    values, [fit_low, fit0, fit_high] = _fit_noisy(
         ctx, config, exact, theta,
         [(3, _theta_key(theta), 0, gap)], [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
@@ -485,7 +497,7 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
         ))
     header = ["t", "exact_R", "exact_dR", "xhat0_rlow", "xhat0_r0",
               "xhat0_rhigh", "xhat1", "sigma"]
-    points = [(float(t), float(y)) for t, y in zip(exact.grid, series.values[0])]
+    points = [(float(t), float(y)) for t, y in zip(exact.grid, values[0])]
     return [("minimax_demo.csv", header, rows),
             ("minimax_demo_points.csv", ["t", "y"], points)]
 

@@ -39,32 +39,6 @@ QUADRATURE_NODES = 16
 PANEL_PHASE = 1.5 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSeries:
-    """Noisy samples y_s = R_jk(t_s) + eta_s on a strictly increasing grid.
-
-    ``values`` holds one series, of the grid's shape (D,), or several on
-    the one grid, one per row, of shape (k, D).
-    """
-
-    timepoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ts = np.asarray(self.timepoints, dtype=float)
-        ys = np.asarray(self.values, dtype=float)
-        if (ts.ndim != 1 or ys.ndim not in (1, 2) or ys.shape[-1] != ts.size
-                or ys.size == 0 or ts.size < 2):
-            raise InvalidInput("need a 1-D grid with D >= 2 and values of "
-                               "shape (D,) or (k, D)")
-        if not np.all(np.diff(ts) > 0):  # a NaN fails this too
-            raise InvalidInput("timepoints must be strictly increasing")
-        if not np.all(np.isfinite(ys)):
-            raise InvalidInput("measurement values must be finite")
-        object.__setattr__(self, "timepoints", ts)
-        object.__setattr__(self, "values", ys)
-
-
 @dataclass(frozen=True)
 class NoiseBudget:
     """Weights q = 1/(2 f_norm_sq_bound) and r = 1/(2 eta_norm_sq_bound).
@@ -123,27 +97,34 @@ def measure_series(
     grid: np.ndarray,
     theta: float,
     seed=None,
-) -> MeasurementSeries:
-    """Sample y_s = R_jk(t_s) + eta_s with eta_s ~ N(0, theta^2).
+) -> np.ndarray:
+    """Sample y_s = R_jk(t_s) + eta_s with eta_s ~ N(0, theta^2) on a
+    strictly increasing grid of D >= 2 times; returns y, of shape (D,).
 
     theta = 0 returns exact values; a fixed seed is fully reproducible.
     """
     if not 0 <= theta < np.inf:  # a NaN fails this too
         raise InvalidInput(f"theta = {theta} must be nonnegative and finite")
     grid = np.asarray(grid, dtype=float)
-    return _noisy_series(grid, recovery_probability(spec, v, j, k, grid), theta, [seed])
+    values = recovery_probability(spec, v, j, k, grid)
+    if grid.ndim != 1 or grid.size < 2:
+        raise InvalidInput("need a 1-D grid with D >= 2")
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidInput("timepoints must be strictly increasing")
+    return _noisy_series(values, theta, [seed])
 
 
-def _noisy_series(grid: np.ndarray, values: np.ndarray, theta: float,
-                  seeds) -> MeasurementSeries:
-    """y = values + eta on the grid, row i's noise D draws of N(0, theta^2)
-    from ``default_rng(seeds[i])`` (one seed for 1-D values), into a new
-    array, so a shared ``values`` is never written; theta = 0 draws nothing."""
+def _noisy_series(values: np.ndarray, theta: float, seeds) -> np.ndarray:
+    """y = values + eta, row i's noise D = values.shape[-1] draws of
+    N(0, theta^2) from ``default_rng(seeds[i])`` (one seed for 1-D values),
+    into a new array, so a shared ``values`` is never written; theta = 0
+    draws nothing and returns ``values`` itself."""
     if theta > 0:
-        noise = np.array([np.random.default_rng(seed).normal(0.0, theta, grid.size)
+        D = values.shape[-1]
+        noise = np.array([np.random.default_rng(seed).normal(0.0, theta, D)
                           for seed in seeds])
-        values = values + noise.reshape(np.shape(values))
-    return MeasurementSeries(timepoints=grid, values=values)
+        values = values + noise.reshape(values.shape)
+    return values
 
 
 def estimated_eta_norm_sq(D: int, theta: float) -> float:

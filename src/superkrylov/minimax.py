@@ -71,7 +71,7 @@ import numpy as np
 from ._cache import content_cache
 from .dynamics import _is_integer
 from .errors import InvalidInput, SingularSystem
-from .measurement import MeasurementSeries, NoiseBudget
+from .measurement import NoiseBudget
 
 # the largest M whose ((M-1)!)^2, a forcing-Gram denominator, fits a float: 99
 MAX_CHAIN_ORDER = next(M for M in range(1, 171)
@@ -239,14 +239,15 @@ def _kernel_overlaps(ts: np.ndarray, M: int, t, n: int) -> np.ndarray:
     return _overlap(ts, M - 1, t, n) / (factorial(M - 1) * factorial(n))
 
 
-def fit_batch(models, series: MeasurementSeries) -> list[MinimaxFit]:
+def fit_batch(models, timepoints, values) -> list[MinimaxFit]:
     """Solve the ridge systems of many models on one grid for their beta.
 
-    Row i of ``series.values`` is the data of ``models[i]``; a single
-    row, or 1-D values, serves every model.  The models share the order
-    M, and the grid must lie inside each horizon.  Each row is first
-    reduced to Taylor remainders y_tilde (subtracting the drift of its
-    model's initial condition); beta_i then solves
+    ``values`` holds the finite samples on the grid of D >= 2
+    ``timepoints``, of shape (D,) or (k, D).  Row i is the data of
+    ``models[i]``; a single row, or 1-D values, serves every model.  The
+    models share the order M, and the grid must lie inside each horizon.
+    Each row is first reduced to Taylor remainders y_tilde (subtracting
+    the drift of its model's initial condition); beta_i then solves
     (q_i/r_i I + G) beta_i = y_tilde_i with G the forcing Gram matrix,
     one G and one stacked solve for the whole batch.
     """
@@ -256,22 +257,28 @@ def fit_batch(models, series: MeasurementSeries) -> list[MinimaxFit]:
     if any(model.M != models[0].M for model in models):
         raise InvalidInput("the models of a batch must share the order M")
     # the grid check against the shortest horizon covers every model
-    ts = _check_grid(min(models, key=lambda model: model.tau),
-                     series.timepoints)
-    if series.values.ndim == 2 and len(series.values) not in (1, len(models)):
-        raise InvalidInput(f"{len(series.values)} data rows for {len(models)} "
+    ts = _check_grid(min(models, key=lambda model: model.tau), timepoints)
+    ys = np.asarray(values, dtype=float)
+    if (ts.size < 2 or ys.ndim not in (1, 2) or ys.shape[-1] != ts.size
+            or ys.size == 0):
+        raise InvalidInput("need a 1-D grid with D >= 2 and values of "
+                           "shape (D,) or (k, D)")
+    if ys.ndim == 2 and len(ys) not in (1, len(models)):
+        raise InvalidInput(f"{len(ys)} data rows for {len(models)} "
                            "models: need one row per model, or one for all")
+    if not np.all(np.isfinite(ys)):
+        raise InvalidInput("measurement values must be finite")
     drift = np.array([model.homogeneous(ts) for model in models])
-    y_tilde = series.values - drift
+    y_tilde = ys - drift
     betas = _ridge_solve(models, ts, y_tilde)
     return [MinimaxFit(beta=beta, model=model, timepoints=ts)
             for model, beta in zip(models, betas)]
 
 
-def fit(model: EstimatorModel, series: MeasurementSeries) -> MinimaxFit:
+def fit(model: EstimatorModel, timepoints, values) -> MinimaxFit:
     """Solve the ridge system of one model for its kernel weights beta:
     ``fit_batch`` with a batch of one."""
-    [result] = fit_batch([model], series)
+    [result] = fit_batch([model], timepoints, values)
     return result
 
 

@@ -50,12 +50,11 @@ def toy_fit(D, theta=0.0, rng=None, budget=None):
     eta = np.zeros(D)
     if theta > 0:
         eta = rng.normal(0, theta, D)
-    series = sk.MeasurementSeries(timepoints=ts, values=y + eta)
     if budget is None:
         f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TOY_TAU, order=3)
         budget = sk.NoiseBudget(f_norm, float(eta @ eta))
     model = sk.EstimatorModel(TOY_X_IN, TOY_TAU, budget)
-    return model, ts, sk.fit(model, series), eta
+    return model, ts, sk.fit(model, ts, y + eta), eta
 
 
 def report(num, text):

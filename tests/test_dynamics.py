@@ -123,7 +123,7 @@ class TestRealEigendecomposition:
         h = assemble_dense(heisenberg_chain(6, seed=42))
         return eigendecompose(h), eigendecompose(h.astype(complex))
 
-    def test_real_input_gives_real_eigenvectors(self, specs):
+    def test_real_and_complex_input_give_one_spectrum(self, specs):
         real, cplx = specs
         np.testing.assert_allclose(real.eigenvalues, cplx.eigenvalues, atol=1e-13)
 

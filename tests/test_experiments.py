@@ -116,7 +116,7 @@ def _close(got, ref):
 
 
 @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=["heisenberg6", "bipartite3"])
-def test_context_matches_eigenvector_reference(cfg):
+def test_context_matches_the_whole_spectrum(cfg):
     # the eigenbasis frame, built from qubit-disjoint factors, must
     # reproduce every oracle of the full eigendecomposition of the whole
     # Hamiltonian
@@ -291,6 +291,29 @@ def test_convergence_takes_each_exact_pair_once(tmp_path, monkeypatch):
     monkeypatch.setattr(solver.KrylovPair, "leading", record)
     experiments._convergence(build_context(cfg), cfg)
     assert calls == {m: 1 for m in cfg.m_values}
+
+
+@pytest.mark.parametrize("command, name, overrides, want", [
+    ("convergence", "threshold_solve", dict(m_values=[2, 3, 4, 5, 6]), 5),
+    ("deriv-scaling", "error_certificate", dict(d_values=[5, 9]), 2),
+], ids=["convergence", "deriv-scaling"])
+def test_noise_free_cell_is_computed_once_for_every_trial(
+        command, name, overrides, want, tmp_path, monkeypatch):
+    # a theta = 0 cell draws no noise, so its trials share one solve per m,
+    # or one fit and certificate per D, and write the same rows
+    cfg = _noisy4(out=str(tmp_path), theta_values=[0.0], trials=3, **overrides)
+    calls = []
+    original = getattr(experiments, name)
+    monkeypatch.setattr(experiments, name,
+                        lambda *args: calls.append(args) or original(*args))
+    header, *rows = Path(experiments.run(command, cfg)).read_text().splitlines()
+    assert len(calls) == want
+    column = header.split(",").index("trial")
+    by_trial = collections.defaultdict(list)
+    for row in rows:
+        cells = row.split(",")
+        by_trial[cells.pop(column)].append(cells)
+    assert by_trial["0"] == by_trial["1"] == by_trial["2"]
 
 
 @pytest.mark.parametrize("command, overrides", [

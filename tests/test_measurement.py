@@ -72,21 +72,21 @@ class TestMeasureSeries:
     def test_zero_noise_is_exact(self, toy):
         spec, v = toy
         g = sample_grid(0.5, 0.15, 9)
-        s = measure_series(spec, v, 0, 1, g, 0.0)
-        np.testing.assert_allclose(s.values, np.cos(g) ** 2, atol=1e-13)
+        y = measure_series(spec, v, 0, 1, g, 0.0)
+        np.testing.assert_allclose(y, np.cos(g) ** 2, atol=1e-13)
 
     def test_diagonal_pair(self, toy):
         spec, v = toy
         g = sample_grid(0.5, 0.15, 5)
-        s = measure_series(spec, v, 2, 2, g, 0.01, seed=0)
-        np.testing.assert_allclose(s.values, 1.0, atol=0.05)
+        y = measure_series(spec, v, 2, 2, g, 0.01, seed=0)
+        np.testing.assert_allclose(y, 1.0, atol=0.05)
 
     def test_seeded_determinism(self, toy):
         spec, v = toy
         g = sample_grid(0.5, 0.15, 7)
         a = measure_series(spec, v, 0, 1, g, 1e-2, seed=123)
         b = measure_series(spec, v, 0, 1, g, 1e-2, seed=123)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_noisy_series_is_the_one_noise_model(self, toy):
         # row i is values[i] plus default_rng(seeds[i]).normal(0, theta, D),
@@ -97,16 +97,16 @@ class TestMeasureSeries:
         theta, seeds = 1e-2, [11, 12, 13]
         rows = np.array([recovery_derivative(spec, v, 0, 1, g, p)
                          for p in range(3)])
-        series = measurement._noisy_series(g, rows, theta, seeds)
-        for row, value, seed in zip(series.values, rows, seeds):
+        noisy = measurement._noisy_series(rows, theta, seeds)
+        for row, value, seed in zip(noisy, rows, seeds):
             want = value + np.random.default_rng(seed).normal(0, theta, g.size)
             assert row.tobytes() == want.tobytes()
-        assert series.values.tobytes() != rows.tobytes()
-        exact = measurement._noisy_series(g, rows, 0.0, seeds)
-        assert exact.values.tobytes() == rows.tobytes()
+        assert noisy.tobytes() != rows.tobytes()
+        exact = measurement._noisy_series(rows, 0.0, seeds)
+        assert exact.tobytes() == rows.tobytes()
         measured = measure_series(spec, v, 0, 1, g, theta, seed=5)
-        one = measurement._noisy_series(g, rows[0], theta, [5])
-        assert measured.values.tobytes() == one.values.tobytes()
+        one = measurement._noisy_series(rows[0], theta, [5])
+        assert measured.tobytes() == one.tobytes()
 
 
 # any float, plus the edges: zero, subnormals (1/(2 b) overflows), a bound
@@ -125,7 +125,7 @@ class TestBudget:
         b2 = NoiseBudget(2.0, 0.5)
         assert b2.r == 2 * b1.r and b2.q == b1.q
 
-    def test_zero_noise_caps_r(self):
+    def test_zero_noise_gives_infinite_r(self):
         # exact data: the noise term of the premise vanishes, and the fit
         # keeps a ridge relative to its Gram matrix instead
         b = NoiseBudget(4.0, 0.0)

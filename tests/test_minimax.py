@@ -8,7 +8,6 @@ import pytest
 from superkrylov import (
     EstimatorModel,
     InvalidInput,
-    MeasurementSeries,
     NoiseBudget,
     error_certificate,
     evaluate_component,
@@ -46,7 +45,7 @@ def toy_series(D, theta=0.0, seed=None):
     y = np.cos(ts) ** 2
     if theta > 0:
         y = y + np.random.default_rng(seed).normal(0, theta, D)
-    return MeasurementSeries(timepoints=ts, values=y)
+    return ts, y
 
 
 def toy_model(q=1.0, r=1e12):
@@ -157,14 +156,13 @@ class TestFit:
         model = toy_model(q=1.0, r=1.0)
         ts = toy_grid(6)
         y = np.array([model.homogeneous(t) for t in ts])
-        f = fit(model, MeasurementSeries(timepoints=ts, values=y))
+        f = fit(model, ts, y)
         np.testing.assert_allclose(f.beta, 0.0, atol=1e-12)
 
     def test_residual_invariant(self):
-        series = toy_series(15, theta=1e-3, seed=1)
-        f = fit(toy_model(), series)
-        ts = f.timepoints
-        y_tilde = series.values - np.array([f.model.homogeneous(t) for t in ts])
+        ts, y = toy_series(15, theta=1e-3, seed=1)
+        f = fit(toy_model(), ts, y)
+        y_tilde = y - np.array([f.model.homogeneous(t) for t in ts])
         budget = f.model.budget
         system = budget.q / budget.r * np.eye(ts.size) + forcing_gram(f.model, ts)
         residual = np.linalg.norm(system @ f.beta - y_tilde)
@@ -173,7 +171,7 @@ class TestFit:
     def test_zero_noise_convergence_in_D(self):
         errs = []
         for D in (5, 10, 20, 40):
-            f = fit(toy_model(), toy_series(D))
+            f = fit(toy_model(), *toy_series(D))
             errs.append(abs(evaluate_x1(f, T_STAR) - (-np.sin(2 * T_STAR))))
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-3
@@ -182,7 +180,7 @@ class TestFit:
 class TestEvaluation:
     @pytest.fixture
     def fitted(self):
-        return fit(toy_model(), toy_series(20))
+        return fit(toy_model(), *toy_series(20))
 
     def test_initial_conditions(self, fitted):
         assert abs(evaluate_x0(fitted, 0.0) - 1.0) < 1e-12
@@ -191,9 +189,7 @@ class TestEvaluation:
     def test_zero_beta_gives_drift(self):
         model = toy_model()
         ts = toy_grid(4)
-        f = fit(model, MeasurementSeries(
-            timepoints=ts,
-            values=np.array([model.homogeneous(t) for t in ts])))
+        f = fit(model, ts, np.array([model.homogeneous(t) for t in ts]))
         t = 0.4
         assert abs(evaluate_x1(f, t) - t * X_IN[2]) < 1e-10
 
@@ -206,7 +202,7 @@ class TestEvaluation:
 
     def test_x0_derivative_is_x1(self):
         # moderate r keeps beta small so the finite difference is clean
-        f = fit(toy_model(q=1.0, r=1e6), toy_series(20))
+        f = fit(toy_model(q=1.0, r=1e6), *toy_series(20))
         h = 1e-5
         for t in (0.2, 0.5, 0.8):
             fd = (evaluate_x0(f, t + h) - evaluate_x0(f, t - h)) / (2 * h)
@@ -223,14 +219,14 @@ class TestFitBalance:
     """Growing r chases the data; growing q smooths the reconstruction."""
 
     def test_data_residual_nonincreasing_in_r(self):
-        series = toy_series(15, theta=1e-2, seed=7)
+        ts, y = toy_series(15, theta=1e-2, seed=7)
         f_norm = 1.0
         residuals = []
         for r in (1.0, 10.0, 100.0, 1000.0):
             model = EstimatorModel(X_IN, TAU, NoiseBudget(f_norm, 1 / (2 * r)))
-            f = fit(model, series)
+            f = fit(model, ts, y)
             x0 = np.array([evaluate_x0(f, t) for t in f.timepoints])
-            residuals.append(float(np.sum((series.values - x0) ** 2)))
+            residuals.append(float(np.sum((y - x0) ** 2)))
         assert all(a >= b - 1e-15 for a, b in zip(residuals, residuals[1:]))
 
     def test_roughness_nonincreasing_in_q(self):
@@ -238,7 +234,7 @@ class TestFitBalance:
         rough = []
         for q in (0.1, 1.0, 10.0, 100.0):
             model = EstimatorModel(X_IN, TAU, NoiseBudget(1 / (2 * q), 1.0))
-            f = fit(model, series)
+            f = fit(model, *series)
             rough.append(float(f.beta @ forcing_gram(model, f.timepoints) @ f.beta))
         assert all(a >= b - 1e-15 for a, b in zip(rough, rough[1:]))
 
@@ -270,11 +266,9 @@ class TestCertificate:
         f_norm = 8 * TAU - 2 * np.sin(4 * TAU)  # ||d^3 cos^2||^2 over [0,tau]
         for _ in range(20):
             eta = rng.normal(0, 1e-2, ts.size)
-            series = MeasurementSeries(timepoints=ts,
-                                       values=np.cos(ts) ** 2 + eta)
             budget = NoiseBudget(f_norm, float(eta @ eta))
             model = EstimatorModel(X_IN, TAU, budget)
-            f = fit(model, series)
+            f = fit(model, ts, np.cos(ts) ** 2 + eta)
             err = abs(evaluate_x1(f, T_STAR) - (-np.sin(2 * T_STAR)))
             assert error_certificate(model, ts, T_STAR, 1) >= err
 
@@ -380,11 +374,11 @@ def test_forcing_gram_equals_direct_formula():
 
 
 def test_fit_does_not_write_into_the_gram():
-    model, series = toy_model(), toy_series(15, theta=1e-3, seed=1)
-    before = forcing_gram(model, series.timepoints).copy()
-    fit(model, series)
-    error_certificate(model, series.timepoints, T_STAR, 1)
-    assert forcing_gram(model, series.timepoints).tobytes() == before.tobytes()
+    model, (ts, y) = toy_model(), toy_series(15, theta=1e-3, seed=1)
+    before = forcing_gram(model, ts).copy()
+    fit(model, ts, y)
+    error_certificate(model, ts, T_STAR, 1)
+    assert forcing_gram(model, ts).tobytes() == before.tobytes()
 
 
 def test_grid_checks_run_on_a_cached_key():
@@ -397,7 +391,7 @@ def test_grid_checks_run_on_a_cached_key():
     with pytest.raises(InvalidInput, match="must lie below tau = 0.5"):
         forcing_gram(short, ts)
     with pytest.raises(InvalidInput, match="must lie below tau = 0.5"):
-        fit(short, toy_series(6))
+        fit(short, *toy_series(6))
 
 
 @pytest.mark.parametrize("grid", [np.empty(0), toy_grid(6).reshape(2, 3)],
@@ -416,16 +410,16 @@ NAN = float("nan")
 NON_FINITE_CASES = {
     "evaluate at t = nan": (
         InvalidInput, r"t = nan must lie in \[0,",
-        lambda: evaluate_x0(fit(toy_model(), toy_series(10)), NAN)),
+        lambda: evaluate_x0(fit(toy_model(), *toy_series(10)), NAN)),
     "certificate at t = nan": (
         InvalidInput, r"t = nan must lie in \[0,",
         lambda: error_certificate(toy_model(), toy_grid(10), NAN, 1)),
     "certificate on a grid with nan": (
         InvalidInput, "strictly increasing",
         lambda: error_certificate(toy_model(), np.array([0.3, NAN, 0.6]), T_STAR, 1)),
-    "series with a nan timepoint": (
+    "fit on a grid with a nan timepoint": (
         InvalidInput, "strictly increasing",
-        lambda: MeasurementSeries(timepoints=[0.1, NAN, 0.3], values=[1.0, 1.0, 1.0])),
+        lambda: fit(toy_model(), [0.1, NAN, 0.3], [1.0, 1.0, 1.0])),
     "model with tau = nan": (
         InvalidInput, "tau = nan must be positive and finite",
         lambda: EstimatorModel(X_IN, NAN, toy_model().budget)),
@@ -465,11 +459,10 @@ def test_non_finite_input_rejected(case):
         call()
 
 
-def _single_fit_beta(model, series):
+def _single_fit_beta(model, ts, y):
     """beta from one unstacked solve of one model's ridge system, as fit
     solved it before the batch."""
-    ts = series.timepoints
-    y_tilde = series.values - model.homogeneous(ts)
+    y_tilde = y - model.homogeneous(ts)
     budget = model.budget
     system = budget.q / budget.r * np.eye(ts.size) + forcing_gram(model, ts)
     return np.linalg.solve(system, y_tilde)
@@ -490,18 +483,17 @@ class TestFitBatch:
         rows = np.cos(ts) ** 2 + rng.normal(0, 1e-3, (5, ts.size))
         models = [_taylor_model(M, f, 2 * 15 * 1e-6)
                   for f in (0.5, 1.0, 2.0, 4.0, 8.0)]
-        fits = fit_batch(models, MeasurementSeries(timepoints=ts, values=rows))
+        fits = fit_batch(models, ts, rows)
         for f, model, row in zip(fits, models, rows):
-            series = MeasurementSeries(timepoints=ts, values=row)
             assert f.model is model
-            assert f.beta.tobytes() == _single_fit_beta(model, series).tobytes()
+            assert f.beta.tobytes() == _single_fit_beta(model, ts, row).tobytes()
 
     def test_single_row_batch_equals_a_separate_fit(self):
         series = toy_series(15, theta=1e-3, seed=1)
         model = toy_model(q=2.0, r=1e5)
-        [f] = fit_batch([model], series)
-        assert f.beta.tobytes() == _single_fit_beta(model, series).tobytes()
-        assert fit(model, series).beta.tobytes() == f.beta.tobytes()
+        [f] = fit_batch([model], *series)
+        assert f.beta.tobytes() == _single_fit_beta(model, *series).tobytes()
+        assert fit(model, *series).beta.tobytes() == f.beta.tobytes()
 
     def test_budgets_share_one_series(self):
         # the minimax demo's three budgets fit one 1-D series
@@ -509,9 +501,9 @@ class TestFitBatch:
         eta0 = 2 * 15 * 1e-6
         models = [EstimatorModel(X_IN, TAU, NoiseBudget(1.0, eta))
                   for eta in (10 * eta0, eta0, 0.1 * eta0)]
-        fits = fit_batch(models, series)
+        fits = fit_batch(models, *series)
         for f, model in zip(fits, models):
-            assert f.beta.tobytes() == _single_fit_beta(model, series).tobytes()
+            assert f.beta.tobytes() == _single_fit_beta(model, *series).tobytes()
 
     def test_one_gram_per_batch(self, monkeypatch):
         from superkrylov import minimax
@@ -520,35 +512,33 @@ class TestFitBatch:
         gram = minimax.forcing_gram
         monkeypatch.setattr(minimax, "forcing_gram",
                             lambda *args: calls.append(args) or gram(*args))
-        series = toy_series(15)
-        fit_batch([toy_model(q=q) for q in (1.0, 2.0, 3.0)], series)
+        fit_batch([toy_model(q=q) for q in (1.0, 2.0, 3.0)], *toy_series(15))
         assert len(calls) == 1
 
     def test_models_must_share_the_order(self):
         series = toy_series(10)
         order4 = EstimatorModel(np.append(X_IN, 0.0), TAU, toy_model().budget)
         with pytest.raises(InvalidInput, match="order M"):
-            fit_batch([toy_model(), order4], series)
+            fit_batch([toy_model(), order4], *series)
         with pytest.raises(InvalidInput, match="at least one model"):
-            fit_batch([], series)
+            fit_batch([], *series)
 
     def test_grid_checked_against_every_horizon(self):
         short = EstimatorModel(X_IN, 0.5 * TAU, toy_model().budget)
         with pytest.raises(InvalidInput, match="must lie below tau = 0.5"):
-            fit_batch([toy_model(), short], toy_series(6))
+            fit_batch([toy_model(), short], *toy_series(6))
 
     def test_rows_must_match_the_models(self):
         ts = toy_grid(6)
         rows = np.ones((3, ts.size))
         with pytest.raises(InvalidInput, match="3 data rows for 2 models"):
-            fit_batch([toy_model(), toy_model()],
-                      MeasurementSeries(timepoints=ts, values=rows))
+            fit_batch([toy_model(), toy_model()], ts, rows)
 
 
 class TestEvaluationMemo:
     @pytest.fixture
     def fitted(self):
-        return fit(toy_model(), toy_series(15, theta=1e-3, seed=4))
+        return fit(toy_model(), *toy_series(15, theta=1e-3, seed=4))
 
     @pytest.mark.parametrize("component", [0, 1, 2])
     def test_memo_hit_equals_a_fresh_computation(self, fitted, component):

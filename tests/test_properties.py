@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from superkrylov import (
     EstimatorModel,
-    MeasurementSeries,
     NoiseBudget,
     PauliHamiltonian,
     PauliString,
@@ -161,7 +160,7 @@ def test_certificate_bounds_error_inside_budget(M, D, x_in, c, eta, log_bounds,
                            / factorial(j + M - order) for j in k)
 
     model = EstimatorModel(x_in, tau, NoiseBudget(f_bound, eta_bound))
-    f = fit(model, MeasurementSeries(timepoints=ts, values=taylor(ts, 0) + eta))
+    f = fit(model, ts, taylor(ts, 0) + eta)
     t = tau * t_frac / 64
     err = abs(evaluate_x1(f, t) - taylor(t, 1))
     assert error_certificate(model, ts, t, 1) >= err * (1 - 1e-9)

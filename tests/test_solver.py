@@ -9,7 +9,6 @@ from superkrylov import (
     HamiltonianClass,
     InvalidInput,
     KrylovPair,
-    MeasurementSeries,
     MinimaxFit,
     NoiseBudget,
     PauliHamiltonian,
@@ -29,6 +28,7 @@ from superkrylov import (
     evaluate_component,
     estimated_eta_norm_sq,
     fit,
+    fit_batch,
     ground_energy,
     heisenberg_chain,
     measure_series,
@@ -131,12 +131,12 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
     delta_t = 0.15 * t_star
     tau = 1.5 * (t_star + delta_t)
     grid = sample_grid(t_star, delta_t, D)
-    series = measure_series(spec, v, 0, gap, grid, theta, seed=seed)
+    y = measure_series(spec, v, 0, gap, grid, theta, seed=seed)
     x_in = np.array([1.0, 0.0, recovery_derivative(spec, v, 0, gap, 0.0, 2)])
     f_norm = forcing_norm_sq(spec, v, 0, gap, tau, order=3)
     eta = 2 * D * theta**2
     model = EstimatorModel(x_in, tau, NoiseBudget(f_norm, eta))
-    return fit(model, series)
+    return fit(model, grid, y)
 
 
 class TestToeplitzPair:
@@ -420,6 +420,12 @@ BAD_INPUT_CASES = {
     "measure_series with theta < 0": (
         "theta = -0.001 must be nonnegative",
         lambda s, v, t: measure_series(s, v, 0, 1, [0.1, 0.2], -1e-3)),
+    "measure_series on a decreasing grid": (
+        "strictly increasing",
+        lambda s, v, t: measure_series(s, v, 0, 1, [0.3, 0.2], 0.0)),
+    "measure_series at a scalar time": (
+        "need a 1-D grid with D >= 2",
+        lambda s, v, t: measure_series(s, v, 0, 1, 0.3, 0.0)),
     "estimated_eta_norm_sq with theta = nan": (
         "theta = nan must be nonnegative and finite",
         lambda s, v, t: estimated_eta_norm_sq(5, NAN)),
@@ -555,9 +561,18 @@ BAD_INPUT_CASES = {
         "component True must be an integer",
         lambda s, v, t: [error_certificate(f.model, f.timepoints, t, True)
                          for f in [_fit_for_gap(s, v, 1, t, D=10)]]),
-    "MeasurementSeries on a decreasing grid": (
+    "fit on a decreasing grid": (
         "strictly increasing",
-        lambda s, v, t: MeasurementSeries(timepoints=[0.3, 0.2], values=[1.0, 1.0])),
+        lambda s, v, t: fit(_model(), [0.3, 0.2], [1.0, 1.0])),
+    "fit_batch with values of the wrong length": (
+        r"need a 1-D grid with D >= 2 and values of shape \(D,\) or \(k, D\)",
+        lambda s, v, t: fit_batch([_model()], [0.1, 0.2, 0.3], [1.0, 1.0])),
+    "fit_batch with a nan value": (
+        "measurement values must be finite",
+        lambda s, v, t: fit_batch([_model()], [0.1, 0.2], [1.0, NAN])),
+    "fit_batch on a one-point grid": (
+        "need a 1-D grid with D >= 2",
+        lambda s, v, t: fit_batch([_model()], [0.1], [1.0])),
     "ground_energy of a generic Hamiltonian": (
         "no ground-energy rule for generic",
         lambda s, v, t: ground_energy(_result([-1.0]), HamiltonianClass.GENERIC)),
@@ -623,7 +638,6 @@ def _model():
 # every frozen record that holds an array
 ARRAY_RECORDS = {
     SpectralDecomposition: lambda: SpectralDecomposition(np.array([-1.0, 1.0])),
-    MeasurementSeries: lambda: MeasurementSeries([0.1, 0.2], [0.5, 0.4]),
     EstimatorModel: _model,
     MinimaxFit: lambda: MinimaxFit([0.1, 0.2], _model(), [0.1, 0.2]),
     KrylovPair: lambda: KrylovPair(r=[1.0, 0.5], a=[0.0, 0.2]),
