@@ -13,7 +13,7 @@ import superkrylov as sk
 ham = sk.heisenberg_chain(6, seed=42)
 spec = sk.eigendecompose(sk.assemble_dense(ham))
 lam0, lam_top = spec.eigenvalues[0], spec.eigenvalues[-1]
-t_star = sk.choose_timestep(2 * spec.spectral_width)
+t_star = sk.choose_timestep(spec)
 
 print(f"exact ground energy   {lam0:+.8f}")
 print(f"known top energy      {ham.top_energy:+.8f}")

@@ -20,7 +20,7 @@ grid = sk.sample_grid(T_STAR, DELTA_T, D)
 y = sk.measure_series(spec, v, 0, 1, grid, THETA, seed=7)
 
 x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, 1, 0.0, 2)])
-f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TAU, order=3)
+f_norm = sk.forcing_norm_sq(spec, v, 0, 1, TAU, order=len(x_in))
 eta0 = sk.estimated_eta_norm_sq(D, THETA)
 
 print(f"signal curvature at 0  {x_in[2]:+.4f}  (exactly -2 for cos^2)")

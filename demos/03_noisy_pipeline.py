@@ -17,7 +17,7 @@ ham = sk.heisenberg_chain(6, seed=42)
 spec = sk.eigendecompose(sk.assemble_dense(ham))
 v = sk.build_initial_state(spec, GAMMA0)
 lam0 = spec.eigenvalues[0]
-t_star = sk.choose_timestep(2 * spec.spectral_width)
+t_star = sk.choose_timestep(spec)
 delta_t = 0.15 * t_star
 tau = 1.5 * (t_star + delta_t)
 grid = sk.sample_grid(t_star, delta_t, D)
@@ -27,7 +27,7 @@ for gap in range(1, M_MAX):
     y = sk.measure_series(spec, v, 0, gap, grid, THETA, seed=1000 + gap)
     x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, gap, 0.0, 2)])
     budget = sk.NoiseBudget(
-        sk.forcing_norm_sq(spec, v, 0, gap, tau, order=3),
+        sk.forcing_norm_sq(spec, v, 0, gap, tau, order=len(x_in)),
         sk.estimated_eta_norm_sq(D, THETA),
     )
     model = sk.EstimatorModel(x_in, tau, budget)

@@ -132,17 +132,6 @@ def _check_natural(what: str, *values):
         raise InvalidInput(f"{what} must be nonnegative integers")
 
 
-def _check_entry(spec, v, j: int, k: int, t) -> bool:
-    """Check the indices; True for a diagonal entry (j == k), which carries
-    no dynamics, once its time and state have passed the checks every
-    other entry gets on its way to the oracle."""
-    _check_natural("Krylov indices", j, k)
-    if j == k:
-        _check_times(t)
-        _check_state(spec, v)
-    return j == k
-
-
 def eigenbasis_weights(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     """Populations w_p = |v_p|^2 of the amplitude vector v."""
     return np.abs(_check_state(spec, v)) ** 2
@@ -215,14 +204,16 @@ def recovery_probability(spec, v, j: int, k: int, t):
 def recovery_derivative(spec, v, j: int, k: int, t, order: int):
     """R_jk^(order)(t) = (k-j)^order F^(order)((k-j) t), a float for a scalar
     t, else an array over t; a diagonal entry is exactly 1 at order 0 and
-    +0.0 above it, with no kernel call."""
-    diagonal = _check_entry(spec, v, j, k, t)
+    +0.0 above it, with no kernel call, once it has passed every check."""
+    _check_natural("Krylov indices", j, k)
     _check_natural("derivative orders", order)
-    s = (k - j) * np.atleast_1d(np.asarray(t, dtype=float))
-    if diagonal:
+    w = eigenbasis_weights(spec, v)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    _check_times(ts)  # before scaling, as 0 * inf warns
+    s = (k - j) * ts
+    if j == k:
         values = np.full(s.shape, float(order == 0))
     else:
-        w = eigenbasis_weights(spec, v)
         values = (k - j) ** order * _F(spec.eigenvalues, w, s, (order,))[0]
     return float(values[0]) if np.ndim(t) == 0 else values
 
@@ -234,9 +225,8 @@ def exact_J_entry(spec, v, j: int, k: int, t: float) -> complex:
     exactly imaginary, and the index swap gives J_kj = conj(J_jk) = -J_jk
     and J_jj = 0.
     """
-    if _check_entry(spec, v, j, k, t):
-        return 0j
-    return complex(0.0, -recovery_derivative(spec, v, j, k, t, 1) / (j - k))
+    slope = recovery_derivative(spec, v, j, k, t, 1)
+    return 0j if j == k else complex(0.0, -slope / (j - k))
 
 
 def build_initial_state(spec: SpectralDecomposition, gamma0: float) -> np.ndarray:

@@ -287,8 +287,7 @@ def build_context(config: ExperimentConfig) -> PipelineContext:
     spec = SpectralDecomposition(eigenvalues=_factored_spectrum(factors))
     lam0 = float(spec.eigenvalues[0])
     spec, v = spectral_measure(spec, build_initial_state(spec, config.gamma0))
-    width_j = 2.0 * spec.spectral_width
-    t_star = choose_timestep(width_j)
+    t_star = choose_timestep(spec)
     delta_t = config.delta_t_fraction * t_star
     tau = 1.5 * (t_star + delta_t)
     return PipelineContext(

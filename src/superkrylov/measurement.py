@@ -21,11 +21,9 @@ from ._cache import content_cache
 from .dynamics import (
     SpectralDecomposition,
     _F,
-    _check_entry,
     _check_natural,
     _is_integer,
     eigenbasis_weights,
-    recovery_derivative,
     recovery_probability,
 )
 from .errors import InvalidInput
@@ -192,19 +190,21 @@ def forcing_norm_sq(
     on panels of width tau / P, P = ceil(tau W / PANEL_PHASE) (1 whenever
     delta_t < t*).  A table's length is rounded up to a power of two, so
     the gaps up to g share ceil(log2 g) + 1 tables with every theta and
-    trial.  A diagonal entry (g = 0) is exactly tau for order 0, else 0.
-    A norm beyond the float range raises InvalidInput.
+    trial.  A diagonal entry (g = 0), checked like any other, is exactly
+    tau for order 0, else 0.  A norm past the float range raises InvalidInput.
     """
     if not 0 < tau < np.inf:  # a NaN fails this too
         raise InvalidInput(f"tau = {tau} must be positive and finite")
-    if _check_entry(spec, v, j, k, tau):
-        return tau * recovery_derivative(spec, v, j, k, 0.0, order) ** 2
+    _check_natural("Krylov indices", j, k)
     _check_natural("derivative orders", order)
+    w = eigenbasis_weights(spec, v)
+    if j == k:
+        return float(tau) if order == 0 else 0.0
     g, order = abs(int(k) - int(j)), int(order)
     per_unit = max(1, math.ceil(tau * spec.spectral_width / PANEL_PHASE))
     count = g * per_unit
     sums = _panel_table(np.asarray(spec.eigenvalues, dtype=float),
-                        np.asarray(eigenbasis_weights(spec, v), dtype=float),
+                        np.asarray(w, dtype=float),
                         tau / per_unit, order, 1 << (count - 1).bit_length())
     try:  # the int g^(2 order - 1) itself may exceed the float range
         norm_sq = g ** (2 * order - 1) * float(sums[count - 1])

@@ -180,30 +180,28 @@ def ground_energy(result: RitzResult, class_tag: HamiltonianClass,
     raise InvalidInput("no ground-energy rule for generic Hamiltonians")
 
 
-def choose_timestep(spectral_width: float) -> float:
-    """Krylov timestep t* = pi / width of the commutator spectrum.
-
-    The commutator spectrum spans [-(lam_max - lam_min), lam_max - lam_min],
-    so pass spectral_width = 2 (lam_max - lam_min).
-    """
-    if not 0 < spectral_width < np.inf:
-        raise InvalidInput(f"commutator spectrum width {spectral_width} "
+def choose_timestep(spec: SpectralDecomposition) -> float:
+    """Krylov timestep t* = pi / (2 W), W = ``spec.spectral_width``: the
+    commutator spectrum of H spans [-W, W], W = lam_max - lam_min."""
+    width = 2.0 * spec.spectral_width
+    if not 0 < width < np.inf:
+        raise InvalidInput(f"commutator spectrum width {width} "
                            "must be positive and finite")
-    return float(np.pi / spectral_width)
+    return float(np.pi / width)
 
 
 def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
                j_spectral_norm: float) -> float:
     """Unitless perturbation size omega of an estimated pair.
 
-    omega = ||R_hat - R||_2 + ||J_hat - J||_2 / ||J||_2, where the
-    commutator norm ||J||_2 = 2 (lam_max - lam_min) is supplied by the
-    caller (the simulator knows it exactly).  Both norms are found in real
-    arithmetic by eigvalsh, without the SVD that norm(ord=2) runs: the
-    difference of R is real symmetric, so its norm is its largest
-    |eigenvalue|; the difference of J is i dA with dA real antisymmetric,
-    so its norm is that of dA, the square root of the largest eigenvalue
-    of dA^T dA.
+    omega = ||R_hat - R||_2 + ||J_hat - J||_2 / j_spectral_norm.  The
+    runners pass 2 W, W = lam_max - lam_min, the width of the commutator
+    spectrum [-W, W], so their J term is half of one scaled by its norm W.
+    Both norms are found in real arithmetic by eigvalsh, without the SVD
+    that norm(ord=2) runs: the difference of R is real symmetric, so its
+    norm is its largest |eigenvalue|; the difference of J is i dA with dA
+    real antisymmetric, so its norm is that of dA, the square root of the
+    largest eigenvalue of dA^T dA.
     """
     if pair_estimated.m != pair_exact.m:
         raise InvalidInput(f"pairs of Krylov dimensions {pair_estimated.m} and "

@@ -231,7 +231,7 @@ def test_criterion_08_noise_free_end_to_end():
     ham = sk.heisenberg_chain(6, seed=42)
     spec = sk.eigendecompose(sk.assemble_dense(ham))
     lam0 = float(spec.eigenvalues[0])
-    t_star = sk.choose_timestep(2 * spec.spectral_width)
+    t_star = sk.choose_timestep(spec)
 
     def error_curve(gamma0, m_max=40):
         v = sk.build_initial_state(spec, gamma0)

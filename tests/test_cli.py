@@ -87,6 +87,14 @@ class TestConfigParsing:
         path.write_text(_config_text("M = 99\n"))
         assert parse_config(str(path)).M == 99
 
+    def test_line_without_equals_sign(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text("n = 4\nmodel heisenberg\n")
+        with pytest.raises(ConfigParse, match=r":2: expected 'key = value'"):
+            parse_config(str(path))
+        assert main(["gram", "--config", str(path)]) == 2
+        assert ":2: expected 'key = value'" in capsys.readouterr().err
+
     def test_repeated_key(self, tmp_path):
         # the second value used to override the first without a word
         path = tmp_path / "cfg.txt"

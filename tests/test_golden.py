@@ -1,7 +1,8 @@
-"""The benchmark's three workload configs, copied into ``tests/golden``,
-must reproduce the CSVs ``tests/golden/make.py`` wrote for them: integer
-columns exactly, every real column to a relative 1e-12, so a zero stays
-zero.  A failure names the file, the column and its largest deviation."""
+"""Each config in ``tests/golden`` (the benchmark's three workloads and the
+four-site chain at M = 3) must reproduce every CSV
+``tests/golden/make.py`` wrote for it: integer and string columns exactly,
+every real column to a relative 1e-12, so a zero stays zero.  A failure
+names the file, the column and its largest deviation."""
 
 import csv
 
@@ -10,7 +11,7 @@ import pytest
 
 from golden.make import COMMANDS, HERE, run
 
-INTEGER_COLUMNS = {"m", "trial", "kept_dim", "D"}
+EXACT_COLUMNS = {"m", "trial", "kept_dim", "D", "row", "col", "source"}
 RTOL = 1e-12
 
 
@@ -29,16 +30,20 @@ def _relative_deviation(got, want):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_workload_reproduces_its_golden_csv(name, tmp_path):
-    golden = HERE / f"{name}.csv"
-    header, rows, want = _columns(golden)
-    *shape, got = _columns(run(name, str(tmp_path)))
-    assert shape == [header, rows], golden.name
-    for column in header:
-        if column in INTEGER_COLUMNS:
-            assert got[column] == want[column], f"{golden.name}: {column} differs"
-            continue
-        deviation = _relative_deviation(got[column], want[column])
-        worst = int(np.argmax(deviation))
-        assert deviation[worst] <= RTOL, (
-            f"{golden.name}: {column} deviates by a relative "
-            f"{deviation[worst]:.3g} at data row {worst + 1}")
+    written = {path.name: path for path in run(name, str(tmp_path))}
+    goldens = sorted((HERE / name).glob("*.csv"))
+    assert sorted(written) == [golden.name for golden in goldens], name
+    for golden in goldens:
+        label = f"{name}/{golden.name}"
+        header, rows, want = _columns(golden)
+        *shape, got = _columns(written[golden.name])
+        assert shape == [header, rows], label
+        for column in header:
+            if column in EXACT_COLUMNS:
+                assert got[column] == want[column], f"{label}: {column} differs"
+                continue
+            deviation = _relative_deviation(got[column], want[column])
+            worst = int(np.argmax(deviation))
+            assert deviation[worst] <= RTOL, (
+                f"{label}: {column} deviates by a relative "
+                f"{deviation[worst]:.3g} at data row {worst + 1}")

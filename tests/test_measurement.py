@@ -182,6 +182,12 @@ class TestForcingNorm:
         val = forcing_norm_sq(spec, v, 0, 1, tau, order=3)
         assert abs(val - (8 * tau - 2 * np.sin(4 * tau))) < 1e-10
 
+    def test_diagonal_entry_is_tau_then_zero(self, toy):
+        # R_jj = 1, so its norm over [0, tau] is tau at order 0, else +0.0
+        spec, v = toy
+        got = [forcing_norm_sq(spec, v, 2, 2, 0.7, order=p) for p in (0, 1, 3)]
+        assert list(map(repr, got)) == ["0.7", "0.0", "0.0"]
+
     def test_negative_index_rejected(self, toy):
         spec, v = toy
         with pytest.raises(InvalidInput, match="Krylov indices must be nonnegative"):
@@ -242,7 +248,7 @@ def test_forcing_norm_exact_at_high_gaps(chain6, gap, delta_t_fraction, order):
     # the integrand's frequencies reach 2 * gap * W, so a rule sized for
     # gap 1 misses the high gaps unless it scales with the gap
     spec, v = chain6
-    t_star = choose_timestep(2 * spec.spectral_width)
+    t_star = choose_timestep(spec)
     tau = 1.5 * (1 + delta_t_fraction) * t_star
     got = forcing_norm_sq(spec, v, 0, gap, tau, order=order)
     want = _reference_norm_sq(spec, v, gap, tau, order)

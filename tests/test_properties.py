@@ -118,7 +118,7 @@ def test_noise_free_ritz_values_are_antisymmetric(ham, m):
     spec = eigendecompose(assemble_dense(ham))
     assume(spec.spectral_width > 1e-2)
     v = build_initial_state(spec, 0.25)
-    pair = assemble_pair_exact(spec, v, m, choose_timestep(2 * spec.spectral_width))
+    pair = assemble_pair_exact(spec, v, m, choose_timestep(spec))
     ritz = threshold_solve(pair, 1e-8).ritz_values
     scale = max(1.0, np.max(np.abs(ritz)))
     np.testing.assert_allclose(ritz, -ritz[::-1], rtol=0, atol=1e-10 * scale)

@@ -55,7 +55,7 @@ def chain():
     ham = heisenberg_chain(4, seed=42)
     spec = eigendecompose(assemble_dense(ham))
     v = build_initial_state(spec, 0.5)
-    t_star = choose_timestep(2 * spec.spectral_width)
+    t_star = choose_timestep(spec)
     return ham, spec, v, t_star
 
 
@@ -309,7 +309,7 @@ class TestGroundEnergy:
         ham = build_heisenberg(2, {(0, 1): 1.0})
         spec = eigendecompose(assemble_dense(ham))
         v = build_initial_state(spec, 0.5)
-        t_star = choose_timestep(2 * spec.spectral_width)
+        t_star = choose_timestep(spec)
         assert abs(t_star - np.pi / 8) < 1e-14
         pair = assemble_pair_exact(spec, v, 6, t_star)
         res = threshold_solve(pair, 1e-12 * 6)
@@ -325,11 +325,22 @@ def _result(vals):
 
 class TestTimestepAndNoiseRate:
     def test_timestep_formula(self):
-        assert choose_timestep(2 * np.pi) == 0.5
+        assert choose_timestep(SpectralDecomposition(np.array([0.0, np.pi]))) == 0.5
+
+    def test_timestep_is_pi_over_twice_the_spectral_width(self, chain):
+        _, spec, _, t_star = chain
+        assert t_star == choose_timestep(spec) == np.pi / (2 * spec.spectral_width)
+
+    def test_width_argument_rejected(self, chain):
+        # a float was the old convention, twice the spectral width; it must
+        # fail, not give a timestep
+        width = 2 * chain[1].spectral_width
+        with pytest.raises(AttributeError, match="spectral_width"):
+            choose_timestep(width)
 
     def test_zero_width(self):
         with pytest.raises(InvalidInput, match="width 0.0 must be positive and finite"):
-            choose_timestep(0.0)
+            choose_timestep(SpectralDecomposition(np.array([1.0, 1.0])))
 
     def test_identical_pairs_zero_rate(self, chain):
         _, spec, v, t_star = chain
@@ -510,7 +521,7 @@ BAD_INPUT_CASES = {
                          for c in (1, 1.0)]),
     "choose_timestep with width = nan": (
         "width nan must be positive and finite",
-        lambda s, v, t: choose_timestep(NAN)),
+        lambda s, v, t: choose_timestep(SpectralDecomposition(np.r_[0.0, NAN]))),
     "noise_rate with norm = nan": (
         "j_spectral_norm = nan must be positive",
         lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), NAN)),
@@ -598,6 +609,26 @@ BAD_INPUT_CASES = {
     "heisenberg_chain with n = 2.0": (
         "n = 2.0 must be an integer >= 2",
         lambda s, v, t: heisenberg_chain(2.0)),
+    "PauliString with coefficient = nan": (
+        "coefficient nan must be finite",
+        lambda s, v, t: PauliString("X", NAN)),
+    "PauliHamiltonian with a label of the wrong length": (
+        "label 'X' does not match n_qubits=2",
+        lambda s, v, t: PauliHamiltonian(2, (PauliString("X", 1.0),))),
+    "build_bipartite with an edge vertex out of range": (
+        r"edge vertex out of range: \(0,2\)",
+        lambda s, v, t: build_bipartite(1, {(0, 2): 1.0}, {}, {})),
+    "build_bipartite with a field vertex out of range": (
+        "field vertex 2 out of range",
+        lambda s, v, t: build_bipartite(1, {}, {}, {2: 1.0})),
+    "fit on a negative timepoint": (
+        "timepoints must be nonnegative",
+        lambda s, v, t: fit(_model(), [-0.1, 0.2], [1.0, 1.0])),
+    # the rest of the weight, 1 - 2 gamma0, needs a level between the two
+    "build_initial_state with gamma0 < 0.5 on two levels": (
+        "gamma0 < 0.5 needs interior eigenvectors",
+        lambda s, v, t: build_initial_state(
+            SpectralDecomposition(np.array([-1.0, 1.0])), 0.25)),
     # R = |f_0|^2 of a state off the unit sphere is no probability, and a
     # NaN amplitude would give a NaN R
     "recovery_probability with a nan entry": (
@@ -612,6 +643,13 @@ BAD_INPUT_CASES = {
     "forcing_norm_sq with |v|^2 = 1 + 1e-9": (
         r"\|v\|\^2 = 1, not 1.00000000",
         lambda s, v, t: forcing_norm_sq(s, v * (1 + 5e-10), 0, 1, 0.5, order=3)),
+    # a diagonal entry checks its state as an off-diagonal one does
+    "forcing_norm_sq with a row state": (
+        r"state of shape \(1, 16\) must be \(16,\)",
+        lambda s, v, t: forcing_norm_sq(s, v[None, :], 0, 1, 0.5, order=3)),
+    "forcing_norm_sq on the diagonal with a row state": (
+        r"state of shape \(1, 16\) must be \(16,\)",
+        lambda s, v, t: forcing_norm_sq(s, v[None, :], 1, 1, 0.5, order=3)),
     "ground_energy with top_energy = nan": (
         "needs a finite top_energy, not nan",
         lambda s, v, t: ground_energy(
