@@ -26,7 +26,7 @@ for gamma0 in (0.05, 0.25, 0.5):
     for m in (2, 5, 10, 20, 30, 40):
         pair = sk.assemble_pair_exact(spec, v, m, t_star)
         result = sk.threshold_solve(pair, 1e-12 * m)
-        estimate = sk.ground_energy(result, ham.class_tag, ham.top_energy)
+        estimate = sk.ground_energy(result, ham)
         rel = abs(estimate - lam0) / abs(lam0)
         print(f"  m = {m:3d}   estimate = {estimate:+.8f}   "
               f"rel error = {rel:.2e}   kept = {result.kept_dim}")

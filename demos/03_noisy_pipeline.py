@@ -33,15 +33,14 @@ for gap in range(1, M_MAX):
     model = sk.EstimatorModel(x_in, tau, budget)
     fits.append(sk.fit(model, grid, y))
 
-j_norm = 2 * spec.spectral_width
 print(f"theta = {THETA}, D = {D}, gamma0 = {GAMMA0}")
 print(f"{'m':>4} {'estimate':>12} {'rel error':>10} {'omega':>9} {'kept':>5}")
 for m in (2, 5, 10, 15, 20):
     pair = sk.assemble_pair_minimax(fits[:m - 1], t_star)
     exact = sk.assemble_pair_exact(spec, v, m, t_star)
-    omega = sk.noise_rate(pair, exact, j_norm)
+    omega = sk.noise_rate(pair, exact, spec)
     result = sk.threshold_solve(pair, m * THETA)
-    estimate = sk.ground_energy(result, ham.class_tag, ham.top_energy)
+    estimate = sk.ground_energy(result, ham)
     rel = abs(estimate - lam0) / abs(lam0)
     print(f"{m:>4} {estimate:>12.6f} {rel:>10.2e} {omega:>9.2e} "
           f"{result.kept_dim:>5}")

@@ -5,7 +5,7 @@ every gap, noise level and trial of a sweep reads the same forcing-norm
 panel tables (``measurement``) and kernel overlaps (``minimax``): a
 ``convergence`` sweep ceil(log2(m_max - 1)) + 1 tables and three overlap
 arrays (the grid's forcing Gram and the representers of components 0 and
-1 at t*), ``deriv-scaling`` one table and two overlap arrays per D.
+1 at t*), ``deriv-scaling`` one table in all and two overlap arrays per D.
 ``content_cache`` memoizes them by content:
 
 * an array argument is keyed by its dtype, shape and bytes, so an int64

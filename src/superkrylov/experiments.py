@@ -71,7 +71,6 @@ from .minimax import (
 )
 from .pauli import (
     MAX_QUBITS_DENSE,
-    HamiltonianClass,
     PauliHamiltonian,
     assemble_dense,
     build_bipartite,
@@ -236,20 +235,24 @@ class PipelineContext:
     measure (``dynamics.spectral_measure``): ``spec`` holds one eigenvalue
     per distinct level of H, and ``v``, the state's amplitude vector over
     that eigenbasis, the square roots of its weight on each level, so
-    ``spec.dim`` counts levels, not states.  ``lam0`` is the lowest
-    eigenvalue of H itself.  ``factor_qubits`` is the qubit count of each
+    ``spec.dim`` counts levels, not states.  ``ham`` is H and ``lam0`` its
+    lowest eigenvalue.  ``factor_qubits`` is the qubit count of each
     qubit-disjoint factor H was diagonalized by, in order.
     """
 
     spec: SpectralDecomposition
     v: np.ndarray
+    ham: PauliHamiltonian
     lam0: float
-    class_tag: HamiltonianClass
-    top_energy: float | None
     t_star: float
     delta_t: float
     tau: float
     factor_qubits: tuple[int, ...]
+
+    @property
+    def top_energy(self) -> float | None:
+        """H's known top energy, read by ``perfbench/make_reference.py``."""
+        return self.ham.top_energy
 
 
 def _hamiltonian(config: ExperimentConfig) -> PauliHamiltonian:
@@ -291,10 +294,8 @@ def build_context(config: ExperimentConfig) -> PipelineContext:
     delta_t = config.delta_t_fraction * t_star
     tau = 1.5 * (t_star + delta_t)
     return PipelineContext(
-        spec=spec, v=v, lam0=lam0,
-        class_tag=ham.class_tag, top_energy=ham.top_energy,
-        t_star=t_star, delta_t=delta_t, tau=tau,
-        factor_qubits=tuple(part.n_qubits for part in factors),
+        spec=spec, v=v, ham=ham, lam0=lam0, t_star=t_star, delta_t=delta_t,
+        tau=tau, factor_qubits=tuple(part.n_qubits for part in factors),
     )
 
 
@@ -400,7 +401,6 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
     exact_pairs = {m: exact_full.leading(m) for m in config.m_values}
     exact = (_exact_data(ctx, config.D, range(1, m_max), _initial_condition(ctx, config))
              if max(config.theta_values) > 0 else None)
-    j_norm = 2.0 * ctx.spec.spectral_width
     m_values = sorted(config.m_values)
     rows = []
     for theta in config.theta_values:
@@ -416,10 +416,9 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
                         pair, omega = exact_pairs[m], 0.0
                         if theta > 0.0:
                             pair = assemble_pair_minimax(fits[:m - 1], ctx.t_star)
-                            omega = noise_rate(pair, exact_pairs[m], j_norm)
+                            omega = noise_rate(pair, exact_pairs[m], ctx.spec)
                         result = threshold_solve(pair, _eps(config, m, theta))
-                        estimate = ground_energy(result, ctx.class_tag,
-                                                 top_energy=ctx.top_energy)
+                        estimate = ground_energy(result, ctx.ham)
                     rel_error = abs(estimate - ctx.lam0) / abs(ctx.lam0)
                     solved.append((result.ground_gap, estimate, rel_error,
                                    omega, result.kept_dim))

@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .errors import AllModesThresholded, InvalidInput, SingularSystem
 from .minimax import evaluate_x0, evaluate_x1
-from .pauli import HamiltonianClass
+from .pauli import HamiltonianClass, PauliHamiltonian
 
 
 def _toeplitz(row: np.ndarray, antisymmetric: bool = False) -> np.ndarray:
@@ -162,41 +162,43 @@ def threshold_solve(pair: KrylovPair, eps: float) -> RitzResult:
     return RitzResult(ritz_values=ritz, kept_dim=int(keep.sum()))
 
 
-def ground_energy(result: RitzResult, class_tag: HamiltonianClass,
-                  top_energy: float | None = None) -> float:
-    """Ground energy from the lowest Ritz value.
-
-    Known-top Hamiltonians shift by the top energy; symmetric-spectrum
-    Hamiltonians halve the gap (the top is minus the ground energy).
-    """
-    d0 = result.ground_gap
-    if class_tag is HamiltonianClass.CLASS1_KNOWN_TOP:
-        if top_energy is None or not np.isfinite(top_energy):
+def ground_energy(result: RitzResult, ham: PauliHamiltonian) -> float:
+    """Ground energy of ``ham`` from the lowest Ritz value: a known-top H
+    shifts by its ``top_energy``, a symmetric-spectrum H halves the gap."""
+    d0, top = result.ground_gap, ham.top_energy
+    if ham.class_tag is HamiltonianClass.CLASS1_KNOWN_TOP:
+        if top is None or not np.isfinite(top):
             raise InvalidInput("known-top post-processing needs a finite "
-                               f"top_energy, not {top_energy}")
-        return d0 + top_energy
-    if class_tag is HamiltonianClass.CLASS2_SYMMETRIC:
+                               f"top_energy, not {top}")
+        return d0 + top
+    if ham.class_tag is HamiltonianClass.CLASS2_SYMMETRIC:
         return d0 / 2.0
     raise InvalidInput("no ground-energy rule for generic Hamiltonians")
 
 
-def choose_timestep(spec: SpectralDecomposition) -> float:
-    """Krylov timestep t* = pi / (2 W), W = ``spec.spectral_width``: the
-    commutator spectrum of H spans [-W, W], W = lam_max - lam_min."""
+def _commutator_width(spec: SpectralDecomposition) -> float:
+    """2 W, W = ``spec.spectral_width`` = lam_max - lam_min: the commutator
+    spectrum of H spans [-W, W]."""
     width = 2.0 * spec.spectral_width
     if not 0 < width < np.inf:
         raise InvalidInput(f"commutator spectrum width {width} "
                            "must be positive and finite")
-    return float(np.pi / width)
+    return width
+
+
+def choose_timestep(spec: SpectralDecomposition) -> float:
+    """Krylov timestep t* = pi / (2 W) (``_commutator_width``)."""
+    return float(np.pi / _commutator_width(spec))
 
 
 def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
-               j_spectral_norm: float) -> float:
-    """Unitless perturbation size omega of an estimated pair.
+               spec: SpectralDecomposition) -> float:
+    """Unitless perturbation size omega of an estimated pair of ``spec``.
 
-    omega = ||R_hat - R||_2 + ||J_hat - J||_2 / j_spectral_norm.  The
-    runners pass 2 W, W = lam_max - lam_min, the width of the commutator
-    spectrum [-W, W], so their J term is half of one scaled by its norm W.
+    omega = ||R_hat - R||_2 + ||J_hat - J||_2 / (2 W), with 2 W the width
+    of the commutator spectrum [-W, W] (``_commutator_width``).  That
+    spectrum's norm is W, so the J term is half of one scaled by the norm;
+    CHANGES.md keeps this J scale as an open ``FOUND:`` line.
     Both norms are found in real arithmetic by eigvalsh, without the SVD
     that norm(ord=2) runs: the difference of R is real symmetric, so its
     norm is its largest |eigenvalue|; the difference of J is i dA with dA
@@ -206,10 +208,8 @@ def noise_rate(pair_estimated: KrylovPair, pair_exact: KrylovPair,
     if pair_estimated.m != pair_exact.m:
         raise InvalidInput(f"pairs of Krylov dimensions {pair_estimated.m} and "
                            f"{pair_exact.m} must match")
-    if not 0 < j_spectral_norm < np.inf:
-        raise InvalidInput(f"j_spectral_norm = {j_spectral_norm} must be "
-                           "positive and finite")
+    width = _commutator_width(spec)
     dR = np.linalg.eigvalsh(pair_estimated.R_hat - pair_exact.R_hat)
     dA = pair_estimated.A_hat - pair_exact.A_hat
     dJ_sq = np.linalg.eigvalsh(dA.T @ dA)[-1]
-    return float(np.max(np.abs(dR)) + np.sqrt(dJ_sq) / j_spectral_norm)
+    return float(np.max(np.abs(dR)) + np.sqrt(dJ_sq) / width)

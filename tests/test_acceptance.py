@@ -239,7 +239,7 @@ def test_criterion_08_noise_free_end_to_end():
         for m in range(2, m_max + 1):
             pair = sk.assemble_pair_exact(spec, v, m, t_star)
             res = sk.threshold_solve(pair, 1e-12 * m)
-            est = sk.ground_energy(res, ham.class_tag, ham.top_energy)
+            est = sk.ground_energy(res, ham)
             errs.append(abs(est - lam0) / abs(lam0))
         return np.array(errs)
 

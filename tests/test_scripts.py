@@ -1,9 +1,9 @@
 """The demos, the README Quick start, the CLI help and the benchmark's
 tracer self-test run against the package as it stands, each in a fresh
-interpreter; the console script's target runs in this one, and the
-README's config table is checked against the config's fields.  Sweeps in
-child processes also check that the BLAS thread count leaves the CSV
-bytes alone."""
+interpreter where a RuntimeWarning is an error, as in CI's package step;
+the console script's target runs in this one, and the README's config
+table is checked against the config's fields.  Sweeps in child processes
+also check that the BLAS thread count leaves the CSV bytes alone."""
 
 import dataclasses
 import importlib
@@ -21,7 +21,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(args, **env_overrides):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env_overrides}
+    # a numerical warning fails a child process as it fails pytest here
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "PYTHONWARNINGS": "error::RuntimeWarning", **env_overrides}
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 

@@ -33,6 +33,7 @@ from superkrylov import (
     heisenberg_chain,
     measure_series,
     noise_rate,
+    qubit_factors,
     sample_grid,
     threshold_solve,
 )
@@ -260,7 +261,7 @@ class TestThresholdSolve:
         rows[matrix][1] = bad
         exact = _pair(*chain[1:])
         for use in (lambda pair: threshold_solve(pair, 0.0),
-                    lambda pair: noise_rate(pair, exact, 1.0)):
+                    lambda pair: noise_rate(pair, exact, chain[1])):
             with pytest.raises(SingularSystem):
                 use(KrylovPair(r=rows["R_hat"], a=rows["J_hat"]))
 
@@ -294,15 +295,28 @@ class TestThresholdSolve:
 class TestGroundEnergy:
     def test_known_top_shift(self):
         res = _result([-10.0])
-        assert ground_energy(res, HamiltonianClass.CLASS1_KNOWN_TOP, 4.0) == -6.0
+        assert ground_energy(res, _ham(HamiltonianClass.CLASS1_KNOWN_TOP, 4.0)) == -6.0
 
     def test_symmetric_halving(self):
         res = _result([-3.0])
-        assert ground_energy(res, HamiltonianClass.CLASS2_SYMMETRIC) == -1.5
+        assert ground_energy(res, _ham(HamiltonianClass.CLASS2_SYMMETRIC)) == -1.5
 
     def test_missing_top_energy(self):
         with pytest.raises(InvalidInput, match="needs a finite top_energy, not None"):
-            ground_energy(_result([-1.0]), HamiltonianClass.CLASS1_KNOWN_TOP)
+            ground_energy(_result([-1.0]), _ham(HamiltonianClass.CLASS1_KNOWN_TOP))
+
+    def test_rule_read_from_the_builders(self):
+        # each builder's Hamiltonian carries its own rule: the chain adds its
+        # known top, the bipartite model halves, and a factor has no rule
+        res = _result([-10.0])
+        chain = heisenberg_chain(4, seed=42)
+        assert ground_energy(res, chain) == -10.0 + chain.top_energy
+        model = build_bipartite(2, {(0, 2): 0.7, (1, 3): 0.4}, {}, {})
+        assert ground_energy(res, model) == -5.0
+        factor = qubit_factors(model)[0]
+        assert factor.class_tag is HamiltonianClass.GENERIC
+        with pytest.raises(InvalidInput, match="no ground-energy rule for generic"):
+            ground_energy(res, factor)
 
     def test_two_qubit_chain_exact(self):
         # spectrum {-3, 1, 1, 1}: gap -4, top 1, ground -3
@@ -313,7 +327,7 @@ class TestGroundEnergy:
         assert abs(t_star - np.pi / 8) < 1e-14
         pair = assemble_pair_exact(spec, v, 6, t_star)
         res = threshold_solve(pair, 1e-12 * 6)
-        est = ground_energy(res, ham.class_tag, ham.top_energy)
+        est = ground_energy(res, ham)
         assert abs(est - (-3.0)) < 1e-8
 
 
@@ -321,6 +335,15 @@ def _result(vals):
     from superkrylov import RitzResult
 
     return RitzResult(ritz_values=np.array(vals), kept_dim=len(vals))
+
+
+def _ham(class_tag=HamiltonianClass.GENERIC, top_energy=None):
+    return PauliHamiltonian(1, (), class_tag, top_energy)
+
+
+def _width(w):
+    """A spectrum of width W = w, so noise_rate divides by exactly 2 w."""
+    return SpectralDecomposition(np.array([0.0, w]))
 
 
 class TestTimestepAndNoiseRate:
@@ -345,7 +368,7 @@ class TestTimestepAndNoiseRate:
     def test_identical_pairs_zero_rate(self, chain):
         _, spec, v, t_star = chain
         pair = assemble_pair_exact(spec, v, 4, t_star)
-        assert noise_rate(pair, pair, 1.0) == 0.0
+        assert noise_rate(pair, pair, spec) == 0.0
 
     def test_single_entry_perturbation(self, chain):
         _, spec, v, t_star = chain
@@ -356,20 +379,42 @@ class TestTimestepAndNoiseRate:
         r[3] += eps
         other = KrylovPair(r=r, a=pair.a)
         # symmetric rank-2 perturbation has spectral norm exactly eps
-        assert abs(noise_rate(other, pair, 1.0) - eps) < 1e-12
+        assert abs(noise_rate(other, pair, _width(0.5)) - eps) < 1e-12
+
+    def test_single_commutator_entry_perturbation(self, chain):
+        _, spec, v, t_star = chain
+        pair = assemble_pair_exact(spec, v, 2, t_star)
+        a = pair.a.copy()
+        a[1] += 1e-3
+        other = KrylovPair(r=pair.r, a=a)
+        delta = other.a[1] - pair.a[1]
+        # dA = [[0, delta], [-delta, 0]] has norm |delta|, and dR is zero
+        assert noise_rate(other, pair, spec) == delta / (2 * spec.spectral_width)
 
     def test_dimension_mismatch(self, chain):
         _, spec, v, t_star = chain
         a = assemble_pair_exact(spec, v, 3, t_star)
         b = assemble_pair_exact(spec, v, 4, t_star)
         with pytest.raises(InvalidInput, match="Krylov dimensions 3 and 4 must match"):
-            noise_rate(a, b, 1.0)
+            noise_rate(a, b, spec)
 
 
-def _svd_noise_rate(est, exact, j_norm):
-    """omega with both spectral norms from the SVD; ||i X||_2 = ||X||_2."""
+@pytest.mark.parametrize("width, j_norm", [(0.5, 1.0), (1.5, 3.0)])
+def test_noise_rate_divides_the_j_term_by_twice_the_width(width, j_norm):
+    # the same IEEE operations as the J norm 2 W passed as a number
+    rng = np.random.default_rng(7)
+    est, exact = _random_toeplitz_pair(rng, 6), _random_toeplitz_pair(rng, 6)
+    dA = est.A_hat - exact.A_hat
+    want = (np.max(np.abs(np.linalg.eigvalsh(est.R_hat - exact.R_hat)))
+            + np.sqrt(np.linalg.eigvalsh(dA.T @ dA)[-1]) / j_norm)
+    assert noise_rate(est, exact, _width(width)) == float(want)
+
+
+def _svd_noise_rate(est, exact, spec):
+    """omega with both spectral norms from the SVD, ||i X||_2 = ||X||_2, and
+    the J term over the commutator spectrum's width 2 W."""
     return (np.linalg.norm(est.R_hat - exact.R_hat, 2)
-            + np.linalg.norm(est.A_hat - exact.A_hat, 2) / j_norm)
+            + np.linalg.norm(est.A_hat - exact.A_hat, 2) / (2 * spec.spectral_width))
 
 
 def _random_toeplitz_pair(rng, m):
@@ -384,8 +429,8 @@ def _random_toeplitz_pair(rng, m):
 def test_noise_rate_matches_svd_norms_on_random_pairs(m):
     rng = np.random.default_rng(m)
     est, exact = _random_toeplitz_pair(rng, m), _random_toeplitz_pair(rng, m)
-    ref = _svd_noise_rate(est, exact, 3.0)
-    assert abs(noise_rate(est, exact, 3.0) - ref) <= 1e-13 * ref
+    ref = _svd_noise_rate(est, exact, _width(1.5))
+    assert abs(noise_rate(est, exact, _width(1.5)) - ref) <= 1e-13 * ref
 
 
 def test_noise_rate_matches_svd_norms_on_a_minimax_pair():
@@ -396,10 +441,9 @@ def test_noise_rate_matches_svd_norms_on_a_minimax_pair():
     fits = _fit_gaps(ctx, cfg, exact, 1e-3, 0)
     est = assemble_pair_minimax(fits, ctx.t_star)
     exact = assemble_pair_exact(ctx.spec, ctx.v, est.m, ctx.t_star)
-    j_norm = 2.0 * ctx.spec.spectral_width
-    ref = _svd_noise_rate(est, exact, j_norm)
+    ref = _svd_noise_rate(est, exact, ctx.spec)
     assert ref > 0
-    assert abs(noise_rate(est, exact, j_norm) - ref) <= 1e-13 * ref
+    assert abs(noise_rate(est, exact, ctx.spec) - ref) <= 1e-13 * ref
 
 
 NAN = float("nan")
@@ -522,12 +566,13 @@ BAD_INPUT_CASES = {
     "choose_timestep with width = nan": (
         "width nan must be positive and finite",
         lambda s, v, t: choose_timestep(SpectralDecomposition(np.r_[0.0, NAN]))),
+    # the J term's norm is the commutator width 2 W, checked as for t*
     "noise_rate with norm = nan": (
-        "j_spectral_norm = nan must be positive",
-        lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), NAN)),
+        "width nan must be positive and finite",
+        lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), _width(NAN))),
     "noise_rate with norm = 0": (
-        "j_spectral_norm = 0.0 must be positive",
-        lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), 0.0)),
+        "width 0.0 must be positive and finite",
+        lambda s, v, t: noise_rate(_pair(s, v, t), _pair(s, v, t), _width(0.0))),
     "threshold_solve with eps = nan": (
         "eps = nan must be nonnegative",
         lambda s, v, t: threshold_solve(_pair(s, v, t), NAN)),
@@ -586,7 +631,7 @@ BAD_INPUT_CASES = {
         lambda s, v, t: fit_batch([_model()], [0.1], [1.0])),
     "ground_energy of a generic Hamiltonian": (
         "no ground-energy rule for generic",
-        lambda s, v, t: ground_energy(_result([-1.0]), HamiltonianClass.GENERIC)),
+        lambda s, v, t: ground_energy(_result([-1.0]), _ham())),
     "PauliString with label XQ": (
         "Pauli label 'XQ' must be a word over IXYZ",
         lambda s, v, t: PauliString("XQ", 1.0)),
@@ -653,11 +698,11 @@ BAD_INPUT_CASES = {
     "ground_energy with top_energy = nan": (
         "needs a finite top_energy, not nan",
         lambda s, v, t: ground_energy(
-            _result([-1.0]), HamiltonianClass.CLASS1_KNOWN_TOP, NAN)),
+            _result([-1.0]), _ham(HamiltonianClass.CLASS1_KNOWN_TOP, NAN))),
     "ground_energy with top_energy = inf": (
         "needs a finite top_energy, not inf",
         lambda s, v, t: ground_energy(
-            _result([-1.0]), HamiltonianClass.CLASS1_KNOWN_TOP, np.inf)),
+            _result([-1.0]), _ham(HamiltonianClass.CLASS1_KNOWN_TOP, np.inf))),
 }
 
 
