@@ -7,8 +7,6 @@ a range of Krylov dimensions.  The noise rate omega tracks how far the
 estimated pair sits from the exact one.
 """
 
-import numpy as np
-
 import superkrylov as sk
 
 THETA, D, M_MAX, GAMMA0 = 1e-3, 15, 20, 0.25
@@ -22,15 +20,12 @@ delta_t = 0.15 * t_star
 tau = 1.5 * (t_star + delta_t)
 grid = sk.sample_grid(t_star, delta_t, D)
 
+gaps = range(1, M_MAX)
+models = sk.GapModels(spec, v, tau, M=3).models(
+    gaps, [sk.estimated_eta_norm_sq(D, THETA)])
 fits = []  # fits[g - 1] is the fit for gap g
-for gap in range(1, M_MAX):
+for gap, model in zip(gaps, models):
     y = sk.measure_series(spec, v, 0, gap, grid, THETA, seed=1000 + gap)
-    x_in = np.array([1.0, 0.0, sk.recovery_derivative(spec, v, 0, gap, 0.0, 2)])
-    budget = sk.NoiseBudget(
-        sk.forcing_norm_sq(spec, v, 0, gap, tau, order=len(x_in)),
-        sk.estimated_eta_norm_sq(D, THETA),
-    )
-    model = sk.EstimatorModel(x_in, tau, budget)
     fits.append(sk.fit(model, grid, y))
 
 print(f"theta = {THETA}, D = {D}, gamma0 = {GAMMA0}")

@@ -45,6 +45,7 @@ from .measurement import (
 )
 from .minimax import (
     EstimatorModel,
+    GapModels,
     MinimaxFit,
     error_certificate,
     evaluate_component,

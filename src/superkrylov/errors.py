@@ -13,6 +13,8 @@ three kinds:
   and the CLI exits 3.
 """
 
+import contextlib
+
 
 class SuperKrylovError(Exception):
     """Base class for all package-specific errors."""
@@ -38,3 +40,13 @@ class AllModesThresholded(SuperKrylovError, RuntimeError):
 
 class ConvergenceFailure(SuperKrylovError, RuntimeError):
     """An iterative numerical routine failed to converge."""
+
+
+@contextlib.contextmanager
+def _cell(name: str):
+    """Prefix a SuperKrylovError leaving the block with the cell's name."""
+    try:
+        yield
+    except SuperKrylovError as exc:
+        exc.args = (f"{name}: {exc}",)  # the type, so the exit code, stays
+        raise

@@ -18,8 +18,8 @@ for one family of sweeps, the ``COMMANDS`` entry of that name:
 Every runner measures and fits a list of gaps in two parts:
 ``_exact_data``, once per D, builds the D-point grid and evaluates what
 no noise level or trial changes, and ``_fit_noisy``, once per cell, adds
-the seeded noise (``measurement._noisy_series``) and fits every gap in
-one stacked ridge solve (``minimax.fit_batch``), its fits flat.
+the seeded noise (``measurement._noisy_series``) and fits the models of
+``minimax.GapModels`` in one stacked ridge solve (``fit_batch``).
 ``convergence`` and ``gram`` pass the gaps 1..m_max - 1, ``deriv-scaling``
 gap 1 on one grid per D, and ``minimax-demo`` gap 1 with three budgets.
 
@@ -30,7 +30,6 @@ with identical config and seed are byte-identical.
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
 import json
 import os
@@ -53,17 +52,11 @@ from .dynamics import (
     recovery_probability,
     spectral_measure,
 )
-from .errors import ConfigParse, SuperKrylovError
-from .measurement import (
-    NoiseBudget,
-    _noisy_series,
-    estimated_eta_norm_sq,
-    forcing_norm_sq,
-    sample_grid,
-)
+from .errors import ConfigParse, _cell
+from .measurement import _noisy_series, estimated_eta_norm_sq, sample_grid
 from .minimax import (
     MAX_CHAIN_ORDER,
-    EstimatorModel,
+    GapModels,
     error_certificate,
     evaluate_x0,
     evaluate_x1,
@@ -317,74 +310,42 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-_ExactData = collections.namedtuple("_ExactData", "grid gaps values x_in")
-
-
-def _initial_condition(ctx: PipelineContext, config: ExperimentConfig):
-    """x_in of gap 1, R_01^(p)(0) for p < M, from one call of F at 0 that
-    every grid and gap shares; R(0) = 1 and, as R is even, R^(odd)(0) = 0."""
-    x_in = _F(ctx.spec.eigenvalues, eigenbasis_weights(ctx.spec, ctx.v), 0.0,
-              range(config.M))[:, 0]
-    x_in[0], x_in[1::2] = 1.0, 0.0
-    return x_in
+_ExactData = collections.namedtuple("_ExactData", "grid gaps values gap_models")
 
 
 def _exact_data(ctx: PipelineContext, D: int, gaps,
-                x_in_1: np.ndarray) -> _ExactData:
-    """The D-point grid around t*, and on it the exact series of R_0g and
-    the initial condition x_in, one row each per gap g, which no noise
-    level or trial changes.  The series of every gap is one oracle call,
-    R_0g(t) = R_01(g t), and x_in[p] = g^p R_01^(p)(0) scales ``x_in_1``
-    (``_initial_condition``)."""
+                gap_models: GapModels) -> _ExactData:
+    """The D-point grid around t*, the exact series of R_0g on it, one row
+    per gap g, from one oracle call (R_0g(t) = R_01(g t)), and the sweep's
+    ``gap_models``: what no noise level or trial changes."""
     grid = sample_grid(ctx.t_star, ctx.delta_t, D)
     gaps = list(gaps)
     values = recovery_probability(ctx.spec, ctx.v, 0, 1,
                                   np.multiply.outer(gaps, grid))
-    x_in = x_in_1 * np.array([[g ** p for p in range(x_in_1.size)]
-                              for g in gaps], dtype=float)
-    return _ExactData(grid, gaps, values, x_in)
+    return _ExactData(grid, gaps, values, gap_models)
 
 
-def _fit_noisy(ctx: PipelineContext, config: ExperimentConfig,
-               exact: _ExactData, theta: float, seeds, eta_bounds) -> tuple:
+def _fit_noisy(config: ExperimentConfig, exact: _ExactData, theta: float,
+               seeds, eta_bounds) -> tuple:
     """Add seeded noise to each gap's exact series (``_noisy_series``) and
-    fit each noisy series once per noise bound ||eta||^2, in one batch.
-
-    ``seeds[i]`` holds the ``_cell_seed`` parts of gap ``exact.gaps[i]``'s
-    noise, and either the gaps or the bounds are one.  Returns the noisy
-    values, one row per gap on ``exact.grid``, and the fits, flat: gap by
-    gap and, within a gap, bound by bound.  The gaps' forcing norms read
-    shared panel tables; an error from a gap's norm, budget or model names
-    the gap and M.
+    fit each once per noise bound ||eta||^2, in one batch.  ``seeds[i]``
+    holds the ``_cell_seed`` parts of gap ``exact.gaps[i]``'s noise, and
+    either the gaps or the bounds are one.  Returns the noisy values, one
+    row per gap on ``exact.grid``, and the fits, flat (``GapModels.models``).
     """
     values = _noisy_series(exact.values, theta,
                            [_cell_seed(config.master_seed, *parts)
                             for parts in seeds])
-    models = []
-    for g, x in zip(exact.gaps, exact.x_in):
-        with _cell(f"gap={g} M={config.M}"):
-            f_norm = forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=config.M)
-            models += [EstimatorModel(x, ctx.tau, NoiseBudget(f_norm, eta))
-                       for eta in eta_bounds]
+    models = exact.gap_models.models(exact.gaps, eta_bounds)
     return values, fit_batch(models, exact.grid, values)
 
 
-@contextlib.contextmanager
-def _cell(name: str):
-    """Prefix a SuperKrylovError leaving the block with the cell's name."""
-    try:
-        yield
-    except SuperKrylovError as exc:
-        exc.args = (f"{name}: {exc}",)  # the type, so the exit code, stays
-        raise
-
-
-def _fit_gaps(ctx: PipelineContext, config: ExperimentConfig,
-              exact: _ExactData, theta: float, trial: int) -> list:
+def _fit_gaps(config: ExperimentConfig, exact: _ExactData, theta: float,
+              trial: int) -> list:
     """One minimax fit per gap of ``exact``, the gaps 1..max(m_values) - 1,
     each on a freshly sampled noisy series; fits[g - 1] is the fit for gap g."""
     seeds = [(1, _theta_key(theta), trial, g) for g in exact.gaps]
-    return _fit_noisy(ctx, config, exact, theta, seeds,
+    return _fit_noisy(config, exact, theta, seeds,
                       [estimated_eta_norm_sq(config.D, theta)])[1]
 
 
@@ -399,7 +360,8 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
     m_max = max(config.m_values)
     exact_full = assemble_pair_exact(ctx.spec, ctx.v, m_max, ctx.t_star)
     exact_pairs = {m: exact_full.leading(m) for m in config.m_values}
-    exact = (_exact_data(ctx, config.D, range(1, m_max), _initial_condition(ctx, config))
+    exact = (_exact_data(ctx, config.D, range(1, m_max),
+                         GapModels(ctx.spec, ctx.v, ctx.tau, config.M))
              if max(config.theta_values) > 0 else None)
     m_values = sorted(config.m_values)
     rows = []
@@ -409,7 +371,7 @@ def _convergence(ctx: PipelineContext, config: ExperimentConfig) -> list:
             if theta > 0.0 or trial == 0:
                 with _cell(f"theta={theta} trial={trial}"):
                     fits = (None if theta == 0.0
-                            else _fit_gaps(ctx, config, exact, theta, trial))
+                            else _fit_gaps(config, exact, theta, trial))
                 solved = []
                 for m in m_values:
                     with _cell(f"theta={theta} trial={trial} m={m}"):
@@ -433,22 +395,22 @@ def _derivative_scaling(ctx: PipelineContext, config: ExperimentConfig) -> list:
     """Derivative error and certificate versus datapoint count D.
 
     Per-trial rows are followed by summary rows (trial = -1) holding the
-    trial-averaged error and certificate for each (D, theta).  The true
-    derivative of gap 1 at t* and x_in are found once, its series once per D,
-    and a noise-free cell's fit and certificate once for every trial.
+    trial-averaged error and certificate for each (D, theta).  The sweep
+    finds gap 1's true derivative at t* and its GapModels once, its series
+    once per D, and a noise-free cell's fit and certificate once for all trials.
     """
     truth = recovery_derivative(ctx.spec, ctx.v, 0, 1, ctx.t_star, 1)
-    x_in_1 = _initial_condition(ctx, config)
+    gap_models = GapModels(ctx.spec, ctx.v, ctx.tau, config.M)
     rows, summary = [], []
     for D in config.d_values:
-        exact = _exact_data(ctx, D, [1], x_in_1)
+        exact = _exact_data(ctx, D, [1], gap_models)
         for theta in config.theta_values:
             cell = []
             for trial in range(config.trials):
                 # a noise-free cell draws nothing: trial 0's fit serves them all
                 if theta > 0.0 or trial == 0:
                     with _cell(f"D={D} theta={theta} trial={trial}"):
-                        _, [f] = _fit_noisy(ctx, config, exact, theta,
+                        _, [f] = _fit_noisy(config, exact, theta,
                                             [(2, _theta_key(theta), trial, D)],
                                             [estimated_eta_norm_sq(D, theta)])
                         error = abs(evaluate_x1(f, ctx.t_star) - truth)
@@ -474,10 +436,11 @@ def _minimax_demo(ctx: PipelineContext, config: ExperimentConfig) -> list:
     gap = 1
     theta = max(config.theta_values)
     eta0 = estimated_eta_norm_sq(config.D, theta)
-    exact = _exact_data(ctx, config.D, [gap], _initial_condition(ctx, config))
+    exact = _exact_data(ctx, config.D, [gap],
+                        GapModels(ctx.spec, ctx.v, ctx.tau, config.M))
     # the r variants come from scaled noise bounds so each budget stays valid
     values, [fit_low, fit0, fit_high] = _fit_noisy(
-        ctx, config, exact, theta,
+        config, exact, theta,
         [(3, _theta_key(theta), 0, gap)], [10.0 * eta0, eta0, 0.1 * eta0])
     dense = np.linspace(0.0, ctx.tau, 201)
     # R_0g(t) = F(g t) and R_0g'(t) = g F'(g t), from one call of F
@@ -509,9 +472,10 @@ def _gram(ctx: PipelineContext, config: ExperimentConfig) -> list:
     pairs = {"exact": assemble_pair_exact(ctx.spec, ctx.v, m, ctx.t_star)}
     theta = max(config.theta_values)
     if theta > 0:
-        exact = _exact_data(ctx, config.D, range(1, m), _initial_condition(ctx, config))
+        exact = _exact_data(ctx, config.D, range(1, m),
+                            GapModels(ctx.spec, ctx.v, ctx.tau, config.M))
         pairs["minimax"] = assemble_pair_minimax(
-            _fit_gaps(ctx, config, exact, theta, 0), ctx.t_star)
+            _fit_gaps(config, exact, theta, 0), ctx.t_star)
     # R_hat is real and J_hat = i A_hat imaginary: one column each
     rows = [(source, j, k, R[j][k], A[j][k])
             for source, pair in pairs.items()

@@ -22,6 +22,7 @@ from .dynamics import (
     SpectralDecomposition,
     _F,
     _check_natural,
+    _check_times,
     _is_integer,
     eigenbasis_weights,
     recovery_probability,
@@ -87,29 +88,22 @@ def sample_grid(t_star: float, delta_t: float, D: int) -> np.ndarray:
     return t_star - delta_t + h / 2 + h * np.arange(D)
 
 
-def measure_series(
-    spec: SpectralDecomposition,
-    v: np.ndarray,
-    j: int,
-    k: int,
-    grid: np.ndarray,
-    theta: float,
-    seed=None,
-) -> np.ndarray:
+def measure_series(spec: SpectralDecomposition, v: np.ndarray, j: int, k: int,
+                   grid: np.ndarray, theta: float, seed=None) -> np.ndarray:
     """Sample y_s = R_jk(t_s) + eta_s with eta_s ~ N(0, theta^2) on a
-    strictly increasing grid of D >= 2 times; returns y, of shape (D,).
+    strictly increasing grid of D >= 2 finite times; returns y, of shape (D,).
 
     theta = 0 returns exact values; a fixed seed is fully reproducible.
     """
     if not 0 <= theta < np.inf:  # a NaN fails this too
         raise InvalidInput(f"theta = {theta} must be nonnegative and finite")
     grid = np.asarray(grid, dtype=float)
-    values = recovery_probability(spec, v, j, k, grid)
     if grid.ndim != 1 or grid.size < 2:
         raise InvalidInput("need a 1-D grid with D >= 2")
+    _check_times(grid)
     if not np.all(np.diff(grid) > 0):
         raise InvalidInput("timepoints must be strictly increasing")
-    return _noisy_series(values, theta, [seed])
+    return _noisy_series(recovery_probability(spec, v, j, k, grid), theta, [seed])
 
 
 def _noisy_series(values: np.ndarray, theta: float, seeds) -> np.ndarray:
@@ -174,14 +168,8 @@ def _panel_table(lam, w, h, order, count):
     return np.cumsum(panels.sum(axis=-1))
 
 
-def forcing_norm_sq(
-    spec: SpectralDecomposition,
-    v: np.ndarray,
-    j: int,
-    k: int,
-    tau: float,
-    order: int,
-) -> float:
+def forcing_norm_sq(spec: SpectralDecomposition, v: np.ndarray, j: int, k: int,
+                    tau: float, order: int) -> float:
     """Exact squared L2 norm of the order-th derivative of R_jk over [0, tau].
 
     With g = |k - j| >= 1, R_jk^(order)(t) = g^order F^(order)(g t), so the
@@ -192,6 +180,7 @@ def forcing_norm_sq(
     the gaps up to g share ceil(log2 g) + 1 tables with every theta and
     trial.  A diagonal entry (g = 0), checked like any other, is exactly
     tau for order 0, else 0.  A norm past the float range raises InvalidInput.
+    A recovery series' model reads it at its own order through ``GapModels``.
     """
     if not 0 < tau < np.inf:  # a NaN fails this too
         raise InvalidInput(f"tau = {tau} must be positive and finite")

@@ -3,7 +3,9 @@
 The signal x0(t) = R_jk(t) is modelled as the first component of a chain
 x_l' = x_{l+1} (l = 0..M-2) driven by an unknown forcing h(t) = x0^{(M)}(t)
 on the horizon [0, tau], from the known initial condition x_in =
-(x0(0), ..., x0^{(M-1)}(0)), whose length is M.  Given noisy samples
+(x0(0), ..., x0^{(M-1)}(0)), whose length is M; ``GapModels`` builds x_in
+and the bound on ||h|| below for every gap's series R_0g from the one M,
+so the prior bounds the forcing of the chain it models.  Given noisy samples
 y_s = x0(t_s) + eta_s and an ellipsoidal prior -- q * ||h||_L2^2 <= 1/2
 and r * ||eta||_2^2 <= 1/2 -- the worst-case-optimal reconstruction is a
 kernel regressor:
@@ -69,9 +71,9 @@ from math import comb, factorial
 import numpy as np
 
 from ._cache import content_cache
-from .dynamics import _is_integer
-from .errors import InvalidInput, SingularSystem
-from .measurement import NoiseBudget
+from .dynamics import SpectralDecomposition, _F, _is_integer, eigenbasis_weights
+from .errors import InvalidInput, SingularSystem, _cell
+from .measurement import NoiseBudget, forcing_norm_sq
 
 # the largest M whose ((M-1)!)^2, a forcing-Gram denominator, fits a float: 99
 MAX_CHAIN_ORDER = next(M for M in range(1, 171)
@@ -137,6 +139,48 @@ class EstimatorModel:
         for p in range(component, len(x_in)):
             drift += t ** (p - component) * x_in[p] / factorial(p - component)
         return drift
+
+
+@dataclass(frozen=True, eq=False)
+class GapModels:
+    """The models of the series R_0g of the state v of spec on the horizon
+    tau at chain order M, an integer in [2, MAX_CHAIN_ORDER]: x_in and the
+    forcing norm take their order from M, so a budget bounds the derivative
+    the chain models.  x_in of gap 1, R_01^(p)(0) for p < M, is one call of
+    F at 0; R(0) = 1 and, as R is even, R^(odd)(0) = 0."""
+
+    spec: SpectralDecomposition
+    v: np.ndarray
+    tau: float
+    M: int
+
+    def __post_init__(self):
+        if not (_is_integer(self.M) and 2 <= self.M <= MAX_CHAIN_ORDER):
+            raise InvalidInput(f"M = {self.M!r} must be an integer in "
+                               f"[2, {MAX_CHAIN_ORDER}]")
+        if not 0 < self.tau < np.inf:  # a NaN fails this too
+            raise InvalidInput(f"tau = {self.tau} must be positive and finite")
+        x_in = _F(self.spec.eigenvalues, eigenbasis_weights(self.spec, self.v),
+                  0.0, range(self.M))[:, 0]
+        x_in[0], x_in[1::2] = 1.0, 0.0
+        object.__setattr__(self, "_x_in_1", x_in)
+
+    def models(self, gaps, eta_bounds) -> list[EstimatorModel]:
+        """One model per gap g >= 1 and noise bound ||eta||^2, flat: gap by
+        gap, then bound by bound.  x_in[p] = g^p R_01^(p)(0), each gap reads
+        one ``forcing_norm_sq``, and an error names the gap and M."""
+        gaps, eta_bounds = list(gaps), list(eta_bounds)
+        for g in gaps:
+            if not (_is_integer(g) and g >= 1):
+                raise InvalidInput(f"gap {g!r} must be an integer >= 1")
+        models = []
+        for g in map(int, gaps):
+            with _cell(f"gap={g} M={self.M}"):
+                f_norm = forcing_norm_sq(self.spec, self.v, 0, g, self.tau, self.M)
+                x_in = self._x_in_1 * np.array([g**p for p in range(self.M)], float)
+                models += [EstimatorModel(x_in, self.tau, NoiseBudget(f_norm, eta))
+                           for eta in eta_bounds]
+        return models
 
 
 @dataclass(frozen=True, eq=False)

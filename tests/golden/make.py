@@ -4,9 +4,10 @@ write, as ``<name>/<table>.csv``.
 
 Three configs are copies of the benchmark's workloads at
 ``master_seed = 0``, so a change to the benchmark cannot move them; each
-runs its workload's one command.  ``n4-M3`` (a four-site Heisenberg chain
-at chain order M = 3) runs all four commands.  ``tests/test_golden.py``
-reruns each config and compares every table with the file written here.
+runs its workload's one command.  ``n4-M3`` and ``n4-M5`` (a four-site
+Heisenberg chain at chain order M = 3 and M = 5) run all four commands.
+``tests/test_golden.py`` reruns each config and compares every table with
+the file written here.
 Regenerate only for a change that is meant to move the numbers, and record
 the deviations it quotes::
 
@@ -29,6 +30,7 @@ COMMANDS = {
     "deriv-scaling": ("deriv-scaling",),
     "exact-large": ("convergence",),
     "n4-M3": tuple(experiments.COMMANDS),
+    "n4-M5": tuple(experiments.COMMANDS),
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from superkrylov import (
     ConfigParse,
+    GapModels,
     SingularSystem,
     assemble_dense,
     assemble_pair_exact,
@@ -26,7 +27,6 @@ from superkrylov.experiments import (
     _exact_data,
     _fit_noisy,
     _fmt,
-    _initial_condition,
     _hamiltonian,
     _theta_key,
     build_context,
@@ -68,8 +68,9 @@ def test_ill_conditioned_certificate_raises():
                            D=15, M=6, theta_values=[theta], eps_rule="m-theta",
                            master_seed=0)
     ctx = build_context(cfg)
-    exact = _exact_data(ctx, cfg.D, [gap], _initial_condition(ctx, cfg))
-    _, [f] = _fit_noisy(ctx, cfg, exact, theta,
+    exact = _exact_data(ctx, cfg.D, [gap],
+                        GapModels(ctx.spec, ctx.v, ctx.tau, cfg.M))
+    _, [f] = _fit_noisy(cfg, exact, theta,
                         [(1, _theta_key(theta), 0, gap)],
                         [estimated_eta_norm_sq(cfg.D, theta)])
     with pytest.raises(SingularSystem, match="component 1"):
@@ -242,12 +243,12 @@ def test_caches_never_leak_between_configs(tmp_path):
 
 def _record_kernel_calls(monkeypatch) -> collections.Counter:
     """Count the evaluations of F (``dynamics._F``) by the module that made
-    them: the oracles (dynamics), the initial conditions and the demo's
-    exact traces (experiments), the exact pair (solver) and the
-    forcing-norm panel tables (measurement)."""
+    them: the oracles (dynamics), the demo's exact traces (experiments),
+    the initial conditions (``GapModels``, in minimax), the exact pair
+    (solver) and the forcing-norm panel tables (measurement)."""
     calls = collections.Counter()
     oracle = dynamics._F
-    for module in (dynamics, experiments, solver, measurement):
+    for module in (dynamics, experiments, minimax, solver, measurement):
         def record(*args, _name=module.__name__.rsplit(".", 1)[-1]):
             calls[_name] += 1
             return oracle(*args)
@@ -270,7 +271,7 @@ def test_convergence_reuses_amplitudes_across_theta(M, tmp_path, monkeypatch):
     _clear_caches()
     calls = _record_kernel_calls(monkeypatch)
     experiments.run("convergence", cfg)
-    assert calls == {"dynamics": 1, "experiments": 1, "solver": 1,
+    assert calls == {"dynamics": 1, "minimax": 1, "solver": 1,
                      "measurement": tables}
     info = measurement._panel_table.cache_info()
     assert (info.misses, info.hits) == (tables, gaps * cells - tables)
@@ -339,7 +340,8 @@ def test_kernel_evaluations_per_sweep(command, overrides, tmp_path, monkeypatch)
         want = 3 if max(cfg.theta_values) > 0 else 1
     calls = _record_kernel_calls(monkeypatch)
     experiments.run(command, cfg)
-    assert calls["dynamics"] + calls["experiments"] + calls["solver"] == want
+    assert (calls["dynamics"] + calls["experiments"] + calls["minimax"]
+            + calls["solver"]) == want
 
 
 def test_no_cell_writes_into_the_shared_exact_series(tmp_path):

@@ -1,5 +1,5 @@
 """Each config in ``tests/golden`` (the benchmark's three workloads and the
-four-site chain at M = 3) must reproduce every CSV
+four-site chain at M = 3 and M = 5) must reproduce every CSV
 ``tests/golden/make.py`` wrote for it: integer and string columns exactly,
 every real column to a relative 1e-12, so a zero stays zero.  A failure
 names the file, the column and its largest deviation."""

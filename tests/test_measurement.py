@@ -108,6 +108,22 @@ class TestMeasureSeries:
         one = measurement._noisy_series(rows[0], theta, [5])
         assert measured.tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("grid, rule", [
+        ([[0.1, 0.2], [0.3, 0.4]], "need a 1-D grid with D >= 2"),
+        (0.3, "need a 1-D grid with D >= 2"),
+        ([0.1, np.nan, 0.3], "times must be finite"),
+        ([0.3, 0.2], "strictly increasing"),
+        ([0.2, 0.2], "strictly increasing"),
+    ], ids=["2-D", "scalar", "nan", "decreasing", "repeated"])
+    def test_grid_checked_before_the_oracle(self, toy, monkeypatch, grid, rule):
+        # every input is checked at the top, so a bad grid costs no oracle work
+        calls = []
+        monkeypatch.setattr(measurement, "recovery_probability",
+                            lambda *args: calls.append(args))
+        with pytest.raises(InvalidInput, match=rule):
+            measure_series(*toy, 0, 1, grid, 0.0)
+        assert calls == []
+
 
 # any float, plus the edges: zero, subnormals (1/(2 b) overflows), a bound
 # whose q is subnormal and would give q * b > 1/2, and one where 2 b overflows

@@ -7,16 +7,22 @@ import pytest
 
 from superkrylov import (
     EstimatorModel,
+    GapModels,
     InvalidInput,
     NoiseBudget,
     error_certificate,
+    estimated_eta_norm_sq,
     evaluate_component,
     evaluate_x0,
     evaluate_x1,
     fit,
     forcing_gram,
+    forcing_norm_sq,
     kernel_matrix,
+    measure_series,
+    recovery_derivative,
 )
+from superkrylov.dynamics import _F, eigenbasis_weights
 
 from superkrylov.minimax import (
     MAX_CHAIN_ORDER,
@@ -25,6 +31,7 @@ from superkrylov.minimax import (
     _overlap,
     fit_batch,
 )
+from superkrylov.experiments import ExperimentConfig, build_context
 from superkrylov.measurement import sample_grid
 
 from _bvp_oracle import certificate_oracle
@@ -579,3 +586,45 @@ class TestEvaluationMemo:
         for array in (f.beta, f.timepoints):
             with pytest.raises(ValueError):
                 array[0] = 2.0
+
+
+@pytest.fixture(scope="module")
+def six_site():
+    """The six-site Heisenberg chain's context, gamma0 = 0.25."""
+    return build_context(ExperimentConfig(n=6, model_seed=42, gamma0=0.25))
+
+
+class TestGapModels:
+    @pytest.mark.parametrize("M", [2, 3, 6])
+    def test_matches_the_hand_recipe_bit_for_bit(self, six_site, M):
+        # x_in of gap 1 from one call of F at 0, scaled by g^p, and the
+        # budget of the order-M forcing norm, as the runners built them
+        ctx, gaps, eta = six_site, [1, 5, 29], 3e-5
+        w = eigenbasis_weights(ctx.spec, ctx.v)
+        x_in_1 = _F(ctx.spec.eigenvalues, w, 0.0, range(M))[:, 0]
+        x_in_1[0], x_in_1[1::2] = 1.0, 0.0
+        models = GapModels(ctx.spec, ctx.v, ctx.tau, M).models(gaps, [eta])
+        for g, model in zip(gaps, models):
+            x_in = x_in_1 * np.array([g ** p for p in range(M)], dtype=float)
+            budget = NoiseBudget(
+                forcing_norm_sq(ctx.spec, ctx.v, 0, g, ctx.tau, order=M), eta)
+            assert model.x_in.tobytes() == x_in.tobytes()
+            assert (model.budget.q, model.budget.r) == (budget.q, budget.r)
+            assert model.tau == ctx.tau
+
+    @pytest.mark.parametrize("gap", [1, 5])
+    def test_certificate_is_sound_on_the_six_site_chain(self, six_site, gap):
+        # sigma >= |x1_hat(t*) - R'(t*)| in every seed (sigma 0.136 against
+        # errors up to 0.057 at gap 1, 0.879 against 0.171 at gap 5).  A
+        # budget from the order-2 norm, which GapModels cannot build, was
+        # below the error in 20 of 20 seeds at gap 1.
+        ctx, D, theta = six_site, 15, 1e-3
+        grid = sample_grid(ctx.t_star, ctx.delta_t, D)
+        [model] = GapModels(ctx.spec, ctx.v, ctx.tau, 3).models(
+            [gap], [estimated_eta_norm_sq(D, theta)])
+        sigma = error_certificate(model, grid, ctx.t_star, 1)
+        truth = recovery_derivative(ctx.spec, ctx.v, 0, gap, ctx.t_star, 1)
+        errors = [abs(evaluate_x1(fit(model, grid, measure_series(
+            ctx.spec, ctx.v, 0, gap, grid, theta, seed=seed)), ctx.t_star) - truth)
+            for seed in range(20)]
+        assert max(errors) <= sigma

@@ -6,6 +6,7 @@ import pytest
 from superkrylov import (
     AllModesThresholded,
     EstimatorModel,
+    GapModels,
     HamiltonianClass,
     InvalidInput,
     KrylovPair,
@@ -43,7 +44,6 @@ from superkrylov.experiments import (
     PipelineContext,
     _exact_data,
     _fit_gaps,
-    _initial_condition,
     build_context,
 )
 from superkrylov.measurement import forcing_norm_sq
@@ -133,10 +133,7 @@ def _fit_for_gap(spec, v, gap, t_star, D=40, theta=0.0, seed=None):
     tau = 1.5 * (t_star + delta_t)
     grid = sample_grid(t_star, delta_t, D)
     y = measure_series(spec, v, 0, gap, grid, theta, seed=seed)
-    x_in = np.array([1.0, 0.0, recovery_derivative(spec, v, 0, gap, 0.0, 2)])
-    f_norm = forcing_norm_sq(spec, v, 0, gap, tau, order=3)
-    eta = 2 * D * theta**2
-    model = EstimatorModel(x_in, tau, NoiseBudget(f_norm, eta))
+    [model] = GapModels(spec, v, tau, 3).models([gap], [2 * D * theta**2])
     return fit(model, grid, y)
 
 
@@ -437,8 +434,8 @@ def test_noise_rate_matches_svd_norms_on_a_minimax_pair():
     cfg = ExperimentConfig(n=4, m_values=list(range(2, 13)), theta_values=[1e-3])
     ctx = build_context(cfg)
     exact = _exact_data(ctx, cfg.D, range(1, max(cfg.m_values)),
-                        _initial_condition(ctx, cfg))
-    fits = _fit_gaps(ctx, cfg, exact, 1e-3, 0)
+                        GapModels(ctx.spec, ctx.v, ctx.tau, cfg.M))
+    fits = _fit_gaps(cfg, exact, 1e-3, 0)
     est = assemble_pair_minimax(fits, ctx.t_star)
     exact = assemble_pair_exact(ctx.spec, ctx.v, est.m, ctx.t_star)
     ref = _svd_noise_rate(est, exact, ctx.spec)
@@ -695,6 +692,32 @@ BAD_INPUT_CASES = {
     "forcing_norm_sq on the diagonal with a row state": (
         r"state of shape \(1, 16\) must be \(16,\)",
         lambda s, v, t: forcing_norm_sq(s, v[None, :], 1, 1, 0.5, order=3)),
+    # GapModels checks M before range(M) could raise a bare TypeError
+    "GapModels with M = 2.5": (
+        r"M = 2.5 must be an integer in \[2, 99\]",
+        lambda s, v, t: GapModels(s, v, 1.0, 2.5)),
+    "GapModels with M = True": (
+        r"M = True must be an integer in \[2, 99\]",
+        lambda s, v, t: GapModels(s, v, 1.0, True)),
+    "GapModels with M = 1": (
+        r"M = 1 must be an integer in \[2, 99\]",
+        lambda s, v, t: GapModels(s, v, 1.0, 1)),
+    "GapModels with M = 100": (
+        r"M = 100 must be an integer in \[2, 99\]",
+        lambda s, v, t: GapModels(s, v, 1.0, 100)),
+    "GapModels with tau = nan": (
+        "tau = nan must be positive and finite",
+        lambda s, v, t: GapModels(s, v, NAN, 3)),
+    "GapModels at gap 0": (
+        "gap 0 must be an integer >= 1",
+        lambda s, v, t: GapModels(s, v, 1.0, 3).models([1, 0], [1e-4])),
+    "GapModels at gap 2.0": (
+        "gap 2.0 must be an integer >= 1",
+        lambda s, v, t: GapModels(s, v, 1.0, 3).models([2.0], [1e-4])),
+    "GapModels with a negative noise bound": (
+        r"gap=1 M=3: bounds \(.*, -1e-05\) must be finite, the first "
+        "positive and the second nonnegative",
+        lambda s, v, t: GapModels(s, v, 1.0, 3).models([1], [-1e-5])),
     "ground_energy with top_energy = nan": (
         "needs a finite top_energy, not nan",
         lambda s, v, t: ground_energy(
